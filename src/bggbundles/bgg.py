@@ -5,17 +5,30 @@ linear forms; slice j of the i-th differential is the action matrix of e_j.
 Evaluating the slices at a point of projective space gives the fiber of the
 differential, and exactness of the fiber sequences at every point below the
 top degree is what makes the cokernel sheaf a vector bundle.
+
+For the bundles built here, M = P/L with P = U (x) wedge^(<=l) the truncated
+free module and L a subspace of its top piece U (x) wedge^l, that exactness
+comes down to one condition.  Below degree l-1 the complex is the Koszul
+complex tensored with U, which is exact at every nonzero point
+(Eisenbud-Floystad-Schreyer 2003), so only degree l-1 can fail, and it fails
+at v exactly when L n ker(v-wedge : U (x) wedge^l -> U (x) wedge^(l+1)) != 0:
+the image of the incoming map is ker(v-wedge) by Koszul exactness, and the
+quotient by L loses dim(L n ker(v-wedge)) of its rank.  ``faithfulness_scan``
+tests this condition, one rank per point, when it is given the anchor L.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from . import modp
+from .anchor import AnchorProblem
 from .emod import GradedEModule, chi
+from .extalg import generator_action
 from .fields import PrimeField
 from .matrix import DenseMatrix, ShapeError
 
@@ -127,25 +140,49 @@ def evaluate_fiber(D: MatrixOfLinearForms, v) -> DenseMatrix:
     return out
 
 
-def exact_at_point(C: LinearComplex, v) -> bool:
-    """Exactness of the fiber sequence at every degree below the top.
+def exact_at_point(C: LinearComplex, v) -> int:
+    """First degree below the top where the fiber sequence at ``v`` is not
+    exact, or -1 when it is exact at every such degree.
 
     Checked through rank(in) + rank(out) = dim term_i with the convention
     that the incoming map at degree 0 is zero; this simultaneously certifies
     constant corank at the top, so the cokernel is locally free at the point.
     """
-    c = C.length
     prev_rank = 0
-    for i in range(c):
+    for i in range(C.length):
         r = evaluate_fiber(C.diffs[i], v).rank()
         if prev_rank + r != C.terms[i][1]:
-            return False
+            return i
         prev_rank = r
-    return True
+    return -1
 
 
 def projective_point_count(q: int, n: int) -> int:
     return (q ** (n + 1) - 1) // (q - 1)
+
+
+def _anchor_restriction(C: LinearComplex, anchor: AnchorProblem) -> LinearComplex:
+    """The one-map complex 0 -> L -> U (x) wedge^(l+1) given by v-wedge on L.
+
+    ``C`` must be the complex of ``quotient_top(free_truncated(u, l, n), L)``
+    for ``anchor`` = (u, w = C(n+1, l), L); its term ranks are checked here,
+    the caller vouches for the maps.  The restriction's fiber at ``v`` has
+    rank dim L exactly when C's fiber sequence is exact below the top, and a
+    failure of C can only sit at degree l-1 (see the module docstring).
+    """
+    f, n, l = C.field, C.n, C.length
+    u, w, d = anchor.u, anchor.w, anchor.d
+    want = tuple(u * comb(n + 1, i) for i in range(l)) + (u * w - d,)
+    if (anchor.field != f or l < 1 or comb(n + 1, l) != w
+            or tuple(r for _, r in C.terms) != want):
+        raise ShapeError(f"complex with terms {C.terms} is not a top-piece "
+                         f"quotient by a {d}-dimensional anchor in k^{u} (x) k^{w}")
+    eye = DenseMatrix.identity(f, u)
+    basis_t = anchor.subspace.basis.transpose()
+    slices = tuple(eye.kron(generator_action(j, l, n, f)) @ basis_t
+                   for j in range(n + 1))
+    return LinearComplex(n, ((l, d), (l + 1, u * comb(n + 1, l + 1))),
+                         (MatrixOfLinearForms(slices),))
 
 
 def _normalized_point_chunks(q: int, n: int, chunk: int):
@@ -170,44 +207,102 @@ def _normalized_point_chunks(q: int, n: int, chunk: int):
             start += cnt
 
 
-def _scan_chunk(C: LinearComplex, slices_np, dims, pts, p, inv_table, base_index,
-                failures):
+def _random_point_chunks(q: int, n: int, samples: int, seed: int, inv_table):
+    """``samples`` distinct seeded points of P^n(F_q), normalized as above.
+
+    Rejection sampling draws the points.  Near the point count it needs about
+    q^n/2 rounds for the last point, so after 1000 rounds the rest are drawn
+    without replacement from the points not seen yet.
+    """
+    rng = np.random.default_rng(seed)
+    seen = set()
+    collected = 0
+    rounds = 0
+    while collected < samples:
+        rounds += 1
+        want = samples - collected
+        if rounds > 1000:
+            rest = np.concatenate(list(_normalized_point_chunks(q, n, 1 << 16)))
+            rest = rest[[row.tobytes() not in seen for row in rest]]
+            yield rest[rng.choice(rest.shape[0], want, replace=False)]
+            return
+        raw = rng.integers(0, q, size=(want * 2, n + 1), dtype=np.int64)
+        raw = raw[(raw != 0).any(axis=1)]
+        # Normalize so distinctness means distinct projective points.
+        lead = (raw != 0).argmax(axis=1)
+        lv = raw[np.arange(raw.shape[0]), lead]
+        raw = raw * inv_table[lv][:, None] % q
+        batch = []
+        for row in raw:
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                batch.append(row)
+                if len(batch) + collected >= samples:
+                    break
+        if batch:
+            collected += len(batch)
+            yield np.stack(batch)
+
+
+def _scan_chunk(slices_np, dims, pts, p, inv_table, base_index, failures):
     """Check exactness on a chunk of points; append failures in order."""
-    c = C.length
     ranks = []
-    for i in range(c):
-        fib = np.tensordot(pts, slices_np[i], axes=([1], [0])) % p
+    for sl in slices_np:
+        fib = np.tensordot(pts, sl, axes=([1], [0])) % p
         ranks.append(modp.batch_rank(fib, p, inv_table))
     k = pts.shape[0]
     ok = np.ones(k, dtype=bool)
     first_bad = np.full(k, -1, dtype=np.int64)
     prev = np.zeros(k, dtype=np.int64)
-    for i in range(c):
-        good = prev + ranks[i] == dims[i]
+    for i, rank in enumerate(ranks):
+        good = prev + rank == dims[i]
         newly_bad = ok & ~good
         first_bad[newly_bad] = i
         ok &= good
-        prev = ranks[i]
+        prev = rank
     if not ok.all():
         for t in np.nonzero(~ok)[0]:
             failures.append((base_index + int(t), tuple(int(x) for x in pts[t]),
                              int(first_bad[t])))
 
 
+def _scan_point_chunks(C: LinearComplex, chunks, q: int, inv_table):
+    """Failures of ``C`` over a stream of point chunks, indexed by position,
+    and the number of points scanned."""
+    slices_np = [np.stack([s.to_numpy() for s in d.slices]) for d in C.diffs]
+    dims = [r for _, r in C.terms]
+    failures = []
+    base = 0
+    for pts in chunks:
+        _scan_chunk(slices_np, dims, pts, q, inv_table, base, failures)
+        base += pts.shape[0]
+    return failures, base
+
+
 def faithfulness_scan(C: LinearComplex, mode: str = "exhaustive", *,
                       samples: int = 10000, seed: int = 0,
                       point_budget: int = 2_000_000,
-                      chunk: int = 1 << 16) -> FaithfulnessReport:
+                      chunk: int = 1 << 16,
+                      anchor: AnchorProblem | None = None) -> FaithfulnessReport:
     """Scan projective points for failures of fiber exactness.
 
     ``exhaustive`` iterates every normalized representative of P^n(F_q) (the
     scalar domain must be a prime field whose point count fits the budget);
     ``random`` samples distinct seeded points.  The failure list is ordered
     by enumeration index regardless of chunking.
+
+    With ``anchor`` = L, ``C`` must be the complex of the quotient of
+    ``free_truncated(anchor.u, l, n)`` by L, and each point is tested by the
+    single rank condition L n ker(v-wedge) = 0 instead of a rank per
+    differential; the points and the report are the same either way.
     """
     f = C.field
     n = C.n
-    dims = [r for _, r in C.terms]
+    offset = 0
+    if anchor is not None:
+        offset = C.length - 1
+        C = _anchor_restriction(C, anchor)
     if C.length == 0:
         count = (projective_point_count(f.p, n)
                  if (mode == "exhaustive" and isinstance(f, PrimeField)) else samples)
@@ -216,77 +311,41 @@ def faithfulness_scan(C: LinearComplex, mode: str = "exhaustive", *,
         if not isinstance(f, PrimeField):
             raise ValueError("exhaustive scans need a prime field")
         q = f.p
-        total = projective_point_count(q, n)
-        if total > point_budget:
-            raise PointBudgetError(f"{total} points exceed the budget {point_budget}")
-        slices_np = [np.stack([s.to_numpy() for s in d.slices]) for d in C.diffs]
-        inv_table = modp.inverse_table(q)
-        failures = []
-        base = 0
-        for pts in _normalized_point_chunks(q, n, chunk):
-            _scan_chunk(C, slices_np, dims, pts, q, inv_table, base, failures)
-            base += pts.shape[0]
-        assert base == total
-        return FaithfulnessReport("exhaustive", repr(f), total, tuple(failures))
-    if mode != "random":
+        count = projective_point_count(q, n)
+        if count > point_budget:
+            raise PointBudgetError(f"{count} points exceed the budget {point_budget}")
+        failures, scanned = _scan_point_chunks(
+            C, _normalized_point_chunks(q, n, chunk), q, modp.inverse_table(q))
+        assert scanned == count
+        seed = None
+    elif mode != "random":
         raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(f, PrimeField):
+    elif isinstance(f, PrimeField):
         q = f.p
-        rng = np.random.default_rng(seed)
-        seen = set()
-        slices_np = [np.stack([s.to_numpy() for s in d.slices]) for d in C.diffs]
+        count = samples
+        points = projective_point_count(q, n)
+        if samples > points:
+            raise ValueError(f"{samples} samples exceed the {points} points "
+                             f"of P^{n}(F_{q})")
         inv_table = modp.inverse_table(q)
+        failures, _ = _scan_point_chunks(
+            C, _random_point_chunks(q, n, samples, seed, inv_table), q, inv_table)
+    else:
+        # Rational fallback: per-point exact check on random integer vectors.
+        count = samples
+        rng = random.Random(seed)
+        seen = set()
         failures = []
-        collected = 0
-        guard = 0
-        while collected < samples:
-            guard += 1
-            if guard > 1000:
-                raise RuntimeError("random point sampling stalled")
-            want = samples - collected
-            raw = rng.integers(0, q, size=(want * 2, n + 1), dtype=np.int64)
-            raw = raw[(raw != 0).any(axis=1)]
-            # Normalize so distinctness means distinct projective points.
-            lead = (raw != 0).argmax(axis=1)
-            lv = raw[np.arange(raw.shape[0]), lead]
-            raw = raw * inv_table[lv][:, None] % q
-            batch = []
-            for row in raw:
-                key = row.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    batch.append(row)
-                    if len(batch) + collected >= samples:
-                        break
-            if batch:
-                pts = np.stack(batch)
-                _scan_chunk(C, slices_np, dims, pts, q, inv_table, collected, failures)
-                collected += pts.shape[0]
-        return FaithfulnessReport("random", repr(f), samples, tuple(failures), seed)
-    # Rational fallback: per-point exact check on random integer vectors.
-    rng = random.Random(seed)
-    seen = set()
-    failures = []
-    idx = 0
-    while idx < samples:
-        v = tuple(rng.randint(-9, 9) for _ in range(n + 1))
-        if all(x == 0 for x in v) or v in seen:
-            continue
-        seen.add(v)
-        if not exact_at_point(C, v):
-            failures.append((idx, v, _first_failure_degree(C, v)))
-        idx += 1
-    return FaithfulnessReport("random", repr(f), samples, tuple(failures), seed)
-
-
-def _first_failure_degree(C: LinearComplex, v) -> int:
-    prev = 0
-    for i in range(C.length):
-        r = evaluate_fiber(C.diffs[i], v).rank()
-        if prev + r != C.terms[i][1]:
-            return i
-        prev = r
-    return -1
+        while len(seen) < samples:
+            v = tuple(rng.randint(-9, 9) for _ in range(n + 1))
+            if all(x == 0 for x in v) or v in seen:
+                continue
+            degree = exact_at_point(C, v)
+            if degree >= 0:
+                failures.append((len(seen), v, degree))
+            seen.add(v)
+    failures = tuple((i, pt, degree + offset) for i, pt, degree in failures)
+    return FaithfulnessReport(mode, repr(f), count, failures, seed)
 
 
 def bundle_rank(P: GradedEModule) -> int:

@@ -1,7 +1,12 @@
 """numpy kernels for exact dense linear algebra over F_p.
 
-All arrays are ``int64`` with entries reduced into ``[0, p)``.  For p up to
-~3e9 the intermediate products stay below 2**63, so everything here is exact.
+All arrays are ``int64`` with entries reduced into ``[0, p)``.  The kernels
+are exact only for p < PRIME_BOUND = 2**20.  The largest intermediate is the
+point scans' fiber evaluation, a sum of n+1 products of two residues, at most
+(n+1)(p-1)**2 < (n+1) * 2**40, which stays below 2**63 for any n+1 < 2**23;
+the elimination steps need only (p-1)**2 + p.  The bound also caps the
+inverse table a scan allocates at 8 MiB.  ``parse_field`` refuses larger
+primes and ``inverse_table`` raises on them.
 The batch kernel reduces many small matrices at once; it is what makes
 exhaustive point scans over P^n(F_q) cheap.
 """
@@ -10,9 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
+PRIME_BOUND = 1 << 20
+
 
 def inverse_table(p: int) -> np.ndarray:
     """Table of multiplicative inverses mod p (index 0 unused, set to 0)."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"p = {p} is not below the exactness bound {PRIME_BOUND}")
     t = np.zeros(p, dtype=np.int64)
     if p > 1:
         t[1] = 1

@@ -20,12 +20,13 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb
 
-from . import __version__
+from . import __version__, modp
 from .anchor import (AnchoringSearchError, AnchorProblem, anchoring_tensor,
                      general_position_range, is_anchoring, sample_anchoring,
                      tensor_to_subspace)
 from .bgg import (FaithfulnessReport, LinearComplex, MatrixOfLinearForms,
-                  bgg_complex, bundle_rank, faithfulness_scan)
+                  bgg_complex, bundle_rank, faithfulness_scan,
+                  projective_point_count)
 from .emod import GradedEModule, chi, free_truncated, hom_space_dim, quotient_map, quotient_top
 from .fields import GF, QQ, PrimeField, RationalField
 from .matrix import DenseMatrix, Subspace
@@ -88,7 +89,11 @@ def parse_field(spec: str):
     if spec == "qq":
         return QQ
     if spec.startswith("fp:"):
-        return GF(int(spec[3:]))
+        p = int(spec[3:])
+        if p >= modp.PRIME_BOUND:
+            raise ParameterError(f"prime {p} is too large: the exact kernels need "
+                                 f"p < {modp.PRIME_BOUND}")
+        return GF(p)
     raise ParameterError(f"unknown field spec {spec!r} (use 'fp:P' or 'qq')")
 
 
@@ -210,6 +215,11 @@ def construct(params: ConstructionParams) -> BundleReport:
     field = params.field()
     pol = params.policy
     p, dim_l = choose_parameters(params.n, params.l, params.r, params.multiplicity)
+    if isinstance(field, PrimeField):
+        points = projective_point_count(field.p, params.n)
+        if pol.random_samples > points:
+            raise ParameterError(f"{pol.random_samples} random samples exceed the "
+                                 f"{points} points of P^{params.n}(F_{field.p})")
     ex_p = pol.exhaustive_prime or default_exhaustive_prime(params.n, pol.point_budget)
     ex_field = GF(ex_p)
     diagnostics = []
@@ -256,7 +266,8 @@ def _construct_once(params, field, ex_field, p, dim_l, seed, attempts) -> Bundle
         raise VerificationError(f"rank came out as {rk}, wanted {r}")
 
     t0 = time.perf_counter()
-    rnd = faithfulness_scan(C, "random", samples=pol.random_samples, seed=seed)
+    rnd = faithfulness_scan(C, "random", samples=pol.random_samples, seed=seed,
+                            anchor=L)
     if not rnd.ok:
         raise VerificationError(f"random faithfulness scan found "
                                 f"{len(rnd.failures)} failures")
@@ -266,7 +277,8 @@ def _construct_once(params, field, ex_field, p, dim_l, seed, attempts) -> Bundle
     exP, exL, exM, exC = _build_instance(ex_field, n, l, p, dim_l, seed,
                                          params.explicit_anchor)
     exM.validate()
-    ex_scan = faithfulness_scan(exC, "exhaustive", point_budget=pol.point_budget)
+    ex_scan = faithfulness_scan(exC, "exhaustive", point_budget=pol.point_budget,
+                                anchor=exL)
     if not ex_scan.ok:
         raise VerificationError(
             f"exhaustive scan over {ex_field!r} found {len(ex_scan.failures)} "
@@ -458,14 +470,13 @@ def verify(report: dict) -> Verdict:
         return ok, f"solution dimension {verdict.solution_dim}"
     check("anchoring", c_anchor)
 
+    def is_quotient(M, ring_field, anchor):
+        Pfree = free_truncated(report["multiplicity"], l, n, ring_field)
+        return M == quotient_top(Pfree, anchor.subspace)
+
     def c_rebuild():
-        Pfree = free_truncated(report["multiplicity"], l, n, field)
-        M2 = quotient_top(Pfree, L.subspace)
-        ok = (M2.piece_dims == module.piece_dims
-              and all(M2.actions[i][j] == module.actions[i][j]
-                      for i in range(M2.top_degree) for j in range(n + 1)))
-        return ok, "module matches free-module quotient by L"
-    check("module_rebuild", c_rebuild)
+        return is_quotient(module, field, L), "module matches free-module quotient by L"
+    rebuild_ok = check("module_rebuild", c_rebuild)
 
     def c_hom():
         hom = hom_space_dim(module)
@@ -487,9 +498,11 @@ def verify(report: dict) -> Verdict:
         check("composite_zero", c_composite)
 
     def c_random_scan():
+        if not rebuild_ok:
+            return False, "module is not the free-module quotient by L"
         rec = report["random_scan"]
         rep2 = faithfulness_scan(C, "random", samples=rec["points_checked"],
-                                 seed=rec["seed"])
+                                 seed=rec["seed"], anchor=L)
         ok = rep2.ok and [list(fx) for fx in rep2.failures] == rec["failures"]
         return ok, f"{rep2.points_checked} points, {len(rep2.failures)} failures"
     if C is not None:
@@ -499,10 +512,16 @@ def verify(report: dict) -> Verdict:
         ex = report["exhaustive"]
         ex_field = parse_field(ex["field"])
         exM = _module_from_json(ex_field, ex["module"])
-        exM.validate()
-        exC = bgg_complex(exM)
-        rep2 = faithfulness_scan(exC, "exhaustive")
-        ok = rep2.ok and rep2.points_checked == ex["scan"]["points_checked"]
+        exL = _anchor_from_json(ex_field, ex["anchor"])
+        if exL.d != report["anchor_dim"] or not is_quotient(exM, ex_field, exL):
+            return False, "exhaustive module is not the free-module quotient by its anchor"
+        rep2 = faithfulness_scan(bgg_complex(exM), "exhaustive",
+                                 point_budget=params["policy"]["point_budget"],
+                                 anchor=exL)
+        rec = ex["scan"]
+        ok = (rep2.ok and [list(fx) for fx in rep2.failures] == rec["failures"]
+              and rep2.points_checked == rec["points_checked"]
+              == projective_point_count(ex_field.p, n))
         return ok, f"{rep2.points_checked} points, {len(rep2.failures)} failures"
     check("exhaustive_faithfulness", c_exhaustive)
 

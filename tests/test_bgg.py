@@ -1,14 +1,19 @@
 """Linear complexes, fiber evaluation and faithfulness scans."""
 
 import random
+from math import comb
 
+import numpy as np
 import pytest
 
-from bggbundles import (GF, QQ, DenseMatrix, GradedEModule, LinearComplex,
-                        MatrixOfLinearForms, PointBudgetError, Subspace,
-                        bgg_complex, bundle_rank, evaluate_fiber, exact_at_point,
+from bggbundles import modp
+from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, GradedEModule,
+                        LinearComplex, MatrixOfLinearForms, PointBudgetError,
+                        Subspace, anchoring_tensor, bgg_complex, bundle_rank,
+                        choose_parameters, evaluate_fiber, exact_at_point,
                         faithfulness_scan, free_truncated, projective_point_count,
-                        quotient_top)
+                        quotient_top, tensor_to_subspace)
+from bggbundles.bgg import _random_point_chunks
 
 F = GF(32003)
 
@@ -53,7 +58,7 @@ def test_free_module_exact_everywhere():
     for _ in range(50):
         v = [F.random_element(rng) for _ in range(4)]
         if any(v):
-            assert exact_at_point(C, v)
+            assert exact_at_point(C, v) == -1
 
 
 def test_deliberate_counterexample_fails_at_a_point():
@@ -64,8 +69,8 @@ def test_deliberate_counterexample_fails_at_a_point():
     L = Subspace(DenseMatrix(F, [[1, 0, 0, 0]], 4))
     Q = quotient_top(P, L)
     C = bgg_complex(Q)
-    assert not exact_at_point(C, (1, 0, 0, 0))
-    assert exact_at_point(C, (0, 1, 0, 0))
+    assert exact_at_point(C, (1, 0, 0, 0)) == 0
+    assert exact_at_point(C, (0, 1, 0, 0)) == -1
 
 
 def test_projective_point_counts():
@@ -122,6 +127,26 @@ def test_random_scan_deterministic():
     r1 = faithfulness_scan(C, "random", samples=156, seed=9)
     r2 = faithfulness_scan(C, "random", samples=156, seed=9)
     assert r1.failures == r2.failures and not r1.ok
+    with pytest.raises(ValueError, match="exceed"):
+        faithfulness_scan(C, "random", samples=157, seed=9)
+
+
+def test_random_scan_every_point_of_a_large_field():
+    # P^3(F_17) has 5220 points. Rejection sampling alone needs ~2600 rounds
+    # for the last one; the scan must still draw each point exactly once.
+    q, count = 17, projective_point_count(17, 3)
+    P = free_truncated(1, 1, 3, GF(q))
+    L = Subspace(DenseMatrix(GF(q), [[1, 0, 0, 0]], 4))
+    C = bgg_complex(quotient_top(P, L))
+    rep = faithfulness_scan(C, "random", samples=count, seed=3)
+    # e_0 (x) wedge^1 meets ker(v-wedge) only at v = e_0.
+    assert rep.points_checked == count
+    assert [pt for _, pt, _ in rep.failures] == [(1, 0, 0, 0)]
+    assert rep == faithfulness_scan(C, "random", samples=count, seed=3,
+                                    anchor=AnchorProblem(1, 4, L))
+    pts = np.concatenate(list(_random_point_chunks(q, 3, count, 3,
+                                                   modp.inverse_table(q))))
+    assert len({row.tobytes() for row in pts}) == count
 
 
 def test_random_scan_rational():
@@ -149,3 +174,66 @@ def test_bundle_rank():
     rows = [[F.random_element(rng) for _ in range(12)]]
     Q = quotient_top(P, Subspace(DenseMatrix(F, rows, 12)))
     assert bundle_rank(Q) == 5
+
+
+def _equivalence_anchors(field, p, d, w):
+    """Seeded random subspaces, the coordinate subspace and, where the field
+    holds one, the explicit anchoring tensor's subspace."""
+    rng = random.Random(p * 1000 + d * 10 + field.p)
+    anchors = []
+    while len(anchors) < 3:
+        basis = DenseMatrix(field, [[field.random_element(rng) for _ in range(p * w)]
+                                    for _ in range(d)], p * w)
+        if basis.rank() == d:
+            anchors.append(AnchorProblem(p, w, Subspace(basis)))
+    eye = DenseMatrix.identity(field, p * w)
+    anchors.append(AnchorProblem(p, w, Subspace(DenseMatrix(field, eye.rows()[:d],
+                                                           p * w))))
+    try:
+        anchors.append(tensor_to_subspace(anchoring_tensor(field, p, d, w)))
+    except (ValueError, RuntimeError):
+        pass  # field too small for a Burnside pair, or too few slices
+    return anchors
+
+
+def test_anchored_scan_matches_full_complex_scan():
+    cases = ((3, 1, 3), (3, 1, 4), (3, 2, 3), (3, 2, 5), (3, 2, 6),
+             (4, 1, 5), (4, 2, 5), (4, 2, 7), (4, 3, 5), (4, 3, 7))
+    compared = {"exhaustive": 0, "random": 0}
+    failing = {"exhaustive": 0, "random": 0}
+    for q in (3, 5, 7):
+        field = GF(q)
+        for n, l, r in cases:
+            p, d = choose_parameters(n, l, r)
+            w = comb(n + 1, l)
+            P = free_truncated(p, l, n, field)
+            for L in _equivalence_anchors(field, p, d, w):
+                C = bgg_complex(quotient_top(P, L.subspace))
+                samples = projective_point_count(q, n) // 2
+                for mode in ("exhaustive", "random"):
+                    full = faithfulness_scan(C, mode, samples=samples, seed=q + n)
+                    anchored = faithfulness_scan(C, mode, samples=samples,
+                                                 seed=q + n, anchor=L)
+                    assert anchored == full, (q, n, l, r, mode)
+                    assert all(deg == l - 1 for _, _, deg in full.failures)
+                    compared[mode] += 1
+                    failing[mode] += not full.ok
+    # Both verdicts occur, so the equality above is not vacuous.
+    for mode in compared:
+        assert 0 < failing[mode] < compared[mode], (mode, failing, compared)
+
+
+def test_anchored_scan_rational_and_shape_checks():
+    P = free_truncated(2, 2, 3, QQ)
+    rows = [[0] * 12]
+    rows[0][0] = 1  # e_0 (x) (e_0 ^ e_1), killed by v-wedge for v in span(e_0, e_1)
+    L = AnchorProblem(2, 6, Subspace(DenseMatrix(QQ, rows, 12)))
+    C = bgg_complex(quotient_top(P, L.subspace))
+    for seed in (1, 2):
+        full = faithfulness_scan(C, "random", samples=100, seed=seed)
+        assert not full.ok  # these seeds draw a point of span(e_0, e_1)
+        assert faithfulness_scan(C, "random", samples=100, seed=seed, anchor=L) == full
+    # An anchor that does not match the complex's terms is refused.
+    from bggbundles import ShapeError
+    with pytest.raises(ShapeError):
+        faithfulness_scan(bgg_complex(P), "random", samples=10, anchor=L)

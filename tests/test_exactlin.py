@@ -1,14 +1,22 @@
 """Exact linear algebra over Q and prime fields."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bggbundles import (GF, QQ, DenseMatrix, FieldError, MalformedSubspaceError,
-                        ShapeError, Subspace, sum_intersection_dims)
+                        ParameterError, ShapeError, Subspace, modp,
+                        sum_intersection_dims)
+from bggbundles.fields import _is_prime
+from bggbundles.pipeline import parse_field
 
 F = GF(32003)
+# The largest prime the numpy kernels accept.
+LARGEST_PRIME = max(q for q in range(modp.PRIME_BOUND - 100, modp.PRIME_BOUND)
+                    if _is_prime(q))
 
 
 def random_matrix(field, rng, nrows, ncols):
@@ -186,3 +194,58 @@ def test_rank_agrees_with_sympy_oracle():
     for case in range(25):
         rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(4)]
         assert DenseMatrix(QQ, rows).rank() == sympy.Matrix(rows).rank()
+
+
+def test_parse_field_refuses_primes_beyond_the_exact_bound():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="too large"):
+            parse_field("fp:2147483647")
+        with pytest.raises(ValueError):
+            modp.inverse_table(2147483647)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak  # the 16 GiB inverse table was never built
+    assert parse_field(f"fp:{LARGEST_PRIME}").p == LARGEST_PRIME == 1048573
+    with pytest.raises(ParameterError):
+        parse_field("fp:1048583")  # the next prime
+
+
+def _rank_mod_p_fractions(rows, p):
+    """Rank over F_p by elimination on Fractions, reduced mod p at each step."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0])):
+        pivot = next((i for i in range(rank, len(a)) if a[i][c] % p), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(int(a[rank][c]), p - 2, p)
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] * inv
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def test_numpy_ranks_match_fraction_ranks_at_the_largest_prime():
+    p = LARGEST_PRIME
+    field = GF(p)
+    rng = random.Random(p)
+    mats, want = [], []
+    for case in range(60):
+        k = case % 6  # the rank of a product through k dimensions is at most k
+        x = [[rng.randrange(p) for _ in range(k)] for _ in range(6)]
+        y = [[rng.randrange(p) for _ in range(5)] for _ in range(k)]
+        rows = [[sum(a * b for a, b in zip(xr, col)) % p for col in zip(*y)]
+                if k else [0] * 5 for xr in x]
+        # Entries next to p make the products in the kernels as large as they get.
+        rows[0][0] = p - 1
+        ref = _rank_mod_p_fractions(rows, p)
+        assert DenseMatrix(field, rows).rank() == ref
+        assert len(modp.rref(np.array(rows), p)[1]) == ref
+        mats.append(rows)
+        want.append(ref)
+    assert list(modp.batch_rank(np.array(mats), p)) == want
+    assert len(set(want)) > 3

@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from bggbundles import (ConstructionParams, ParameterError, VerificationPolicy,
-                        cas_script, choose_parameters, construct, report_to_json,
-                        report_to_json_str, verify, with_replaced_anchor)
+from bggbundles import (GF, ConstructionParams, ParameterError, VerificationPolicy,
+                        cas_script, choose_parameters, construct, free_truncated,
+                        projective_point_count, report_to_json, report_to_json_str,
+                        verify, with_replaced_anchor)
 from bggbundles.cli import main as cli_main
-from bggbundles.pipeline import default_exhaustive_prime
+from bggbundles.pipeline import _module_to_json, default_exhaustive_prime
 
 FAST = VerificationPolicy(exhaustive_prime=5, random_samples=500)
 
@@ -145,6 +146,44 @@ def test_mutation_non_anchoring_subspace():
     assert "anchoring" in failed
 
 
+@pytest.fixture(scope="module")
+def fast_report():
+    return report_to_json(construct(fast_params(3, 2, 5, seed=42)))
+
+
+def _swap_in_free_module(obj):
+    free = free_truncated(obj["multiplicity"], 2, 3, GF(5))
+    obj["exhaustive"]["module"] = _module_to_json(free)
+
+
+def _add_recorded_failure(obj):
+    obj["exhaustive"]["scan"]["failures"].append([0, [1, 0, 0, 0], 1])
+
+
+def _budget_below_point_count(obj):
+    obj["params"]["policy"]["point_budget"] = projective_point_count(5, 3) - 1
+
+
+@pytest.mark.parametrize("mutate", [_swap_in_free_module, _add_recorded_failure,
+                                    _budget_below_point_count])
+def test_mutation_exhaustive_block(fast_report, mutate):
+    assert verify(fast_report).ok
+    obj = json.loads(json.dumps(fast_report))
+    mutate(obj)
+    verdict = verify(obj)
+    assert [name for name, _ in verdict.failed()] == ["exhaustive_faithfulness"]
+
+
+def test_mutation_main_module_swapped_for_free_module(fast_report):
+    obj = json.loads(json.dumps(fast_report))
+    obj["module"] = _module_to_json(free_truncated(obj["multiplicity"], 2, 3, GF(32003)))
+    failed = dict(verify(obj).failed())
+    assert "module_rebuild" in failed
+    # The free module's own complex is exact everywhere; the scan must not
+    # pass it on the anchored test's behalf.
+    assert failed["random_faithfulness"] == "module is not the free-module quotient by L"
+
+
 def test_cas_script_contents():
     obj = report_to_json(construct(fast_params(3, 2, 5, seed=42)))
     script = cas_script(obj)
@@ -224,6 +263,12 @@ def test_cli_verify_fails_on_mutation(tmp_path, capsys):
 
 def test_cli_bad_params_exit_code(capsys):
     assert cli_main(["construct", "--n", "2", "--l", "1", "--r", "3"]) == 2
+    # P^3(F_7) has 400 points, fewer than the 10000 default samples.
+    assert cli_main(["construct", "--n", "3", "--l", "2", "--r", "5",
+                     "--field", "fp:7", "--exhaustive-field", "5"]) == 2
+    assert "400 points" in capsys.readouterr().err
+    assert cli_main(["construct", "--n", "3", "--l", "2", "--r", "5",
+                     "--field", "fp:2147483647"]) == 2
     assert cli_main(["anchor", "--u", "2", "--w", "4", "--d", "1"]) == 2
     capsys.readouterr()
 
