@@ -31,7 +31,7 @@ for l in (1, 2):
     calc = CohomologyCalculator(C)
     cert = certify_hd(P, C, calc=calc)
     print(f"\ntruncation at l = {l}: certified hd = {cert.value}, "
-          f"window {cert.window}, witness H^{cert.nonvanishing[0]}"
+          f"witness H^{cert.nonvanishing[0]}"
           f"(F({cert.nonvanishing[1]})) = {cert.nonvanishing[2]}")
     print(cohomology_table(C, -8, 1, calc).to_text())
 

@@ -299,40 +299,38 @@ def faithfulness_scan(C: LinearComplex, mode: str = "exhaustive", *,
     """
     f = C.field
     n = C.n
+    if mode not in ("exhaustive", "random"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if f is None:
+        raise ValueError("a complex without differentials has no field to scan over")
+    if mode == "exhaustive":
+        if not isinstance(f, PrimeField):
+            raise ValueError("exhaustive scans need a prime field")
+        count = projective_point_count(f.p, n)
+        if count > point_budget:
+            raise PointBudgetError(f"{count} points exceed the budget {point_budget}")
+    else:
+        count = samples
+        if isinstance(f, PrimeField) and samples > projective_point_count(f.p, n):
+            raise ValueError(f"{samples} samples exceed the "
+                             f"{projective_point_count(f.p, n)} points of P^{n}(F_{f.p})")
     offset = 0
     if anchor is not None:
         offset = C.length - 1
         C = _anchor_restriction(C, anchor)
-    if C.length == 0:
-        count = (projective_point_count(f.p, n)
-                 if (mode == "exhaustive" and isinstance(f, PrimeField)) else samples)
-        return FaithfulnessReport(mode, repr(f), count, (), seed)
     if mode == "exhaustive":
-        if not isinstance(f, PrimeField):
-            raise ValueError("exhaustive scans need a prime field")
         q = f.p
-        count = projective_point_count(q, n)
-        if count > point_budget:
-            raise PointBudgetError(f"{count} points exceed the budget {point_budget}")
         failures, scanned = _scan_point_chunks(
             C, _normalized_point_chunks(q, n, chunk), q, modp.inverse_table(q))
         assert scanned == count
         seed = None
-    elif mode != "random":
-        raise ValueError(f"unknown mode {mode!r}")
     elif isinstance(f, PrimeField):
         q = f.p
-        count = samples
-        points = projective_point_count(q, n)
-        if samples > points:
-            raise ValueError(f"{samples} samples exceed the {points} points "
-                             f"of P^{n}(F_{q})")
         inv_table = modp.inverse_table(q)
         failures, _ = _scan_point_chunks(
             C, _random_point_chunks(q, n, samples, seed, inv_table), q, inv_table)
     else:
         # Rational fallback: per-point exact check on random integer vectors.
-        count = samples
         rng = random.Random(seed)
         seen = set()
         failures = []

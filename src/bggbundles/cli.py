@@ -47,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="prime for the exhaustive scan (default: by n)")
     c.add_argument("--samples", type=int, default=10000,
                    help="random faithfulness sample count")
-    c.add_argument("--window-margin", type=int, default=None,
-                   help="extra twists below the structural window in certify_hd")
     c.add_argument("--out", default=None, metavar="report.json")
     c.add_argument("--emit-cas", default=None, metavar="script.txt")
     c.add_argument("--emit-table", default=None, metavar="table.txt")
@@ -71,11 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args) -> int:
-    policy = VerificationPolicy(
-        exhaustive_prime=args.exhaustive_field,
-        random_samples=args.samples,
-        window_margin=args.window_margin,
-    )
+    policy = VerificationPolicy(exhaustive_prime=args.exhaustive_field,
+                                random_samples=args.samples)
     params = ConstructionParams(
         n=args.n, l=args.l, r=args.r, field_spec=args.field, seed=args.seed,
         multiplicity=args.multiplicity, explicit_anchor=args.explicit_anchor,

@@ -81,23 +81,11 @@ def free_truncated(p: int, l: int, n: int, field) -> GradedEModule:
 def quotient_map(L: Subspace) -> DenseMatrix:
     """Coordinate projection onto the echelon-pivot complement of L.
 
-    The complement is spanned by the coordinates that are not pivot columns of
-    rref(L); this makes the quotient deterministic and cheap to re-derive.
+    Its rows are the free-column kernel vectors of L's basis: the complement
+    is spanned by the coordinates that are not pivot columns of rref(L),
+    which makes the quotient deterministic and cheap to re-derive.
     """
-    m = L.ambient_dim
-    f = L.field
-    R, piv = L.basis.rref()
-    pivset = set(piv)
-    free = [c for c in range(m) if c not in pivset]
-    z, o = f.zero, f.one
-    rows = []
-    for k in free:
-        row = [z] * m
-        row[k] = o
-        for t, c in enumerate(piv):
-            row[c] = f.neg(R[t, k])
-        rows.append(tuple(row))
-    return DenseMatrix(f, tuple(rows), m, _raw=True)
+    return L.basis.free_column_kernel()
 
 
 def quotient_top(P: GradedEModule, L: Subspace) -> GradedEModule:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .modp import PRIME_BOUND
+
 
 class FieldError(ValueError):
     """Raised for invalid field construction or coercion."""
@@ -31,11 +33,18 @@ def _is_prime(p: int) -> bool:
 
 
 class PrimeField:
-    """The prime field F_p with canonical representatives ``0..p-1``."""
+    """The prime field F_p with canonical representatives ``0..p-1``.
+
+    Only p < ``modp.PRIME_BOUND`` is accepted: the exact numpy kernels that
+    ``DenseMatrix`` and the scans use over F_p would overflow beyond it.
+    """
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if p >= PRIME_BOUND:
+            raise FieldError(f"prime {p} is too large: the exact kernels need "
+                             f"p < {PRIME_BOUND}")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p

@@ -214,19 +214,6 @@ class DenseMatrix:
                 rows.append(tuple(mul(a, b) for a in ra for b in rb))
         return DenseMatrix(self.field, tuple(rows), self.ncols * other.ncols, _raw=True)
 
-    def matvec(self, v):
-        """Product ``self @ v`` for a plain sequence ``v``; returns a tuple."""
-        if len(v) != self.ncols:
-            raise ShapeError("vector length mismatch")
-        add, mul, z = self.field.add, self.field.mul, self.field.zero
-        out = []
-        for r in self._rows:
-            s = z
-            for a, b in zip(r, v):
-                s = add(s, mul(a, b))
-            out.append(s)
-        return tuple(out)
-
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
@@ -251,25 +238,25 @@ class DenseMatrix:
         rows, piv = _rref_fraction(self._rows)
         return DenseMatrix(f, rows, self.ncols, _raw=True), tuple(piv)
 
-    def kernel_basis(self):
-        """Basis of the right kernel, one vector per row, rref-normalized.
-
-        Row count is ``ncols - rank`` (rank-nullity is asserted).
-        """
+    def free_column_kernel(self):
+        """Right-kernel vectors read off rref(self), one per non-pivot column
+        k: e_k minus the entries of column k placed at the pivot columns."""
         f = self.field
         R, piv = self.rref()
         pivset = set(piv)
-        free = [c for c in range(self.ncols) if c not in pivset]
-        z, o, neg = f.zero, f.one, f.neg
         rows = []
-        for k in free:
-            v = [z] * self.ncols
-            v[k] = o
+        for k in (c for c in range(self.ncols) if c not in pivset):
+            v = [f.zero] * self.ncols
+            v[k] = f.one
             for t, c in enumerate(piv):
-                v[c] = neg(R[t, k])
+                v[c] = f.neg(R[t, k])
             rows.append(tuple(v))
-        ker = DenseMatrix(f, tuple(rows), self.ncols, _raw=True)
-        assert ker.nrows == self.ncols - len(piv), "rank-nullity violated"
+        return DenseMatrix(f, tuple(rows), self.ncols, _raw=True)
+
+    def kernel_basis(self):
+        """Basis of the right kernel, one vector per row, rref-normalized;
+        ``ncols - rank`` rows."""
+        ker = self.free_column_kernel()
         kerR, kpiv = ker.rref()
         assert len(kpiv) == ker.nrows, "kernel basis must be independent"
         return kerR
@@ -361,10 +348,6 @@ class Subspace:
         if basis.nrows and basis.rank() != basis.nrows:
             raise MalformedSubspaceError("basis rows are linearly dependent")
         self.basis = basis
-
-    @classmethod
-    def from_rows(cls, field, rows, ambient_dim):
-        return cls(DenseMatrix(field, rows, ambient_dim))
 
     @property
     def field(self):

@@ -5,8 +5,8 @@ are exact only for p < PRIME_BOUND = 2**20.  The largest intermediate is the
 point scans' fiber evaluation, a sum of n+1 products of two residues, at most
 (n+1)(p-1)**2 < (n+1) * 2**40, which stays below 2**63 for any n+1 < 2**23;
 the elimination steps need only (p-1)**2 + p.  The bound also caps the
-inverse table a scan allocates at 8 MiB.  ``parse_field`` refuses larger
-primes and ``inverse_table`` raises on them.
+inverse table a scan allocates at 8 MiB.  ``fields.PrimeField`` refuses
+larger primes and ``inverse_table`` raises on them.
 The batch kernel reduces many small matrices at once; it is what makes
 exhaustive point scans over P^n(F_q) cheap.
 """

@@ -8,7 +8,16 @@ verifies everything it claims: faithfulness (random sampling over the
 working field plus an exhaustive scan of a same-seed rebuild over a small
 field), simplicity (endomorphism dimension 1), rank and certified
 homological dimension.  The whole record is serialized into a self-contained
-JSON report that ``verify`` can replay deterministically.
+JSON report.
+
+``construct`` and ``verify`` run one list of checks, ``CHECKS``.  A check
+takes an :class:`Instance` (the parameters, the module M, its anchor L and
+the exhaustive rebuild exM, exL) and returns ``(ok, detail, sections)``,
+where ``sections`` maps each report key the check vouches for to its
+recomputed value.  ``construct`` builds the instance, stops at the first
+failing check and writes the report from the sections; ``verify`` parses the
+instance from a report and passes a check only if it is ok and every
+recomputed section equals the recorded one.
 """
 
 from __future__ import annotations
@@ -16,23 +25,25 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property, reduce
 from math import comb
+from operator import getitem
 
-from . import __version__, modp
+from . import __version__
 from .anchor import (AnchoringSearchError, AnchorProblem, anchoring_tensor,
                      general_position_range, is_anchoring, sample_anchoring,
                      tensor_to_subspace)
-from .bgg import (FaithfulnessReport, LinearComplex, MatrixOfLinearForms,
-                  bgg_complex, bundle_rank, faithfulness_scan,
+from .bgg import (FaithfulnessReport, LinearComplex, bgg_complex, faithfulness_scan,
                   projective_point_count)
 from .emod import GradedEModule, chi, free_truncated, hom_space_dim, quotient_map, quotient_top
-from .fields import GF, QQ, PrimeField, RationalField
+from .fields import GF, QQ, FieldError, PrimeField, RationalField
 from .matrix import DenseMatrix, Subspace
-from .sheafcoh import CertificationError, CohomologyCalculator, certify_hd, cohomology_table
+from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable,
+                       HdCertificate, certify_hd, cohomology_table)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CONVENTIONS = {
     "exterior_basis": "index subsets of {0..n}, lexicographic on sorted tuples",
@@ -64,7 +75,6 @@ class VerificationError(RuntimeError):
 class VerificationPolicy:
     exhaustive_prime: int | None = None  # None = pick by n
     random_samples: int = 10000
-    window_margin: int | None = None  # None = resolution length + n
     retry_budget: int = 32
     point_budget: int = 2_000_000
     table_window: tuple | None = None  # None = [-n-c-1, 0]
@@ -89,11 +99,10 @@ def parse_field(spec: str):
     if spec == "qq":
         return QQ
     if spec.startswith("fp:"):
-        p = int(spec[3:])
-        if p >= modp.PRIME_BOUND:
-            raise ParameterError(f"prime {p} is too large: the exact kernels need "
-                                 f"p < {modp.PRIME_BOUND}")
-        return GF(p)
+        try:
+            return GF(int(spec[3:]))
+        except FieldError as exc:
+            raise ParameterError(str(exc)) from exc
     raise ParameterError(f"unknown field spec {spec!r} (use 'fp:P' or 'qq')")
 
 
@@ -107,6 +116,11 @@ def default_exhaustive_prime(n: int, point_budget: int = 2_000_000) -> int:
         if (q ** (n + 1) - 1) // (q - 1) <= point_budget:
             return q
     raise ParameterError(f"no exhaustive field fits the budget for n = {n}")
+
+
+def _exhaustive_field(params: ConstructionParams) -> PrimeField:
+    pol = params.policy
+    return GF(pol.exhaustive_prime or default_exhaustive_prime(params.n, pol.point_budget))
 
 
 def choose_parameters(n: int, l: int, r: int, multiplicity: int | None = None):
@@ -173,36 +187,172 @@ def _anchor_subspace(field, p: int, w: int, dim_l: int, seed: int,
     return sample_anchoring(field, p, w, dim_l, seed=seed, max_attempts=max_attempts)
 
 
-def _build_instance(field, n, l, p, dim_l, seed, explicit):
-    w = comb(n + 1, l)
-    P = free_truncated(p, l, n, field)
-    L = _anchor_subspace(field, p, w, dim_l, seed, explicit, 8)
-    M = quotient_top(P, L.subspace)
-    return P, L, M, bgg_complex(M)
+def _build(field, params: ConstructionParams, p: int, dim_l: int, seed: int):
+    """The anchor L and the quotient module M = P/L over ``field``."""
+    L = _anchor_subspace(field, p, comb(params.n + 1, params.l), dim_l, seed,
+                         params.explicit_anchor, 8)
+    return L, _rebuild(params, L)
+
+
+def _rebuild(params: ConstructionParams, L: AnchorProblem) -> GradedEModule:
+    """The free module's quotient by L: what a module anchored at L must be."""
+    return quotient_top(free_truncated(L.u, params.l, params.n, L.field), L.subspace)
+
+
+# ---------------------------------------------------------------------------
+# the checks shared by construct and verify
+
+
+@dataclass
+class Instance:
+    """What the checks examine.  ``attempts`` fixes the random-scan seed."""
+
+    params: ConstructionParams
+    M: GradedEModule
+    L: AnchorProblem
+    exM: GradedEModule
+    exL: AnchorProblem
+    attempts: int
+
+    @cached_property
+    def C(self):
+        return bgg_complex(self.M)
+
+    @cached_property
+    def rebuilt(self) -> GradedEModule:
+        return _rebuild(self.params, self.L)
+
+
+def _needs_anchoring(L: AnchorProblem) -> bool:
+    """Only a nontrivial quotient at multiplicity > 1 must anchor to be simple."""
+    return L.u > 1 and L.d >= 1
+
+
+def _check_parameters(inst):
+    n, l = inst.params.n, inst.params.l
+    p, dim_l = choose_parameters(n, l, inst.params.r, inst.params.multiplicity)
+    L = inst.L
+    return ((L.u, L.w, L.d) == (p, comb(n + 1, l), dim_l),
+            f"p={p}, anchor dim={dim_l}",
+            {"conventions": dict(CONVENTIONS), "multiplicity": p, "anchor_dim": dim_l})
+
+
+def _check_exterior_relations(inst):
+    inst.M.validate()
+    return True, "exterior relations hold", {}
+
+
+def _check_anchoring(inst):
+    verdict = is_anchoring(inst.L)
+    return (verdict.anchors or not _needs_anchoring(inst.L),
+            f"solution dimension {verdict.solution_dim}",
+            {"anchor_solution_dim": verdict.solution_dim})
+
+
+def _check_module_rebuild(inst):
+    L = inst.L
+    ok = inst.M == inst.rebuilt
+    return (ok, f"module is {'' if ok else 'not '}the free-module quotient by L",
+            {"quotient_basis": quotient_map(L.subspace) if L.d else None})
+
+
+def _check_hom_dimension(inst):
+    hom = hom_space_dim(inst.M)
+    if (hom != 1 and _needs_anchoring(inst.L) and inst.M == inst.rebuilt
+            and is_anchoring(inst.L).anchors):
+        raise RuntimeError("anchoring verdict and endomorphism computation disagree: "
+                           f"L anchors but Hom has dimension {hom}")
+    return hom == 1, f"Hom dimension {hom}", {"hom_dim": hom}
+
+
+def _check_rank(inst):
+    ch = chi(inst.M)
+    return ch[-1] == inst.params.r, f"chi={ch}, rank={ch[-1]}", {"chi": ch, "rank": ch[-1]}
+
+
+def _check_composite_zero(inst):
+    inst.C.validate()
+    return True, "composite of differentials vanishes", {}
+
+
+def _check_random_faithfulness(inst):
+    # The anchored scan reads L and the shape of M's complex only;
+    # module_rebuild vouches that M's maps are those of the quotient by L.
+    if inst.M.piece_dims != inst.rebuilt.piece_dims:
+        return False, "module is not the free-module quotient by L", {}
+    params = inst.params
+    rnd = faithfulness_scan(inst.C, "random", samples=params.policy.random_samples,
+                            seed=params.seed + inst.attempts - 1, anchor=inst.L)
+    return (rnd.ok, f"{rnd.points_checked} points, {len(rnd.failures)} failures",
+            {"random_scan": rnd})
+
+
+def _check_exhaustive_faithfulness(inst):
+    exL = inst.exL
+    if (exL.u, exL.d) != (inst.L.u, inst.L.d) or inst.exM != _rebuild(inst.params, exL):
+        return False, "exhaustive module is not the free-module quotient by its anchor", {}
+    scan = faithfulness_scan(bgg_complex(inst.exM), "exhaustive",
+                             point_budget=inst.params.policy.point_budget, anchor=exL)
+    return (scan.ok, f"{scan.points_checked} points, {len(scan.failures)} failures",
+            {"exhaustive.field": field_spec(exL.field), "exhaustive.scan": scan})
+
+
+def _check_cohomology(inst):
+    n, l, C = inst.params.n, inst.params.l, inst.C
+    calc = CohomologyCalculator(C)
+    cert = certify_hd(inst.M, C, calc)
+    t_lo, t_hi = inst.params.policy.table_window or (-n - C.length - 1, 0)
+    table = cohomology_table(C, t_lo, t_hi, calc)
+    return cert.value == l, f"certified hd {cert.value}", {"cohomology": table, "hd": cert}
+
+
+# (name, construct timing stage, check), in the order both callers run them.
+CHECKS = (
+    ("parameters", "build", _check_parameters),
+    ("exterior_relations", "build", _check_exterior_relations),
+    ("anchoring", "simplicity", _check_anchoring),
+    ("module_rebuild", "build", _check_module_rebuild),
+    ("hom_dimension", "simplicity", _check_hom_dimension),
+    ("rank", "simplicity", _check_rank),
+    ("composite_zero", "build", _check_composite_zero),
+    ("random_faithfulness", "random_scan", _check_random_faithfulness),
+    ("exhaustive_faithfulness", "exhaustive_scan", _check_exhaustive_faithfulness),
+    ("cohomology", "cohomology", _check_cohomology),
+)
+
+
+# ---------------------------------------------------------------------------
+# construction
+
+
+def _section(key):
+    return property(lambda self: self.sections[key])
 
 
 @dataclass(frozen=True)
 class BundleReport:
     params: ConstructionParams
-    multiplicity: int
-    anchor_dim: int
     module: GradedEModule
     anchor: AnchorProblem
     complex: LinearComplex
-    exhaustive_field_spec: str
     exhaustive_module: GradedEModule
     exhaustive_anchor: AnchorProblem
-    exhaustive_scan: FaithfulnessReport
-    random_scan: FaithfulnessReport
-    hom_dim: int
-    anchor_solution_dim: int
-    rank: int
-    chi: tuple
-    table: object  # CohomologyTable
-    hd: object  # HdCertificate
+    sections: dict  # report key -> value, as the checks returned them
     attempts: int
     timings: dict
     version: str = __version__
+
+    multiplicity = _section("multiplicity")
+    anchor_dim = _section("anchor_dim")
+    anchor_solution_dim = _section("anchor_solution_dim")
+    hom_dim = _section("hom_dim")
+    rank = _section("rank")
+    chi = _section("chi")
+    random_scan = _section("random_scan")
+    exhaustive_field_spec = _section("exhaustive.field")
+    exhaustive_scan = _section("exhaustive.scan")
+    table = _section("cohomology")
+    hd = _section("hd")
 
 
 def construct(params: ConstructionParams) -> BundleReport:
@@ -214,22 +364,25 @@ def construct(params: ConstructionParams) -> BundleReport:
     """
     field = params.field()
     pol = params.policy
-    p, dim_l = choose_parameters(params.n, params.l, params.r, params.multiplicity)
+    n = params.n
+    p, dim_l = choose_parameters(n, params.l, params.r, params.multiplicity)
     if isinstance(field, PrimeField):
-        points = projective_point_count(field.p, params.n)
+        points = projective_point_count(field.p, n)
         if pol.random_samples > points:
             raise ParameterError(f"{pol.random_samples} random samples exceed the "
-                                 f"{points} points of P^{params.n}(F_{field.p})")
-    ex_p = pol.exhaustive_prime or default_exhaustive_prime(params.n, pol.point_budget)
-    ex_field = GF(ex_p)
+                                 f"{points} points of P^{n}(F_{field.p})")
+    ex_field = _exhaustive_field(params)
+    ex_points = projective_point_count(ex_field.p, n)
+    if ex_points > pol.point_budget:
+        raise ParameterError(f"the {ex_points} points of P^{n}(F_{ex_field.p}) exceed "
+                             f"the point budget {pol.point_budget}")
     diagnostics = []
     # The explicit-anchor path has no randomness affecting the bundle, so a
     # failed check cannot be cured by reseeding.
     budget = 1 if params.explicit_anchor else pol.retry_budget
     for attempt in range(budget):
-        seed = params.seed + attempt
         try:
-            return _construct_once(params, field, ex_field, p, dim_l, seed, attempt + 1)
+            return _construct_once(params, field, ex_field, p, dim_l, attempt + 1)
         except (VerificationError, CertificationError, AnchoringSearchError) as exc:
             diagnostics.append((attempt, str(exc)))
     raise RetryBudgetError(
@@ -237,70 +390,27 @@ def construct(params: ConstructionParams) -> BundleReport:
         f"(n={params.n}, l={params.l}, r={params.r})", diagnostics)
 
 
-def _construct_once(params, field, ex_field, p, dim_l, seed, attempts) -> BundleReport:
-    pol = params.policy
-    n, l, r = params.n, params.l, params.r
-    timings = {}
+def _construct_once(params, field, ex_field, p, dim_l, attempts) -> BundleReport:
+    seed = params.seed + attempts - 1
+    timings = dict.fromkeys((stage for _, stage, _ in CHECKS), 0.0)
     t0 = time.perf_counter()
-    P, L, M, C = _build_instance(field, n, l, p, dim_l, seed, params.explicit_anchor)
-    M.validate()
-    C.validate()
-    timings["build"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    verdict = is_anchoring(L)
-    if p > 1 and dim_l >= 1 and not verdict.anchors:
-        raise VerificationError(f"chosen subspace does not anchor "
-                                f"(solution dimension {verdict.solution_dim})")
-    hom = hom_space_dim(M)
-    if hom != 1:
-        if p > 1 and dim_l >= 1 and verdict.anchors:
-            raise RuntimeError(
-                "anchoring verdict and endomorphism computation disagree: "
-                f"L anchors but Hom has dimension {hom}")
-        raise VerificationError(f"module is not simple (Hom dimension {hom})")
-    timings["simplicity"] = time.perf_counter() - t0
-
-    rk = bundle_rank(M)
-    if rk != r:
-        raise VerificationError(f"rank came out as {rk}, wanted {r}")
-
-    t0 = time.perf_counter()
-    rnd = faithfulness_scan(C, "random", samples=pol.random_samples, seed=seed,
-                            anchor=L)
-    if not rnd.ok:
-        raise VerificationError(f"random faithfulness scan found "
-                                f"{len(rnd.failures)} failures")
-    timings["random_scan"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    exP, exL, exM, exC = _build_instance(ex_field, n, l, p, dim_l, seed,
-                                         params.explicit_anchor)
-    exM.validate()
-    ex_scan = faithfulness_scan(exC, "exhaustive", point_budget=pol.point_budget,
-                                anchor=exL)
-    if not ex_scan.ok:
-        raise VerificationError(
-            f"exhaustive scan over {ex_field!r} found {len(ex_scan.failures)} "
-            "failures")
-    timings["exhaustive_scan"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    calc = CohomologyCalculator(C)
-    cert = certify_hd(M, C, pol.window_margin, calc)
-    if cert.value != l:
-        raise VerificationError(f"certified hd {cert.value}, wanted {l}")
-    t_lo, t_hi = pol.table_window or (-n - C.length - 1, 0)
-    table = cohomology_table(C, t_lo, t_hi, calc)
-    timings["cohomology"] = time.perf_counter() - t0
-
-    return BundleReport(
-        params=params, multiplicity=p, anchor_dim=dim_l, module=M, anchor=L,
-        complex=C, exhaustive_field_spec=field_spec(ex_field),
-        exhaustive_module=exM, exhaustive_anchor=exL, exhaustive_scan=ex_scan,
-        random_scan=rnd, hom_dim=hom, anchor_solution_dim=verdict.solution_dim,
-        rank=rk, chi=chi(M), table=table, hd=cert, attempts=attempts,
-        timings=timings)
+    L, M = _build(field, params, p, dim_l, seed)
+    t1 = time.perf_counter()
+    exL, exM = _build(ex_field, params, p, dim_l, seed)
+    timings["build"] += t1 - t0
+    timings["exhaustive_scan"] += time.perf_counter() - t1
+    inst = Instance(params, M, L, exM, exL, attempts)
+    sections = {}
+    for name, stage, check in CHECKS:
+        t0 = time.perf_counter()
+        ok, detail, found = check(inst)
+        timings[stage] += time.perf_counter() - t0
+        if not ok:
+            raise VerificationError(f"{name}: {detail}")
+        sections.update(found)
+    return BundleReport(params=params, module=M, anchor=L, complex=inst.C,
+                        exhaustive_module=exM, exhaustive_anchor=exL,
+                        sections=sections, attempts=attempts, timings=timings)
 
 
 # ---------------------------------------------------------------------------
@@ -341,57 +451,62 @@ def _anchor_from_json(field, obj) -> AnchorProblem:
 def _scan_to_json(rep: FaithfulnessReport):
     return {"mode": rep.mode, "field": rep.field_desc,
             "points_checked": rep.points_checked, "seed": rep.seed,
-            "failures": [list(fx) for fx in rep.failures]}
+            "failures": [[i, list(pt), degree] for i, pt, degree in rep.failures]}
+
+
+def _section_json(value):
+    """The report form of a section value returned by a check."""
+    if isinstance(value, DenseMatrix):
+        return _matrix_to_json(value)
+    if isinstance(value, FaithfulnessReport):
+        return _scan_to_json(value)
+    if isinstance(value, CohomologyTable):
+        return {"t_lo": value.t_lo, "t_hi": value.t_hi,
+                "entries": [list(row) for row in value.entries]}
+    if isinstance(value, HdCertificate):
+        return {"value": value.value, "nonvanishing": list(value.nonvanishing)}
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def _params_to_json(params: ConstructionParams):
+    pol = params.policy
+    return {"n": params.n, "l": params.l, "r": params.r, "field": params.field_spec,
+            "seed": params.seed, "multiplicity": params.multiplicity,
+            "explicit_anchor": params.explicit_anchor,
+            "policy": {**asdict(pol), "table_window":
+                       list(pol.table_window) if pol.table_window else None}}
+
+
+def _params_from_json(obj) -> ConstructionParams:
+    pol = dict(obj["policy"])
+    if pol["table_window"]:
+        pol["table_window"] = tuple(pol["table_window"])
+    return ConstructionParams(obj["n"], obj["l"], obj["r"], obj["field"], obj["seed"],
+                              obj["multiplicity"], obj["explicit_anchor"],
+                              VerificationPolicy(**pol))
 
 
 def report_to_json(rep: BundleReport) -> dict:
-    pol = rep.params.policy
-    return {
+    out = {
         "schema": SCHEMA_VERSION,
         "version": rep.version,
-        "conventions": dict(CONVENTIONS),
-        "params": {
-            "n": rep.params.n, "l": rep.params.l, "r": rep.params.r,
-            "field": rep.params.field_spec, "seed": rep.params.seed,
-            "multiplicity": rep.params.multiplicity,
-            "explicit_anchor": rep.params.explicit_anchor,
-            "policy": {
-                "exhaustive_prime": pol.exhaustive_prime,
-                "random_samples": pol.random_samples,
-                "window_margin": pol.window_margin,
-                "retry_budget": pol.retry_budget,
-                "point_budget": pol.point_budget,
-                "table_window": list(pol.table_window) if pol.table_window else None,
-            },
-        },
-        "multiplicity": rep.multiplicity,
-        "anchor_dim": rep.anchor_dim,
+        "params": _params_to_json(rep.params),
         "module": _module_to_json(rep.module),
         "anchor": _anchor_to_json(rep.anchor),
-        "quotient_basis": _matrix_to_json(quotient_map(rep.anchor.subspace))
-        if rep.anchor.d else None,
-        "exhaustive": {
-            "field": rep.exhaustive_field_spec,
-            "module": _module_to_json(rep.exhaustive_module),
-            "anchor": _anchor_to_json(rep.exhaustive_anchor),
-            "scan": _scan_to_json(rep.exhaustive_scan),
-        },
-        "random_scan": _scan_to_json(rep.random_scan),
-        "hom_dim": rep.hom_dim,
-        "anchor_solution_dim": rep.anchor_solution_dim,
-        "rank": rep.rank,
-        "chi": list(rep.chi),
-        "cohomology": {
-            "t_lo": rep.table.t_lo, "t_hi": rep.table.t_hi,
-            "entries": [list(row) for row in rep.table.entries],
-        },
-        "hd": {
-            "value": rep.hd.value, "window": list(rep.hd.window),
-            "nonvanishing": list(rep.hd.nonvanishing),
-        },
-        "attempts": rep.attempts,
-        "timings": {k: round(v, 6) for k, v in rep.timings.items()},
+        "exhaustive": {"module": _module_to_json(rep.exhaustive_module),
+                       "anchor": _anchor_to_json(rep.exhaustive_anchor)},
     }
+    for key, value in rep.sections.items():
+        *path, last = key.split(".")
+        node = out
+        for part in path:
+            node = node[part]
+        node[last] = _section_json(value)
+    out["attempts"] = rep.attempts
+    out["timings"] = {k: round(v, 6) for k, v in rep.timings.items()}
+    return out
 
 
 def report_to_json_str(rep: BundleReport) -> str:
@@ -420,122 +535,43 @@ class Verdict:
         return "\n".join(lines)
 
 
-def _complex_from_module(obj, field) -> LinearComplex:
-    return bgg_complex(_module_from_json(field, obj))
+def _instance_from_report(report: dict) -> Instance:
+    """The report's inputs: params, module, anchor, the exhaustive module and
+    anchor (read over the field the policy derives) and attempts."""
+    params = _params_from_json(report["params"])
+    field = params.field()
+    ex_field = _exhaustive_field(params)
+    ex = report["exhaustive"]
+    return Instance(params, _module_from_json(field, report["module"]),
+                    _anchor_from_json(field, report["anchor"]),
+                    _module_from_json(ex_field, ex["module"]),
+                    _anchor_from_json(ex_field, ex["anchor"]), report["attempts"])
 
 
 def verify(report: dict) -> Verdict:
-    """Re-run every check of a serialized report deterministically."""
-    checks = []
+    """Re-run every check of a serialized report deterministically.
 
-    def check(name, fn):
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a failed recomputation is a failed check
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        checks.append((name, bool(ok), detail))
-        return ok
-
+    Every report key other than the inputs, ``schema``, ``version`` and
+    ``timings`` is a section of exactly one check, recomputed and compared.
+    """
     if report.get("schema") != SCHEMA_VERSION:
         return Verdict((("schema", False,
                          f"unsupported schema {report.get('schema')}"),))
-
-    params = report["params"]
-    field = parse_field(params["field"])
-    n, l, r = params["n"], params["l"], params["r"]
-
-    def c_params():
-        p, dim_l = choose_parameters(n, l, r, params.get("multiplicity"))
-        ok = (p == report["multiplicity"] and dim_l == report["anchor_dim"])
-        return ok, f"p={p}, anchor dim={dim_l}"
-    check("parameters", c_params)
-
-    module = _module_from_json(field, report["module"])
-
-    def c_relations():
-        module.validate()
-        return True, "exterior relations hold"
-    rel_ok = check("exterior_relations", c_relations)
-
-    L = None
-
-    def c_anchor():
-        nonlocal L
-        L = _anchor_from_json(field, report["anchor"])
-        verdict = is_anchoring(L)
-        want = report["anchor_solution_dim"]
-        ok = verdict.solution_dim == want
-        if report["multiplicity"] > 1 and report["anchor_dim"] >= 1:
-            ok = ok and verdict.anchors
-        return ok, f"solution dimension {verdict.solution_dim}"
-    check("anchoring", c_anchor)
-
-    def is_quotient(M, ring_field, anchor):
-        Pfree = free_truncated(report["multiplicity"], l, n, ring_field)
-        return M == quotient_top(Pfree, anchor.subspace)
-
-    def c_rebuild():
-        return is_quotient(module, field, L), "module matches free-module quotient by L"
-    rebuild_ok = check("module_rebuild", c_rebuild)
-
-    def c_hom():
-        hom = hom_space_dim(module)
-        return hom == 1 and hom == report["hom_dim"], f"Hom dimension {hom}"
-    check("hom_dimension", c_hom)
-
-    def c_rank():
-        ch = chi(module)
-        ok = list(ch) == report["chi"] and ch[-1] == r == report["rank"]
-        return ok, f"chi={ch}, rank={ch[-1]}"
-    check("rank", c_rank)
-
-    C = bgg_complex(module) if rel_ok else None
-
-    def c_composite():
-        C.validate()
-        return True, "composite of differentials vanishes"
-    if C is not None:
-        check("composite_zero", c_composite)
-
-    def c_random_scan():
-        if not rebuild_ok:
-            return False, "module is not the free-module quotient by L"
-        rec = report["random_scan"]
-        rep2 = faithfulness_scan(C, "random", samples=rec["points_checked"],
-                                 seed=rec["seed"], anchor=L)
-        ok = rep2.ok and [list(fx) for fx in rep2.failures] == rec["failures"]
-        return ok, f"{rep2.points_checked} points, {len(rep2.failures)} failures"
-    if C is not None:
-        check("random_faithfulness", c_random_scan)
-
-    def c_exhaustive():
-        ex = report["exhaustive"]
-        ex_field = parse_field(ex["field"])
-        exM = _module_from_json(ex_field, ex["module"])
-        exL = _anchor_from_json(ex_field, ex["anchor"])
-        if exL.d != report["anchor_dim"] or not is_quotient(exM, ex_field, exL):
-            return False, "exhaustive module is not the free-module quotient by its anchor"
-        rep2 = faithfulness_scan(bgg_complex(exM), "exhaustive",
-                                 point_budget=params["policy"]["point_budget"],
-                                 anchor=exL)
-        rec = ex["scan"]
-        ok = (rep2.ok and [list(fx) for fx in rep2.failures] == rec["failures"]
-              and rep2.points_checked == rec["points_checked"]
-              == projective_point_count(ex_field.p, n))
-        return ok, f"{rep2.points_checked} points, {len(rep2.failures)} failures"
-    check("exhaustive_faithfulness", c_exhaustive)
-
-    def c_cohomology():
-        calc = CohomologyCalculator(C)
-        coh = report["cohomology"]
-        tbl = cohomology_table(C, coh["t_lo"], coh["t_hi"], calc)
-        ok = [list(row) for row in tbl.entries] == coh["entries"]
-        cert = certify_hd(module, C, params["policy"]["window_margin"], calc)
-        ok = ok and cert.value == report["hd"]["value"] == l
-        return ok, f"table matches, certified hd {cert.value}"
-    if C is not None:
-        check("cohomology", c_cohomology)
-
+    try:
+        inst = _instance_from_report(report)
+    except Exception as exc:  # an unreadable input fails the whole report
+        return Verdict((("report", False, f"{type(exc).__name__}: {exc}"),))
+    checks = []
+    for name, _, check in CHECKS:
+        try:
+            ok, detail, sections = check(inst)
+            differ = [key for key, value in sections.items()
+                      if _section_json(value) != reduce(getitem, key.split("."), report)]
+            if differ:
+                ok, detail = False, f"{detail}; differs from the record: {', '.join(differ)}"
+        except Exception as exc:  # a failed recomputation is a failed check
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        checks.append((name, bool(ok), detail))
     return Verdict(tuple(checks))
 
 

@@ -72,8 +72,10 @@ def test_acceptance_3_hd_nonvanishing_identity(construction_grid):
         q, t, dim = rep.hd.nonvanishing
         assert (q, t) == (n - l, -n - 1), (n, l, r)
         assert dim == rep.module.piece_dims[0], (n, l, r)
-        # Intermediate vanishing over the certified default window.
-        assert rep.hd.window == (-l - n - 1 - (l + n), n)
+        # Intermediate cohomology vanishes on the whole recorded table.
+        T = rep.table
+        assert all(T.entry(q, t) == 0 for q in range(1, n - l)
+                   for t in range(T.t_lo, T.t_hi + 1)), (n, l, r)
     _report(3)
 
 

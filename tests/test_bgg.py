@@ -113,6 +113,15 @@ def test_exhaustive_scan_requires_prime_field():
         faithfulness_scan(bgg_complex(P), "exhaustive")
 
 
+
+def test_scan_checks_mode_field_and_budget_before_a_length_0_complex():
+    C = LinearComplex(3, ((0, 2),), ())  # no differential, so no field
+    for mode in ("exhaustive", "random"):
+        with pytest.raises(ValueError, match="field"):
+            faithfulness_scan(C, mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        faithfulness_scan(C, "sideways")
+
 def test_random_scan_prime_field():
     P = free_truncated(2, 2, 3, F)
     rep = faithfulness_scan(bgg_complex(P), "random", samples=500, seed=5)

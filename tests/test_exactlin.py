@@ -1,6 +1,7 @@
 """Exact linear algebra over Q and prime fields."""
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -211,6 +212,17 @@ def test_parse_field_refuses_primes_beyond_the_exact_bound():
     with pytest.raises(ParameterError):
         parse_field("fp:1048583")  # the next prime
 
+
+
+def test_prime_field_refuses_primes_beyond_the_exact_bound():
+    # The bound is tested before trial division: 2**61 - 1 is prime, and
+    # trial division up to its square root would run for minutes.
+    t0 = time.perf_counter()
+    for p in (10**12 + 39, 2**61 - 1, modp.PRIME_BOUND + 7):
+        with pytest.raises(FieldError, match="too large"):
+            GF(p)
+    assert time.perf_counter() - t0 < 1
+    assert _is_prime(10**12 + 39)
 
 def _rank_mod_p_fractions(rows, p):
     """Rank over F_p by elimination on Fractions, reduced mod p at each step."""

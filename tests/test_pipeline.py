@@ -8,6 +8,7 @@ from bggbundles import (GF, ConstructionParams, ParameterError, VerificationPoli
                         cas_script, choose_parameters, construct, free_truncated,
                         projective_point_count, report_to_json, report_to_json_str,
                         verify, with_replaced_anchor)
+import bggbundles.pipeline as pl
 from bggbundles.cli import main as cli_main
 from bggbundles.pipeline import _module_to_json, default_exhaustive_prime
 
@@ -113,7 +114,7 @@ def test_report_conventions_block():
     obj = report_to_json(construct(fast_params(3, 1, 3, seed=0)))
     conv = obj["conventions"]
     assert "monomial_order" in conv and "tensor_flattening" in conv
-    assert obj["schema"] == 1
+    assert obj["schema"] == 2
     # Matrix entries serialize as strings.
     entry = obj["module"]["actions"][0][0]["entries"][0][0]
     assert isinstance(entry, str)
@@ -183,6 +184,174 @@ def test_mutation_main_module_swapped_for_free_module(fast_report):
     # pass it on the anchored test's behalf.
     assert failed["random_faithfulness"] == "module is not the free-module quotient by L"
 
+
+def test_exhaustive_point_budget_refused_before_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built before refusing the budget")
+
+    monkeypatch.setattr(pl, "_build", no_build)
+    params = ConstructionParams(n=4, l=3, r=7,
+                                policy=VerificationPolicy(exhaustive_prime=101))
+    with pytest.raises(ParameterError, match="105101005 points"):
+        construct(params)
+
+
+# Forging any section of this report must fail exactly the check that
+# recomputes it.
+FORGE_POLICY = VerificationPolicy(exhaustive_prime=7, random_samples=200)
+
+
+@pytest.fixture(scope="module")
+def forge_report():
+    return report_to_json(construct(fast_params(3, 2, 5, seed=42, policy=FORGE_POLICY)))
+
+
+def _entries(obj, f):
+    obj["entries"] = [[f(x) for x in row] for row in obj["entries"]]
+
+
+def _forge_module(obj):
+    # P_0 rescaled by 1/2: an isomorphic module, but not the quotient by L.
+    for a in obj["module"]["actions"][0]:
+        _entries(a, lambda x: str(2 * int(x) % 32003))
+
+
+def _forge_anchor(obj):
+    row = obj["anchor"]["basis"]["entries"][0]
+    row[0] = str(int(row[0]) + 1)
+
+
+def _forge_quotient_basis(obj):
+    obj["quotient_basis"]["entries"][0][0] = "7"
+
+
+def _forge_exhaustive_field(obj):
+    obj["exhaustive"]["field"] = "fp:3"
+
+
+def _forge_exhaustive_block_over_f3(obj):
+    params = fast_params(3, 2, 5, seed=42,
+                         policy=VerificationPolicy(exhaustive_prime=3, random_samples=200))
+    obj["exhaustive"] = report_to_json(construct(params))["exhaustive"]
+
+
+def _forge_exhaustive_module(obj):
+    obj["exhaustive"]["module"] = _module_to_json(free_truncated(2, 2, 3, GF(7)))
+
+
+def _forge_exhaustive_anchor(obj):
+    _entries(obj["exhaustive"]["anchor"]["basis"], lambda x: str((int(x) + 1) % 7))
+
+
+def _forge_exhaustive_scan(obj):
+    obj["exhaustive"]["scan"]["failures"].append([0, [1, 0, 0, 0], 1])
+
+
+def _forge_random_scan(obj):
+    obj["random_scan"]["points_checked"] = 100
+
+
+def _forge_random_samples(obj):
+    obj["params"]["policy"]["random_samples"] = 10**6
+
+
+def _forge_attempts(obj):
+    obj["attempts"] = 2
+
+
+def _forge_cohomology_entry(obj):
+    obj["cohomology"]["entries"][0][0] += 1
+
+
+def _forge_table_window(obj):
+    coh = obj["cohomology"]
+    cut = -5 - coh["t_lo"]
+    coh["t_lo"] = -5
+    coh["entries"] = [row[cut:] for row in coh["entries"]]
+
+
+def _forge_hd(obj):
+    obj["hd"]["window"] = [0, 0]
+    obj["hd"]["nonvanishing"] = [9, 9, 9]
+
+
+def _forge_hom_dim(obj):
+    obj["hom_dim"] = 2
+
+
+def _forge_anchor_solution_dim(obj):
+    obj["anchor_solution_dim"] = 0
+
+
+def _forge_rank(obj):
+    obj["rank"] = 6
+
+
+def _forge_multiplicity(obj):
+    obj["multiplicity"] = 3
+
+
+def _forge_conventions(obj):
+    obj["conventions"]["monomial_order"] = "lexicographic"
+
+
+@pytest.mark.parametrize("forge, owner", [
+    (_forge_module, "module_rebuild"),
+    (_forge_anchor, "module_rebuild"),
+    (_forge_quotient_basis, "module_rebuild"),
+    (_forge_exhaustive_field, "exhaustive_faithfulness"),
+    (_forge_exhaustive_block_over_f3, "exhaustive_faithfulness"),
+    (_forge_exhaustive_module, "exhaustive_faithfulness"),
+    (_forge_exhaustive_anchor, "exhaustive_faithfulness"),
+    (_forge_exhaustive_scan, "exhaustive_faithfulness"),
+    (_forge_random_scan, "random_faithfulness"),
+    (_forge_random_samples, "random_faithfulness"),
+    (_forge_attempts, "random_faithfulness"),
+    (_forge_cohomology_entry, "cohomology"),
+    (_forge_table_window, "cohomology"),
+    (_forge_hd, "cohomology"),
+    (_forge_hom_dim, "hom_dimension"),
+    (_forge_anchor_solution_dim, "anchoring"),
+    (_forge_rank, "rank"),
+    (_forge_multiplicity, "parameters"),
+    (_forge_conventions, "parameters"),
+], ids=lambda x: x.__name__[len("_forge_"):] if callable(x) else x)
+def test_forged_section_fails_exactly_its_check(forge_report, forge, owner):
+    obj = json.loads(json.dumps(forge_report))
+    forge(obj)
+    assert [name for name, _ in verify(obj).failed()] == [owner]
+
+
+def test_construct_and_verify_walk_one_check_list(monkeypatch):
+    walked, owned = [], {}
+
+    def recording(name, check):
+        def run(inst):
+            ok, detail, sections = check(inst)
+            walked.append(name)
+            owned[name] = set(sections)
+            return ok, detail, sections
+        return run
+
+    monkeypatch.setattr(pl, "CHECKS", tuple((name, stage, recording(name, check))
+                                            for name, stage, check in pl.CHECKS))
+    names = ["parameters", "exterior_relations", "anchoring", "module_rebuild",
+             "hom_dimension", "rank", "composite_zero", "random_faithfulness",
+             "exhaustive_faithfulness", "cohomology"]
+    rep = construct(fast_params(3, 2, 5, seed=42, policy=FORGE_POLICY))
+    assert rep.attempts == 1 and walked == names
+    obj = report_to_json(rep)
+    walked.clear()
+    verdict = verify(obj)
+    assert walked == names == [name for name, _, _ in verdict.checks] and verdict.ok
+    # Each report key is an input, metadata, or a section of exactly one check.
+    keys = {k for k in obj if k != "exhaustive"} | {"exhaustive." + k for k in obj["exhaustive"]}
+    inputs = {"params", "module", "anchor", "exhaustive.module", "exhaustive.anchor",
+              "attempts"}
+    sections = [key for name in names for key in owned[name]]
+    assert len(sections) == len(set(sections))
+    assert keys == inputs | {"schema", "version", "timings"} | set(sections)
+    assert not inputs & set(sections)
 
 def test_cas_script_contents():
     obj = report_to_json(construct(fast_params(3, 2, 5, seed=42)))
