@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from math import ceil
 
+import numpy as np
+
 from .matrix import DenseMatrix, MalformedSubspaceError, ShapeError, Subspace
 
 
@@ -110,14 +112,9 @@ def pair_solution_dim(T: SliceTensor) -> int:
 
 def slices_from_subspace(P: AnchorProblem) -> SliceTensor:
     """Repackage the basis rows of L as W-indexed slice matrices."""
-    f = P.field
-    rows = P.subspace.basis
-    slices = []
-    for a in range(P.w):
-        grid = tuple(tuple(rows[mu, i * P.w + a] for mu in range(P.d))
-                     for i in range(P.u))
-        slices.append(DenseMatrix(f, grid, P.d, _raw=True))
-    return SliceTensor(P.u, P.d, tuple(slices))
+    cube = P.subspace.basis.to_numpy().reshape(P.d, P.u, P.w)
+    return SliceTensor(P.u, P.d, tuple(DenseMatrix.from_numpy(P.field, cube[:, :, a].T)
+                                       for a in range(P.w)))
 
 
 def is_anchoring(P: AnchorProblem) -> AnchorVerdict:
@@ -155,14 +152,14 @@ def burnside_pair(field, s: int, seed: int = 0, max_attempts: int = 32):
     if 0 < field.characteristic <= s:
         raise ValueError(f"field with {field.characteristic} elements cannot "
                          f"hold {s} distinct diagonal values")
-    diag = DenseMatrix(field, [[field(i + 1) if i == j else field.zero
-                                for j in range(s)] for i in range(s)], s, _raw=True)
+    diag = DenseMatrix(field, [[i + 1 if i == j else 0 for j in range(s)]
+                               for i in range(s)], s)
     if s == 1:
         return diag, diag
     rng = random.Random(seed)
     for attempt in range(max_attempts):
         x = DenseMatrix(field, [[field.random_element(rng) for _ in range(s)]
-                                for _ in range(s)], s, _raw=True)
+                                for _ in range(s)], s)
         if x.rank() != s:
             continue
         sol = x.solve_right(DenseMatrix.identity(field, s))
@@ -199,16 +196,12 @@ def anchoring_tensor(field, u: int, d: int, m: int) -> SliceTensor:
             grid = [[z] * d for _ in range(u)]
             for t in range(min(d, u - a * d)):
                 grid[a * d + t][t] = field.one
-            slices.append(DenseMatrix(field, [tuple(r) for r in grid], d, _raw=True))
+            slices.append(DenseMatrix(field, grid, d))
         for _ in range(nblocks, m - 2):
             slices.append(DenseMatrix.zeros(field, u, d))
         b1, b2 = burnside_pair(field, d)
         for b in (b1, b2):
-            grid = [[z] * d for _ in range(u)]
-            for i in range(d):
-                for j in range(d):
-                    grid[i][j] = b[i, j]
-            slices.append(DenseMatrix(field, [tuple(r) for r in grid], d, _raw=True))
+            slices.append(DenseMatrix.vstack([b, DenseMatrix.zeros(field, u - d, d)]))
         T = SliceTensor(u, d, tuple(slices))
     dim = pair_solution_dim(T)
     if dim != 1:
@@ -221,16 +214,9 @@ def tensor_to_subspace(T: SliceTensor) -> AnchorProblem:
     """The anchoring subspace spanned by the d vectors packed in a rigid tensor."""
     if pair_solution_dim(T) != 1:
         raise ValueError("tensor is not rigid; refusing to build a subspace")
-    f = T.field
     w = T.w
-    rows = []
-    for mu in range(T.d):
-        row = [f.zero] * (T.u * w)
-        for a, v in enumerate(T.slices):
-            for i in range(T.u):
-                row[i * w + a] = v[i, mu]
-        rows.append(tuple(row))
-    basis = DenseMatrix(f, tuple(rows), T.u * w, _raw=True)
+    cube = np.stack([v.to_numpy() for v in T.slices])  # (a, i, mu)
+    basis = DenseMatrix.from_numpy(T.field, cube.transpose(2, 1, 0).reshape(T.d, T.u * w))
     if basis.rank() != T.d:
         raise TensorContradictionError(
             "rigid tensor produced dependent vectors; a dependency would give "

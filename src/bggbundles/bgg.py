@@ -207,12 +207,17 @@ def _normalized_point_chunks(q: int, n: int, chunk: int):
             start += cnt
 
 
-def _random_point_chunks(q: int, n: int, samples: int, seed: int, inv_table):
-    """``samples`` distinct seeded points of P^n(F_q), normalized as above.
+def _random_point_chunks(q: int, n: int, samples: int, seed: int, inv_table,
+                         chunk: int = 1 << 16):
+    """``samples`` distinct seeded points of P^n(F_q), normalized as above,
+    in pieces of at most ``chunk`` points.
 
-    Rejection sampling draws the points.  Near the point count it needs about
-    q^n/2 rounds for the last point, so after 1000 rounds the rest are drawn
-    without replacement from the points not seen yet.
+    Rejection sampling draws the points: a round draws 2*want candidates,
+    in blocks of ``chunk`` rows.  Near the point count it needs about q^n/2
+    rounds for the last point, so after 1000 rounds the rest are drawn
+    without replacement from the points not seen yet.  numpy's Generator
+    yields the same int64 stream whether drawn at once or in blocks, so the
+    piece size does not change which points are drawn, nor their order.
     """
     rng = np.random.default_rng(seed)
     seen = set()
@@ -224,25 +229,31 @@ def _random_point_chunks(q: int, n: int, samples: int, seed: int, inv_table):
         if rounds > 1000:
             rest = np.concatenate(list(_normalized_point_chunks(q, n, 1 << 16)))
             rest = rest[[row.tobytes() not in seen for row in rest]]
-            yield rest[rng.choice(rest.shape[0], want, replace=False)]
+            rest = rest[rng.choice(rest.shape[0], want, replace=False)]
+            for start in range(0, want, chunk):
+                yield rest[start:start + chunk]
             return
-        raw = rng.integers(0, q, size=(want * 2, n + 1), dtype=np.int64)
-        raw = raw[(raw != 0).any(axis=1)]
-        # Normalize so distinctness means distinct projective points.
-        lead = (raw != 0).argmax(axis=1)
-        lv = raw[np.arange(raw.shape[0]), lead]
-        raw = raw * inv_table[lv][:, None] % q
-        batch = []
-        for row in raw:
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                batch.append(row)
-                if len(batch) + collected >= samples:
-                    break
-        if batch:
-            collected += len(batch)
-            yield np.stack(batch)
+        for start in range(0, want * 2, chunk):
+            raw = rng.integers(0, q, size=(min(chunk, want * 2 - start), n + 1),
+                               dtype=np.int64)
+            raw = raw[(raw != 0).any(axis=1)]
+            # Normalize so distinctness means distinct projective points.
+            lead = (raw != 0).argmax(axis=1)
+            raw *= inv_table[raw[np.arange(raw.shape[0]), lead]][:, None]
+            raw %= q
+            keep = []
+            for t, row in enumerate(raw):
+                key = row.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    keep.append(t)
+                    if collected + len(keep) == samples:
+                        break
+            if keep:
+                collected += len(keep)
+                yield raw[keep]
+            if collected == samples:
+                return
 
 
 def _scan_chunk(slices_np, dims, pts, p, inv_table, base_index, failures):
@@ -328,7 +339,7 @@ def faithfulness_scan(C: LinearComplex, mode: str = "exhaustive", *,
         q = f.p
         inv_table = modp.inverse_table(q)
         failures, _ = _scan_point_chunks(
-            C, _random_point_chunks(q, n, samples, seed, inv_table), q, inv_table)
+            C, _random_point_chunks(q, n, samples, seed, inv_table, chunk), q, inv_table)
     else:
         # Rational fallback: per-point exact check on random integer vectors.
         rng = random.Random(seed)

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .extalg import generator_action
-from .matrix import DenseMatrix, MalformedSubspaceError, ShapeError, Subspace
+from .matrix import DenseMatrix, MalformedSubspaceError, ShapeError, Subspace, zeros_array
 
 
 class ModuleInvariantError(ValueError):
@@ -131,40 +133,26 @@ def hom_space_dim(P: GradedEModule) -> int:
     f = P.field
     dims = P.piece_dims
     c = P.top_degree
-    nunk = sum(d * d for d in dims)
     if c == 0:
         return dims[0] ** 2
-    offsets = []
-    off = 0
+    # phi_0..phi_c are laid out consecutively; one row block per (i, j).
+    offsets = [0]
     for d in dims:
-        offsets.append(off)
-        off += d * d
-    blocks = []
+        offsets.append(offsets[-1] + d * d)
+    system = zeros_array(f, (sum((P.n + 1) * dims[i] * dims[i + 1] for i in range(c)),
+                             offsets[-1]))
+    r = 0
     for i in range(c):
         di, dj = dims[i], dims[i + 1]
-        eye_i = DenseMatrix.identity(f, di)
-        eye_j = DenseMatrix.identity(f, dj)
-        for j in range(P.n + 1):
-            a = P.actions[i][j]
+        eye_i = DenseMatrix.identity(f, di).to_numpy()
+        eye_j = DenseMatrix.identity(f, dj).to_numpy()
+        for a in P.actions[i]:
             # vec is row-major: vec(phi_{i+1} A) = (I (x) A^T) vec(phi_{i+1}),
-            # vec(A phi_i) = (A (x) I) vec(phi_i).
-            left = eye_j.kron(a.transpose())
-            right = -(a.kron(eye_i))
-            blocks.append((i, j, left, right))
-    # Assemble with phi_0..phi_c laid out consecutively.
-    rows = []
-    for i, j, left, right in blocks:
-        di, dj = dims[i], dims[i + 1]
-        segs = []
-        if offsets[i] > 0:
-            segs.append(DenseMatrix.zeros(f, left.nrows, offsets[i]))
-        segs.append(right)
-        segs.append(left)
-        tail = nunk - (offsets[i + 1] + dj * dj)
-        if tail > 0:
-            segs.append(DenseMatrix.zeros(f, left.nrows, tail))
-        rows.append(DenseMatrix.hstack(segs))
-    system = DenseMatrix.vstack(rows)
-    dim = nunk - system.rank()
+            # vec(A phi_i) = (A (x) I) vec(phi_i).  Reduced mod p below.
+            a = a.to_numpy()
+            system[r:r + di * dj, offsets[i]:offsets[i + 1]] = -np.kron(a, eye_i)
+            system[r:r + di * dj, offsets[i + 1]:offsets[i + 2]] = np.kron(eye_j, a.T)
+            r += di * dj
+    dim = offsets[-1] - DenseMatrix.from_numpy(f, system).rank()
     assert dim >= 1, "identity endomorphism lost"
     return dim

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .matrix import DenseMatrix
+from .matrix import DenseMatrix, zeros_array
 
 
 @lru_cache(maxsize=None)
@@ -61,16 +61,13 @@ def generator_action(j: int, i: int, n: int, field) -> DenseMatrix:
     if i > n:
         return DenseMatrix.zeros(field, 0, len(src))
     tgt_pos = subset_position(n, i + 1)
-    rows = comb(n + 1, i + 1)
-    z, o = field.zero, field.one
-    grid = [[z] * len(src) for _ in range(rows)]
+    grid = zeros_array(field, (comb(n + 1, i + 1), len(src)))
     for col, S in enumerate(src):
         hit = left_mult_sign(j, S)
-        if hit is None:
-            continue
-        sign, T = hit
-        grid[tgt_pos[T]][col] = o if sign == 1 else field.neg(o)
-    return DenseMatrix(field, tuple(tuple(r) for r in grid), len(src), _raw=True)
+        if hit is not None:
+            sign, T = hit
+            grid[tgt_pos[T], col] = sign
+    return DenseMatrix.from_numpy(field, grid)
 
 
 def vector_action(v, i: int, n: int, field) -> DenseMatrix:
@@ -82,17 +79,11 @@ def vector_action(v, i: int, n: int, field) -> DenseMatrix:
     if i > n:
         return DenseMatrix.zeros(field, 0, len(src))
     tgt_pos = subset_position(n, i + 1)
-    z = field.zero
-    grid = [[z] * len(src) for _ in range(comb(n + 1, i + 1))]
+    grid = zeros_array(field, (comb(n + 1, i + 1), len(src)))
     for col, S in enumerate(src):
         for j in range(n + 1):
-            if field.is_zero(v[j]):
-                continue
             hit = left_mult_sign(j, S)
-            if hit is None:
-                continue
-            sign, T = hit
-            val = v[j] if sign == 1 else field.neg(v[j])
-            r = tgt_pos[T]
-            grid[r][col] = field.add(grid[r][col], val)
-    return DenseMatrix(field, tuple(tuple(r) for r in grid), len(src), _raw=True)
+            if hit is not None:
+                sign, T = hit
+                grid[tgt_pos[T], col] += sign * v[j]
+    return DenseMatrix.from_numpy(field, grid)

@@ -1,10 +1,17 @@
 """Dense exact matrices over Q or F_p, plus subspaces given by basis rows.
 
-Matrices are immutable after construction and all operations are pure, so
-values can be shared freely across threads.  Elimination strategy follows the
-scalar domain: fraction-free (Bareiss) elimination over Q for ranks, plain
-elimination over F_p (vectorized through :mod:`bggbundles.modp`).  Pivoting is
-always "first nonzero in column order" so results are reproducible.
+A matrix stores its entries in one read-only numpy array: ``int64`` with
+entries reduced into ``[0, p)`` over F_p, ``object`` holding ``Fraction``s
+over Q.  Every operation is one numpy expression followed by a reduction mod
+p, and returns a new matrix; the stored array is never written after
+construction, so values can be shared freely across threads and
+``to_numpy`` hands out the array itself.  The accessors (``m[i, j]``,
+``row``, ``rows``, ``to_lists``) return Python ``int``/``Fraction`` scalars.
+
+Elimination strategy follows the scalar domain: fraction-free (Bareiss)
+elimination over Q for ranks, plain elimination over F_p through
+:mod:`bggbundles.modp`.  Pivoting is always "first nonzero in column order"
+so results are reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import modp
-from .fields import QQ, PrimeField
+from .fields import PrimeField
 
 
 class ShapeError(ValueError):
@@ -31,116 +38,135 @@ class MalformedSubspaceError(ValueError):
     """Raised when the basis rows of a subspace are linearly dependent."""
 
 
-class DenseMatrix:
-    __slots__ = ("field", "nrows", "ncols", "_rows")
+def zeros_array(field, shape) -> np.ndarray:
+    """A writable array of zeros in the storage dtype of ``field``."""
+    if isinstance(field, PrimeField):
+        return np.zeros(shape, dtype=np.int64)
+    return np.full(shape, Fraction(0), dtype=object)
 
-    def __init__(self, field, rows, ncols=None, *, _raw=False):
-        if _raw:
-            # Entries are trusted, but normalize the containers so equality
-            # and hashing never depend on how a caller assembled the rows.
-            self._rows = tuple(r if type(r) is tuple else tuple(r) for r in rows)
-        else:
-            self._rows = tuple(tuple(field(x) for x in row) for row in rows)
-        self.field = field
-        self.nrows = len(self._rows)
-        if self.nrows:
-            self.ncols = len(self._rows[0])
-            if any(len(r) != self.ncols for r in self._rows):
+
+def _reduce(field, arr) -> np.ndarray:
+    """``arr`` reduced into the canonical representatives of ``field``."""
+    return arr % field.p if isinstance(field, PrimeField) else arr
+
+
+class DenseMatrix:
+    __slots__ = ("field", "_a")
+
+    def __init__(self, field, rows, ncols=None):
+        rows = [[field(x) for x in row] for row in rows]
+        if rows:
+            if any(len(r) != len(rows[0]) for r in rows):
                 raise ShapeError("ragged rows")
-            if ncols is not None and ncols != self.ncols:
+            if ncols is not None and ncols != len(rows[0]):
                 raise ShapeError("ncols does not match row length")
-        else:
-            if ncols is None:
-                raise ShapeError("empty matrix needs an explicit column count")
-            self.ncols = ncols
+        elif ncols is None:
+            raise ShapeError("empty matrix needs an explicit column count")
+        arr = zeros_array(field, (len(rows), len(rows[0]) if rows else ncols))
+        if rows:
+            arr[:] = rows
+        self._set(field, arr)
+
+    def _set(self, field, arr):
+        arr.setflags(write=False)
+        self.field = field
+        self._a = arr
+
+    @classmethod
+    def _wrap(cls, field, arr):
+        """The matrix of ``arr``, whose entries are already canonical."""
+        m = cls.__new__(cls)
+        m._set(field, arr)
+        return m
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, tuple(tuple(z for _ in range(ncols)) for _ in range(nrows)),
-                   ncols, _raw=True)
+        return cls._wrap(field, zeros_array(field, (nrows, ncols)))
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, tuple(tuple(o if i == j else z for j in range(n))
-                                for i in range(n)), n, _raw=True)
+        arr = zeros_array(field, (n, n))
+        np.fill_diagonal(arr, field.one)
+        return cls._wrap(field, arr)
 
     @classmethod
     def from_numpy(cls, field, arr):
-        return cls(field, tuple(tuple(int(x) % field.p for x in row) for row in arr),
-                   arr.shape[1] if arr.ndim == 2 else 0, _raw=True)
+        """The matrix of a 2-D array: integers reduced mod p over F_p,
+        entries coerced to ``Fraction`` over Q."""
+        arr = np.asarray(arr)
+        if arr.ndim != 2:
+            raise ShapeError(f"expected a 2-D array, got shape {arr.shape}")
+        if isinstance(field, PrimeField):
+            return cls._wrap(field, modp.reduced(arr, field.p))
+        return cls(field, arr.tolist(), arr.shape[1])
+
+    @classmethod
+    def _stack(cls, mats, axis):
+        mats = list(mats)
+        if not mats:
+            raise ShapeError("stack of nothing")
+        f = mats[0].field
+        for m in mats[1:]:
+            if m.field != f:
+                raise FieldMismatchError("stack over mixed fields")
+            if m._a.shape[1 - axis] != mats[0]._a.shape[1 - axis]:
+                raise ShapeError("stack with mismatched sizes")
+        return cls._wrap(f, np.concatenate([m._a for m in mats], axis=axis))
 
     @classmethod
     def vstack(cls, mats):
-        mats = list(mats)
-        if not mats:
-            raise ShapeError("vstack of nothing")
-        f = mats[0].field
-        ncols = mats[0].ncols
-        for m in mats[1:]:
-            if m.field != f:
-                raise FieldMismatchError("vstack over mixed fields")
-            if m.ncols != ncols:
-                raise ShapeError("vstack with mismatched widths")
-        rows = tuple(r for m in mats for r in m._rows)
-        return cls(f, rows, ncols, _raw=True)
+        return cls._stack(mats, 0)
 
     @classmethod
     def hstack(cls, mats):
-        mats = list(mats)
-        if not mats:
-            raise ShapeError("hstack of nothing")
-        f = mats[0].field
-        nrows = mats[0].nrows
-        for m in mats[1:]:
-            if m.field != f:
-                raise FieldMismatchError("hstack over mixed fields")
-            if m.nrows != nrows:
-                raise ShapeError("hstack with mismatched heights")
-        rows = tuple(tuple(x for m in mats for x in m._rows[i]) for i in range(nrows))
-        return cls(f, rows, sum(m.ncols for m in mats), _raw=True)
+        return cls._stack(mats, 1)
 
     # -- basic access --------------------------------------------------------
 
     @property
+    def nrows(self):
+        return self._a.shape[0]
+
+    @property
+    def ncols(self):
+        return self._a.shape[1]
+
+    @property
     def shape(self):
-        return (self.nrows, self.ncols)
+        return self._a.shape
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self._rows[i][j]
+        return self._a.item(ij)
 
     def row(self, i):
-        return self._rows[i]
+        return tuple(self._a[i].tolist())
 
     def rows(self):
-        return self._rows
+        return tuple(map(tuple, self._a.tolist()))
 
     def to_lists(self):
-        return [list(r) for r in self._rows]
+        return self._a.tolist()
 
     def to_numpy(self) -> np.ndarray:
-        if not isinstance(self.field, PrimeField):
-            raise FieldMismatchError("numpy view only for prime fields")
-        return np.array([[int(x) for x in r] for r in self._rows],
-                        dtype=np.int64).reshape(self.nrows, self.ncols)
+        """The stored (read-only) array."""
+        return self._a
 
     def __eq__(self, other):
         return (isinstance(other, DenseMatrix) and other.field == self.field
-                and other._rows == self._rows and other.ncols == self.ncols)
+                and other.shape == self.shape and np.array_equal(other._a, self._a))
 
     def __hash__(self):
-        return hash((self.field, self.ncols, self._rows))
+        if isinstance(self.field, PrimeField):
+            return hash((self.field, self.shape, self._a.tobytes()))
+        return hash((self.field, self.shape, tuple(self._a.ravel().tolist())))
 
     def __repr__(self):
         return f"DenseMatrix({self.field}, {self.nrows}x{self.ncols})"
 
     def is_zero(self) -> bool:
-        z = self.field.is_zero
-        return all(z(x) for r in self._rows for x in r)
+        return not self._a.any()
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -150,69 +176,46 @@ class DenseMatrix:
         if other.field != self.field:
             raise FieldMismatchError(f"mixed scalar domains {self.field} and {other.field}")
 
+    def _new(self, arr):
+        return DenseMatrix._wrap(self.field, _reduce(self.field, arr))
+
     def __add__(self, other):
         self._check(other)
         if other.shape != self.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        add = self.field.add
-        rows = tuple(tuple(add(a, b) for a, b in zip(ra, rb))
-                     for ra, rb in zip(self._rows, other._rows))
-        return DenseMatrix(self.field, rows, self.ncols, _raw=True)
+        return self._new(self._a + other._a)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        if other.shape != self.shape:
+            raise ShapeError(f"cannot subtract {other.shape} from {self.shape}")
+        return self._new(self._a - other._a)
 
     def __neg__(self):
-        neg = self.field.neg
-        rows = tuple(tuple(neg(x) for x in r) for r in self._rows)
-        return DenseMatrix(self.field, rows, self.ncols, _raw=True)
+        return self._new(-self._a)
 
     def scale(self, c):
-        c = self.field(c)
-        mul = self.field.mul
-        rows = tuple(tuple(mul(c, x) for x in r) for r in self._rows)
-        return DenseMatrix(self.field, rows, self.ncols, _raw=True)
+        return self._new(self._a * self.field(c))
 
     def __matmul__(self, other):
         self._check(other)
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         f = self.field
-        if isinstance(f, PrimeField) and self.nrows * self.ncols * other.ncols > 4096:
-            prod = self.to_numpy().astype(object) @ other.to_numpy().astype(object) \
-                if f.p * f.p * max(1, self.ncols) >= 2**63 else \
-                (self.to_numpy() @ other.to_numpy()) % f.p
-            return DenseMatrix.from_numpy(f, np.asarray(prod, dtype=np.int64) % f.p)
-        add, mul, z = f.add, f.mul, f.zero
-        bt = tuple(zip(*other._rows)) if other.nrows else ()
-        out = []
-        for ra in self._rows:
-            row = []
-            for cb in (bt if other.nrows else []):
-                s = z
-                for a, b in zip(ra, cb):
-                    s = add(s, mul(a, b))
-                row.append(s)
-            if other.nrows == 0:
-                row = [z] * other.ncols
-            out.append(tuple(row))
-        return DenseMatrix(f, tuple(out), other.ncols, _raw=True)
+        if self.ncols == 0:
+            return DenseMatrix.zeros(f, self.nrows, other.ncols)
+        if isinstance(f, PrimeField) and self.ncols * (f.p - 1) ** 2 >= 2**63:
+            # A sum of ncols products of residues would overflow int64.
+            raise OverflowError(f"{self.ncols} products mod {f.p} overflow int64")
+        return self._new(self._a @ other._a)
 
     def transpose(self):
-        rows = tuple(zip(*self._rows)) if self.nrows else tuple(() for _ in range(0))
-        if self.nrows == 0:
-            return DenseMatrix.zeros(self.field, self.ncols, 0)
-        return DenseMatrix(self.field, rows, self.nrows, _raw=True)
+        return DenseMatrix._wrap(self.field, self._a.T)
 
     def kron(self, other):
         """Kronecker product ``self (x) other`` (row-major block layout)."""
         self._check(other)
-        mul = self.field.mul
-        rows = []
-        for ra in self._rows:
-            for rb in other._rows:
-                rows.append(tuple(mul(a, b) for a in ra for b in rb))
-        return DenseMatrix(self.field, tuple(rows), self.ncols * other.ncols, _raw=True)
+        return self._new(np.kron(self._a, other._a))
 
     # -- elimination ---------------------------------------------------------
 
@@ -221,8 +224,8 @@ class DenseMatrix:
             return 0
         f = self.field
         if isinstance(f, PrimeField):
-            return modp.rank(self.to_numpy(), f.p)
-        return _rank_bareiss(self._rows)
+            return modp.rank(self._a, f.p)
+        return _rank_bareiss(self._a.tolist())
 
     def rref(self):
         """Reduced row echelon form; returns ``(R, pivot_columns)``.
@@ -233,10 +236,10 @@ class DenseMatrix:
         if self.nrows == 0 or self.ncols == 0:
             return DenseMatrix.zeros(f, 0, self.ncols), ()
         if isinstance(f, PrimeField):
-            arr, piv = modp.rref(self.to_numpy(), f.p)
-            return DenseMatrix.from_numpy(f, arr[: len(piv)]), tuple(piv)
-        rows, piv = _rref_fraction(self._rows)
-        return DenseMatrix(f, rows, self.ncols, _raw=True), tuple(piv)
+            arr, piv = modp.rref(self._a, f.p)
+            return DenseMatrix._wrap(f, arr[: len(piv)]), tuple(piv)
+        rows, piv = _rref_fraction(self._a.tolist())
+        return DenseMatrix(f, rows, self.ncols), tuple(piv)
 
     def free_column_kernel(self):
         """Right-kernel vectors read off rref(self), one per non-pivot column
@@ -244,14 +247,11 @@ class DenseMatrix:
         f = self.field
         R, piv = self.rref()
         pivset = set(piv)
-        rows = []
-        for k in (c for c in range(self.ncols) if c not in pivset):
-            v = [f.zero] * self.ncols
-            v[k] = f.one
-            for t, c in enumerate(piv):
-                v[c] = f.neg(R[t, k])
-            rows.append(tuple(v))
-        return DenseMatrix(f, tuple(rows), self.ncols, _raw=True)
+        free = [c for c in range(self.ncols) if c not in pivset]
+        ker = zeros_array(f, (len(free), self.ncols))
+        ker[np.arange(len(free)), free] = f.one
+        ker[:, list(piv)] = _reduce(f, -R._a[:, free].T)
+        return DenseMatrix._wrap(f, ker)
 
     def kernel_basis(self):
         """Basis of the right kernel, one vector per row, rref-normalized;
@@ -270,17 +270,12 @@ class DenseMatrix:
         self._check(B)
         if B.nrows != self.nrows:
             raise ShapeError("right-hand side has wrong height")
-        aug = DenseMatrix.hstack([self, B])
-        R, piv = aug.rref()
+        R, piv = DenseMatrix.hstack([self, B]).rref()
         if any(c >= self.ncols for c in piv):
             return None
-        z = self.field.zero
-        X = [[z] * B.ncols for _ in range(self.ncols)]
-        for t, c in enumerate(piv):
-            for j in range(B.ncols):
-                X[c][j] = R[t, self.ncols + j]
-        X = DenseMatrix(self.field, tuple(tuple(r) for r in X), B.ncols, _raw=True)
-        return Solution(X, self.kernel_basis())
+        X = zeros_array(self.field, (self.ncols, B.ncols))
+        X[list(piv)] = R._a[:, self.ncols:]
+        return Solution(DenseMatrix._wrap(self.field, X), self.kernel_basis())
 
 
 class Solution(NamedTuple):
@@ -289,7 +284,7 @@ class Solution(NamedTuple):
 
 
 def _rref_fraction(rows):
-    """Generic exact rref on tuples of Fractions; returns (rows, pivots)."""
+    """Generic exact rref on lists of Fractions; returns (rows, pivots)."""
     a = [list(r) for r in rows]
     nrows = len(a)
     ncols = len(a[0])
@@ -310,7 +305,7 @@ def _rref_fraction(rows):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         piv.append(c)
         r += 1
-    return tuple(tuple(x) for x in a[: len(piv)]), piv
+    return a[: len(piv)], piv
 
 
 def _rank_bareiss(rows) -> int:

@@ -6,7 +6,10 @@ point scans' fiber evaluation, a sum of n+1 products of two residues, at most
 (n+1)(p-1)**2 < (n+1) * 2**40, which stays below 2**63 for any n+1 < 2**23;
 the elimination steps need only (p-1)**2 + p.  The bound also caps the
 inverse table a scan allocates at 8 MiB.  ``fields.PrimeField`` refuses
-larger primes and ``inverse_table`` raises on them.
+larger primes and ``inverse_table`` raises on them.  A ``DenseMatrix``
+product sums k products of residues, at most k(p-1)**2, so it is exact only
+while k(p-1)**2 < 2**63 (k < 2**23 at any p below the bound); beyond that
+``DenseMatrix.__matmul__`` raises ``OverflowError`` instead of wrapping.
 The batch kernel reduces many small matrices at once; it is what makes
 exhaustive point scans over P^n(F_q) cheap.
 """
@@ -31,9 +34,17 @@ def inverse_table(p: int) -> np.ndarray:
     return t
 
 
+def reduced(a, p: int) -> np.ndarray:
+    """A writable int64 copy of ``a`` with its entries reduced into [0, p)."""
+    a = np.array(a, dtype=np.int64)
+    if a.size and (a.min() < 0 or a.max() >= p):
+        a %= p
+    return a
+
+
 def rank(a: np.ndarray, p: int) -> int:
     """Rank of ``a`` over F_p.  ``a`` is copied; elimination below pivots only."""
-    a = np.array(a, dtype=np.int64, copy=True) % p
+    a = reduced(a, p)
     rows, cols = a.shape
     r = 0
     for c in range(cols):
@@ -63,7 +74,7 @@ def rref(a: np.ndarray, p: int):
     Pivot choice is the first nonzero entry in column order, so the output is
     deterministic.
     """
-    a = np.array(a, dtype=np.int64, copy=True) % p
+    a = reduced(a, p)
     rows, cols = a.shape
     pivots = []
     r = 0
@@ -94,7 +105,7 @@ def batch_rank(mats: np.ndarray, p: int, inv_table: np.ndarray | None = None) ->
     place on a copy).  Uses a Gauss-Jordan sweep over columns with per-matrix
     pivot bookkeeping, fully vectorized over the batch axis.
     """
-    a = np.array(mats, dtype=np.int64, copy=True) % p
+    a = reduced(mats, p)
     k, rows, cols = a.shape
     if k == 0 or rows == 0 or cols == 0:
         return np.zeros(k, dtype=np.int64)

@@ -18,9 +18,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 from .bgg import LinearComplex, MatrixOfLinearForms
 from .emod import GradedEModule
-from .matrix import DenseMatrix
+from .matrix import DenseMatrix, zeros_array
 
 
 class CertificationError(RuntimeError):
@@ -82,42 +84,36 @@ def monomial_position(n: int, d: int):
     return {m: k for k, m in enumerate(monomials(n, d))}
 
 
-def _bump(mono, j):
-    return tuple(e + 1 if k == j else e for k, e in enumerate(mono))
+@lru_cache(maxsize=None)
+def bump_positions(n: int, d: int) -> np.ndarray:
+    """Read-only ``(S, n+1)`` table: entry (k, j) is the position of x_j
+    times the k-th degree-d monomial among the degree-(d+1) monomials."""
+    tpos = monomial_position(n, d + 1)
+    table = np.array([[tpos[tuple(e + (k == j) for k, e in enumerate(m))]
+                       for j in range(n + 1)] for m in monomials(n, d)],
+                     dtype=np.int64).reshape(-1, n + 1)
+    table.setflags(write=False)
+    return table
 
 
 def strand_map(D, d: int) -> DenseMatrix:
     """Degree-d strand of a linear-form matrix: S_d (x) src -> S_(d+1) (x) tgt.
 
-    The block pairing target monomial m' with source monomial m is the sum of
-    the slices j with m' = x_j * m.  Index flattening within a side is
-    (monomial position) * (block dimension) + (module index).
+    The block pairing target monomial m' with source monomial m is slice j
+    when m' = x_j * m, and zero when m' is no such multiple; no block gets
+    two slices, since x_j * m determines j.  Index flattening within a side
+    is (monomial position) * (block dimension) + (module index).
     """
     n = D.nvars - 1
     f = D.field
-    src = monomials(n, d)
-    tgt = monomials(n, d + 1)
-    rows = len(tgt) * D.nrows
-    cols = len(src) * D.ncols
-    if rows == 0 or cols == 0:
-        return DenseMatrix.zeros(f, rows, cols)
-    tpos = monomial_position(n, d + 1)
-    z = f.zero
-    grid = [[z] * cols for _ in range(rows)]
-    for mi, m in enumerate(src):
-        for j in range(n + 1):
-            ti = tpos[_bump(m, j)]
-            s = D.slices[j]
-            for r in range(D.nrows):
-                rr = ti * D.nrows + r
-                base = mi * D.ncols
-                row = grid[rr]
-                srow = s.row(r)
-                for c in range(D.ncols):
-                    x = srow[c]
-                    if not f.is_zero(x):
-                        row[base + c] = f.add(row[base + c], x)
-    return DenseMatrix(f, tuple(tuple(r) for r in grid), cols, _raw=True)
+    src, tgt = len(monomials(n, d)), len(monomials(n, d + 1))
+    grid = zeros_array(f, (tgt, D.nrows, src, D.ncols))
+    if grid.size:
+        bump = bump_positions(n, d)
+        cols = np.arange(src)
+        for j, s in enumerate(D.slices):
+            grid[bump[:, j], :, cols, :] = s.to_numpy()
+    return DenseMatrix.from_numpy(f, grid.reshape(tgt * D.nrows, src * D.ncols))
 
 
 def _transpose_forms(D) -> MatrixOfLinearForms:

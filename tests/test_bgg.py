@@ -158,6 +158,28 @@ def test_random_scan_every_point_of_a_large_field():
     assert len({row.tobytes() for row in pts}) == count
 
 
+def test_random_scan_in_pieces_gives_the_same_report():
+    # Seven-point pieces against the default, on a rejection-sampled run and
+    # on every point of P^3(F_31), whose without-replacement fallback draws
+    # the last ~15 points after 1000 rounds.
+    for q, samples in ((5, 120), (31, projective_point_count(31, 3))):
+        field = GF(q)
+        L = Subspace(DenseMatrix(field, [[1, 0, 0, 0]], 4))
+        C = bgg_complex(quotient_top(free_truncated(1, 1, 3, field), L))
+        inv = modp.inverse_table(q)
+        pieces = list(_random_point_chunks(q, 3, samples, 3, inv, 7))
+        assert max(len(x) for x in pieces) == 7
+        whole = np.concatenate(list(_random_point_chunks(q, 3, samples, 3, inv)))
+        assert np.array_equal(np.concatenate(pieces), whole)
+        assert len({row.tobytes() for row in whole}) == len(whole) == samples
+        for anchor in (None, AnchorProblem(1, 4, L)):
+            rep = faithfulness_scan(C, "random", samples=samples, seed=3, chunk=7,
+                                    anchor=anchor)
+            assert rep == faithfulness_scan(C, "random", samples=samples, seed=3,
+                                            anchor=anchor)
+            assert not rep.ok  # the bad point e_0 is drawn
+
+
 def test_random_scan_rational():
     P = free_truncated(1, 2, 3, QQ)
     rep = faithfulness_scan(bgg_complex(P), "random", samples=50, seed=2)

@@ -1,5 +1,6 @@
 """Exact linear algebra over Q and prime fields."""
 
+import json
 import random
 import time
 import tracemalloc
@@ -128,11 +129,11 @@ def test_solve_right_random_roundtrip():
 
 
 def test_matmul_numpy_path_matches_generic():
-    # Force both branches of matmul over the same operands.
+    # The numpy product against sums of Python ints.
     rng = random.Random(3)
     a = random_matrix(F, rng, 20, 18)
     b = random_matrix(F, rng, 18, 20)
-    big = a @ b  # over the numpy threshold
+    big = a @ b
     slow = DenseMatrix(F, [[sum(a[i, k] * b[k, j] for k in range(18)) % F.p
                             for j in range(20)] for i in range(20)])
     assert big == slow
@@ -261,3 +262,144 @@ def test_numpy_ranks_match_fraction_ranks_at_the_largest_prime():
         want.append(ref)
     assert list(modp.batch_rank(np.array(mats), p)) == want
     assert len(set(want)) > 3
+
+
+# -- DenseMatrix against plain-Python references -----------------------------
+
+
+def _ref_rref(field, rows, ncols):
+    """Gauss-Jordan with field scalars, first nonzero pivot in column order."""
+    a = [list(r) for r in rows]
+    piv = []
+    for c in range(ncols):
+        sel = next((i for i in range(len(piv), len(a)) if not field.is_zero(a[i][c])), None)
+        if sel is None:
+            continue
+        r = len(piv)
+        a[r], a[sel] = a[sel], a[r]
+        inv = field.inv(a[r][c])
+        a[r] = [field.mul(x, inv) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and not field.is_zero(a[i][c]):
+                f = a[i][c]
+                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
+        piv.append(c)
+    return a[: len(piv)], piv
+
+
+def _entries(m):
+    return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), F], ids=["QQ", "F7", "F32003"])
+def test_dense_matrix_matches_plain_python_references(field):
+    rng = random.Random(2718)
+    add, mul, sub = field.add, field.mul, field.sub
+    for case in range(150):
+        r, k, c = (rng.randint(0, 4) for _ in range(3))
+        a = random_matrix(field, rng, r, k)
+        b = random_matrix(field, rng, k, c)
+        a2 = random_matrix(field, rng, r, k)
+        A, B, A2 = _entries(a), _entries(b), _entries(a2)
+        z = field.zero
+        assert _entries(a @ b) == [[sum((mul(A[i][t], B[t][j]) for t in range(k)), z)
+                                    if field is QQ else
+                                    sum(A[i][t] * B[t][j] for t in range(k)) % field.p
+                                    for j in range(c)] for i in range(r)]
+        assert _entries(a.kron(b)) == [[mul(A[i][j], B[s][t]) for j in range(k)
+                                        for t in range(c)] for i in range(r) for s in range(k)]
+        assert _entries(DenseMatrix.hstack([a, a2])) == [x + y for x, y in zip(A, A2)]
+        assert _entries(DenseMatrix.vstack([a, a2])) == A + A2
+        assert _entries(a.transpose()) == [[A[i][j] for i in range(r)] for j in range(k)]
+        assert a.transpose().shape == (k, r)
+        assert _entries(a + a2) == [[add(x, y) for x, y in zip(u, v)] for u, v in zip(A, A2)]
+        assert _entries(a - a2) == [[sub(x, y) for x, y in zip(u, v)] for u, v in zip(A, A2)]
+        s = field.random_element(rng)
+        assert _entries(a.scale(s)) == [[mul(s, x) for x in u] for u in A]
+        assert (a - a).is_zero() and a.is_zero() == all(field.is_zero(x) for u in A for x in u)
+        assert DenseMatrix.from_numpy(field, a.to_numpy()) == a
+        if r == 0 or k == 0:
+            continue
+        R, piv = _ref_rref(field, A, k)
+        assert a.rank() == len(piv)
+        got_R, got_piv = a.rref()
+        assert (_entries(got_R), list(got_piv)) == (R, piv)
+        ker = a.free_column_kernel()
+        free = [j for j in range(k) if j not in piv]
+        want = []
+        for j in free:
+            v = [z] * k
+            v[j] = field.one
+            for t, p in enumerate(piv):
+                v[p] = field.neg(R[t][j])
+            want.append(v)
+        assert _entries(ker) == want and ker.shape == (len(free), k)
+        if c:
+            rhs = random_matrix(field, rng, r, c)
+            aug = [x + y for x, y in zip(A, _entries(rhs))]
+            sol = a.solve_right(rhs)
+            assert (sol is not None) == (len(_ref_rref(field, aug, k + c)[1]) == len(piv))
+            if sol is not None:
+                assert a @ sol.particular == rhs
+            reachable = a @ b
+            assert a @ a.solve_right(reachable).particular == reachable
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["QQ", "F32003"])
+def test_dense_matrix_equality_hash_and_python_scalars(field):
+    rng = random.Random(31)
+    m = random_matrix(field, rng, 4, 3)
+    same = [m.transpose().transpose(), DenseMatrix(field, m.to_lists(), 3),
+            DenseMatrix.vstack([DenseMatrix(field, [r], 3) for r in m.rows()]),
+            m + DenseMatrix.zeros(field, 4, 3), m.scale(1),
+            DenseMatrix.from_numpy(field, np.array(m.to_lists(), dtype=object))]
+    for other in same:
+        assert other == m and hash(other) == hash(m)
+    other = m + DenseMatrix(field, [[1, 0, 0]] + [[0] * 3] * 3, 3)
+    assert other != m
+    assert m != m.transpose() and m != DenseMatrix.zeros(field, 4, 3)
+    scalar = Fraction if field is QQ else int
+    values = [m[1, 2], *m.row(0), *(x for r in m.rows() for x in r),
+              *(x for r in m.to_lists() for x in r)]
+    assert all(type(x) is scalar for x in values)
+    assert all(type(x) is scalar for x in (m @ m.transpose()).to_lists()[0])
+    assert all(type(x) is scalar for x in DenseMatrix.identity(field, 2).row(1))
+    if field is F:
+        assert json.loads(json.dumps(m.to_lists())) == m.to_lists()
+        assert m.to_numpy().dtype == np.int64
+    else:
+        assert m.to_numpy().dtype == object
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["QQ", "F32003"])
+def test_dense_matrix_storage_is_read_only(field):
+    rng = random.Random(5)
+    m = random_matrix(field, rng, 3, 3)
+    before = m.to_lists()
+    for view in (m, m.transpose(), m.rref()[0], m @ m, m.kron(m),
+                 DenseMatrix.hstack([m, m]), m.free_column_kernel(),
+                 DenseMatrix.identity(field, 3), DenseMatrix.zeros(field, 2, 2)):
+        arr = view.to_numpy()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1
+    assert m.to_lists() == before
+
+
+def test_matmul_at_the_largest_prime_is_exact_or_refused():
+    p = LARGEST_PRIME
+    field = GF(p)
+    rng = random.Random(p)
+    for ncols in (1, 7, 3000):
+        # All entries p - 1: each product is (p-1)**2 ~ 2**40, summed ncols times.
+        a = DenseMatrix(field, [[p - 1] * ncols, [rng.randrange(p) for _ in range(ncols)]])
+        b = DenseMatrix(field, [[p - 1, rng.randrange(p)] for _ in range(ncols)])
+        A, B = a.to_lists(), b.to_lists()
+        assert (a @ b).to_lists() == [[sum(x * y for x, y in zip(row, col)) % p
+                                       for col in zip(*B)] for row in A]
+    # One more column than int64 sums of (p-1)**2 can hold: refused before any
+    # work (np.zeros is lazily allocated, so these pages are never touched).
+    limit = -(-2**63 // (p - 1) ** 2)
+    assert (limit - 1) * (p - 1) ** 2 < 2**63 <= limit * (p - 1) ** 2
+    wide, tall = DenseMatrix.zeros(field, 1, limit), DenseMatrix.zeros(field, limit, 1)
+    with pytest.raises(OverflowError):
+        wide @ tall

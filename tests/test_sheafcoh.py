@@ -1,17 +1,22 @@
 """Cohomology tables, strand maps and homological-dimension certification."""
 
 import random
+from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
+from bggbundles import sheafcoh
 from bggbundles import (GF, QQ, CertificationError, CohomologyCalculator,
                         DenseMatrix, MatrixOfLinearForms, Subspace, bgg_complex,
                         certify_hd, cohomology_table, construct,
                         ConstructionParams, VerificationPolicy, euler_line,
                         free_truncated, line_coh, monomials, quotient_top,
                         strand_map)
+from bggbundles.anchor import sample_anchoring
 from bggbundles.bgg import LinearComplex
+from bggbundles.pipeline import choose_parameters
 from bggbundles.sheafcoh import costrand_map
 
 F = GF(32003)
@@ -65,6 +70,71 @@ def test_strand_composite_zero():
         a = strand_map(C.diffs[0], d)
         b = strand_map(C.diffs[1], d + 1)
         assert (b @ a).is_zero()
+
+
+def _strand_map_reference(D, d):
+    """Nonzero entries {(row, col): value} of the degree-d strand, summed
+    entry by entry over the slices (the loop the numpy map replaced)."""
+    n = D.nvars - 1
+    f = D.field
+    tpos = {m: k for k, m in enumerate(monomials(n, d + 1))}
+    out = {}
+    for mi, m in enumerate(monomials(n, d)):
+        for j in range(n + 1):
+            ti = tpos[tuple(e + 1 if k == j else e for k, e in enumerate(m))]
+            s = D.slices[j]
+            for r in range(D.nrows):
+                srow = s.row(r)
+                for c in range(D.ncols):
+                    if not f.is_zero(srow[c]):
+                        key = (ti * D.nrows + r, mi * D.ncols + c)
+                        out[key] = f.add(out.get(key, f.zero), srow[c])
+    return {k: x for k, x in out.items() if not f.is_zero(x)}
+
+
+def _assert_strand_matches_reference(D, d):
+    got = strand_map(D, d)
+    assert got.shape == (len(monomials(D.nvars - 1, d + 1)) * D.nrows,
+                         len(monomials(D.nvars - 1, d)) * D.ncols)
+    rows, cols = np.nonzero(got.to_numpy())
+    assert {(i, j): got[i, j] for i, j in zip(rows.tolist(), cols.tolist())} \
+        == _strand_map_reference(D, d), d
+    return got
+
+
+@pytest.mark.parametrize("n,l,r,t_lo,t_hi", [(3, 2, 5, -14, 6), (4, 3, 7, -12, 2)])
+def test_strand_map_matches_entrywise_reference(monkeypatch, n, l, r, t_lo, t_hi):
+    # The benchmark's table cases: every strand the calculator asks for, on
+    # the forms (bottom row) and on their slice-wise transposes (top row).
+    p, dim_l = choose_parameters(n, l, r)
+    L = sample_anchoring(F, p, comb(n + 1, l), dim_l, seed=42)
+    C = bgg_complex(quotient_top(free_truncated(p, l, n, F), L.subspace))
+    requested = []
+
+    def recording_strand_map(D, d):
+        requested.append((D, d))
+        return strand_map(D, d)
+
+    monkeypatch.setattr(sheafcoh, "strand_map", recording_strand_map)
+    cohomology_table(C, t_lo, t_hi, CohomologyCalculator(C))
+    monkeypatch.undo()
+    transposed = [sheafcoh._transpose_forms(D) for D in C.diffs]
+    forms = {(id(D), d) for D, d in requested if any(D is E for E in C.diffs)}
+    duals = {(id(D), d) for D, d in requested if any(D == E for E in transposed)}
+    assert len(forms) + len(duals) == len(requested) > 20 and forms and duals
+    for D, d in requested:
+        _assert_strand_matches_reference(D, d)
+
+
+def test_strand_map_matches_entrywise_reference_over_qq():
+    P = free_truncated(2, 2, 3, QQ)
+    rng = random.Random(4)
+    row = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(12)]
+    C = bgg_complex(quotient_top(P, Subspace(DenseMatrix(QQ, [row], 12))))
+    for D in C.diffs + tuple(sheafcoh._transpose_forms(D) for D in C.diffs):
+        for d in range(4):
+            m = _assert_strand_matches_reference(D, d)
+            assert all(type(x) is Fraction for x in m.to_numpy().ravel())
 
 
 def test_costrand_composite_zero():
