@@ -213,22 +213,37 @@ def _random_point_chunks(q: int, n: int, samples: int, seed: int, inv_table,
     in pieces of at most ``chunk`` points.
 
     Rejection sampling draws the points: a round draws 2*want candidates,
-    in blocks of ``chunk`` rows.  Near the point count it needs about q^n/2
-    rounds for the last point, so after 1000 rounds the rest are drawn
-    without replacement from the points not seen yet.  numpy's Generator
-    yields the same int64 stream whether drawn at once or in blocks, so the
-    piece size does not change which points are drawn, nor their order.
+    in blocks of ``chunk`` rows, and keeps the first occurrence of each
+    point not drawn before, in block order.  Near the point count it needs
+    about q^n/2 rounds for the last point, so after 1000 rounds the rest are
+    drawn without replacement from the points not seen yet.  numpy's
+    Generator yields the same int64 stream whether drawn at once or in
+    blocks, so the piece size does not change which points are drawn, nor
+    their order.  The points seen so far are kept as one sorted array of
+    row keys, 8(n+1) bytes per point.
     """
     rng = np.random.default_rng(seed)
-    seen = set()
+    key = np.dtype((np.void, 8 * (n + 1)))
+    seen = np.empty(0, dtype=key)
     collected = 0
     rounds = 0
+
+    def keys(rows):
+        return np.ascontiguousarray(rows).view(key).ravel()
+
+    def unseen(k, pos):
+        """Which keys are not in ``seen``, given their insertion positions."""
+        hit = pos < seen.size
+        hit[hit] = seen[pos[hit]] == k[hit]
+        return ~hit
+
     while collected < samples:
         rounds += 1
         want = samples - collected
         if rounds > 1000:
             rest = np.concatenate(list(_normalized_point_chunks(q, n, 1 << 16)))
-            rest = rest[[row.tobytes() not in seen for row in rest]]
+            k = keys(rest)
+            rest = rest[unseen(k, np.searchsorted(seen, k))]
             rest = rest[rng.choice(rest.shape[0], want, replace=False)]
             for start in range(0, want, chunk):
                 yield rest[start:start + chunk]
@@ -241,16 +256,15 @@ def _random_point_chunks(q: int, n: int, samples: int, seed: int, inv_table,
             lead = (raw != 0).argmax(axis=1)
             raw *= inv_table[raw[np.arange(raw.shape[0]), lead]][:, None]
             raw %= q
-            keep = []
-            for t, row in enumerate(raw):
-                key = row.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    keep.append(t)
-                    if collected + len(keep) == samples:
-                        break
-            if keep:
-                collected += len(keep)
+            # The block's distinct points, sorted, with their first positions.
+            u, first = np.unique(keys(raw), return_index=True)
+            pos = np.searchsorted(seen, u)
+            new = unseen(u, pos)
+            keep = np.sort(first[new])[:samples - collected]
+            if keep.size:
+                new &= first <= keep[-1]
+                seen = np.insert(seen, pos[new], u[new])
+                collected += keep.size
                 yield raw[keep]
             if collected == samples:
                 return

@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from .extalg import generator_action
-from .matrix import DenseMatrix, MalformedSubspaceError, ShapeError, Subspace, zeros_array
+from .matrix import DenseMatrix, MalformedSubspaceError, ShapeError, Subspace
 
 
 class ModuleInvariantError(ValueError):
@@ -126,33 +126,48 @@ def chi(P: GradedEModule) -> tuple:
 def hom_space_dim(P: GradedEModule) -> int:
     """Dimension of the space of graded module endomorphisms of P.
 
-    A tuple (phi_i : P_i -> P_i) is an endomorphism iff it intertwines every
-    generator action; the intertwining conditions form one stacked linear
-    system in the entries of all phi_i, and the answer is its kernel dimension.
+    A tuple (phi_i : P_i -> P_i) is an endomorphism iff, at every level i,
+
+        phi_(i+1) B_i = [A_(i,0) phi_i | ... | A_(i,n) phi_i],
+        B_i = [A_(i,0) | ... | A_(i,n)]  (d_(i+1) x (n+1) d_i),
+
+    so the solutions are found one degree at a time.  A basis of the
+    solutions on levels <= i is carried as t_i parameter vectors, each
+    stored with its phi_i; t_0 = d_0^2.  One rref of [B_i | I] gives B_i's
+    echelon form R, the transform E with E B_i = R, and the left kernel K of
+    B_i (the rows whose B_i part is zero).  A right-hand side C is reached
+    iff C = Y R, where Y is C read at R's pivot columns, and then the
+    solutions are phi_(i+1) = Y E + W K for any W.  So the consistency
+    condition C - Y R = 0 cuts the parameters down to one kernel, each
+    surviving vector gets phi_(i+1) = Y E, and d_(i+1) dim K new parameters
+    phi_(i+1) = W K (zero below) are added; t_(i+1) counts both and the
+    answer is t_c.  The W K terms make this exact for any module: they are
+    the maps that vanish on the image of P_i, the freedom left on a piece
+    not generated by the one below.  A module generated in degree 0 has
+    every B_i onto, K = 0 and t_i <= d_0^2.
     """
     f = P.field
     dims = P.piece_dims
-    c = P.top_degree
-    if c == 0:
-        return dims[0] ** 2
-    # phi_0..phi_c are laid out consecutively; one row block per (i, j).
-    offsets = [0]
-    for d in dims:
-        offsets.append(offsets[-1] + d * d)
-    system = zeros_array(f, (sum((P.n + 1) * dims[i] * dims[i + 1] for i in range(c)),
-                             offsets[-1]))
-    r = 0
-    for i in range(c):
+    basis = DenseMatrix.identity(f, dims[0] ** 2)  # row k: phi_i of solution k
+    for i, acts in enumerate(P.actions):
         di, dj = dims[i], dims[i + 1]
-        eye_i = DenseMatrix.identity(f, di).to_numpy()
-        eye_j = DenseMatrix.identity(f, dj).to_numpy()
-        for a in P.actions[i]:
-            # vec is row-major: vec(phi_{i+1} A) = (I (x) A^T) vec(phi_{i+1}),
-            # vec(A phi_i) = (A (x) I) vec(phi_i).  Reduced mod p below.
-            a = a.to_numpy()
-            system[r:r + di * dj, offsets[i]:offsets[i + 1]] = -np.kron(a, eye_i)
-            system[r:r + di * dj, offsets[i + 1]:offsets[i + 2]] = np.kron(eye_j, a.T)
-            r += di * dj
-    dim = offsets[-1] - DenseMatrix.from_numpy(f, system).rank()
+        m = len(acts) * di
+        red, piv = DenseMatrix.hstack([*acts, DenseMatrix.identity(f, dj)]).rref()
+        r = sum(c < m for c in piv)
+        red = red.to_numpy()
+        R, E, K = (DenseMatrix.from_numpy(f, b)
+                   for b in (red[:r, :m], red[:r, m:], red[r:, m:]))
+        t = basis.nrows
+        phi = basis.to_numpy().reshape(t, di, di)
+        # Row (k, a) of rhs is row a of [A_(i,0) phi_k | ... | A_(i,n) phi_k].
+        rhs = np.concatenate([a.to_numpy() @ phi for a in acts], axis=2)
+        rhs = DenseMatrix.from_numpy(f, rhs.reshape(t * dj, m))
+        Y = DenseMatrix.from_numpy(f, rhs.to_numpy()[:, list(piv[:r])])
+        gap = (rhs - Y @ R).to_numpy().reshape(t, dj * m)
+        consistent = DenseMatrix.from_numpy(f, gap.T).free_column_kernel()
+        reached = DenseMatrix.from_numpy(f, (Y @ E).to_numpy().reshape(t, dj * dj))
+        basis = DenseMatrix.vstack([consistent @ reached,
+                                    DenseMatrix.identity(f, dj).kron(K)])
+    dim = basis.nrows
     assert dim >= 1, "identity endomorphism lost"
     return dim

@@ -25,12 +25,18 @@ def inverse_table(p: int) -> np.ndarray:
     """Table of multiplicative inverses mod p (index 0 unused, set to 0)."""
     if p >= PRIME_BOUND:
         raise ValueError(f"p = {p} is not below the exactness bound {PRIME_BOUND}")
-    t = np.zeros(p, dtype=np.int64)
-    if p > 1:
-        t[1] = 1
-        # t[i] = -(p//i) * t[p%i] mod p, the standard linear-time recurrence.
-        for i in range(2, p):
-            t[i] = (-(p // i) * t[p % i]) % p
+    # t[i] = i^(p-2) mod p by squaring; every product is below (p-1)^2 < 2^40.
+    base = np.arange(p, dtype=np.int64)
+    t = np.ones(p, dtype=np.int64)
+    e = max(p - 2, 0)
+    while e:
+        if e & 1:
+            t *= base
+            t %= p
+        base *= base
+        base %= p
+        e >>= 1
+    t[:1] = 0
     return t
 
 

@@ -225,6 +225,18 @@ def test_prime_field_refuses_primes_beyond_the_exact_bound():
     assert time.perf_counter() - t0 < 1
     assert _is_prime(10**12 + 39)
 
+
+def test_inverse_table_matches_python_pow():
+    for p in (2, 3, 101, 32003, LARGEST_PRIME):
+        t = modp.inverse_table(p)
+        assert t.dtype == np.int64 and t.shape == (p,)
+        assert t[0] == 0
+        assert t[1:].tolist() == [pow(i, p - 2, p) for i in range(1, p)], p
+        assert not np.any(np.arange(1, p) * t[1:] % p != 1)
+    with pytest.raises(ValueError):
+        modp.inverse_table(modp.PRIME_BOUND)
+
+
 def _rank_mod_p_fractions(rows, p):
     """Rank over F_p by elimination on Fractions, reduced mod p at each step."""
     a = [[Fraction(x) for x in row] for row in rows]
