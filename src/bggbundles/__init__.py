@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .fields import GF, QQ, FieldError, PrimeField, RationalField
 from .matrix import (DenseMatrix, FieldMismatchError, MalformedSubspaceError,
-                     ShapeError, Solution, Subspace, sum_intersection_dims)
+                     ShapeError, Solution, Subspace)
 from .extalg import basis_subsets, generator_action, left_mult_sign, vector_action
 from .emod import (GradedEModule, ModuleInvariantError, chi, free_truncated,
                    hom_space_dim, quotient_top)
@@ -22,8 +22,8 @@ from .anchor import (AnchoringSearchError, AnchorProblem, AnchorVerdict,
                      general_position_range, is_anchoring, pair_solution_dim,
                      sample_anchoring, slices_from_subspace, tensor_to_subspace)
 from .bgg import (FaithfulnessReport, LinearComplex, MatrixOfLinearForms,
-                  PointBudgetError, bgg_complex, bundle_rank, evaluate_fiber,
-                  exact_at_point, faithfulness_scan, projective_point_count)
+                  PointBudgetError, bgg_complex, evaluate_fiber, exact_at_point,
+                  faithfulness_scan, projective_point_count)
 from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable,
                        HdCertificate, certify_hd, cohomology_table, costrand_map,
                        euler_line, line_coh, monomials, strand_map)
@@ -35,7 +35,7 @@ from .pipeline import (BundleReport, ConstructionParams, ParameterError,
 __all__ = [
     "GF", "QQ", "FieldError", "PrimeField", "RationalField",
     "DenseMatrix", "FieldMismatchError", "MalformedSubspaceError", "ShapeError",
-    "Solution", "Subspace", "sum_intersection_dims",
+    "Solution", "Subspace",
     "basis_subsets", "generator_action", "left_mult_sign", "vector_action",
     "GradedEModule", "ModuleInvariantError", "chi", "free_truncated",
     "hom_space_dim", "quotient_top",
@@ -45,7 +45,7 @@ __all__ = [
     "pair_solution_dim", "sample_anchoring", "slices_from_subspace",
     "tensor_to_subspace",
     "FaithfulnessReport", "LinearComplex", "MatrixOfLinearForms",
-    "PointBudgetError", "bgg_complex", "bundle_rank", "evaluate_fiber",
+    "PointBudgetError", "bgg_complex", "evaluate_fiber",
     "exact_at_point", "faithfulness_scan", "projective_point_count",
     "CertificationError", "CohomologyCalculator", "CohomologyTable",
     "HdCertificate", "certify_hd", "cohomology_table", "costrand_map",

@@ -248,12 +248,11 @@ def sample_anchoring(field, u: int, w: int, d: int, seed: int = 0,
     """A seeded random d-dimensional subspace verified to anchor U.
 
     For u > 1 requires w >= 4 and d strictly inside the general-position
-    interval; for u = 1 any d is trivially anchoring.  Each candidate is
-    checked exactly; failure statistics ride along on the error.
+    interval; for u = 1 any d is trivially anchoring, and d = 0 gives the
+    zero subspace.  Each candidate is checked exactly; failure statistics
+    ride along on the error.
     """
-    if u == 1:
-        pass
-    else:
+    if u > 1:
         if w < 4:
             raise ValueError("need dim W >= 4 when dim U > 1")
         lo, hi = general_position_range(u, w)

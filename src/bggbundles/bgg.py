@@ -27,7 +27,7 @@ import numpy as np
 
 from . import modp
 from .anchor import AnchorProblem
-from .emod import GradedEModule, chi
+from .emod import GradedEModule
 from .extalg import generator_action
 from .fields import PrimeField
 from .matrix import DenseMatrix, ShapeError
@@ -207,7 +207,7 @@ def _normalized_point_chunks(q: int, n: int, chunk: int):
             start += cnt
 
 
-def _random_point_chunks(q: int, n: int, samples: int, seed: int, inv_table,
+def _random_point_chunks(q: int, n: int, samples: int, seed: int,
                          chunk: int = 1 << 16):
     """``samples`` distinct seeded points of P^n(F_q), normalized as above,
     in pieces of at most ``chunk`` points.
@@ -222,6 +222,7 @@ def _random_point_chunks(q: int, n: int, samples: int, seed: int, inv_table,
     their order.  The points seen so far are kept as one sorted array of
     row keys, 8(n+1) bytes per point.
     """
+    inv_table = modp.inverse_table(q)
     rng = np.random.default_rng(seed)
     key = np.dtype((np.void, 8 * (n + 1)))
     seen = np.empty(0, dtype=key)
@@ -270,12 +271,12 @@ def _random_point_chunks(q: int, n: int, samples: int, seed: int, inv_table,
                 return
 
 
-def _scan_chunk(slices_np, dims, pts, p, inv_table, base_index, failures):
+def _scan_chunk(slices_np, dims, pts, p, base_index, failures):
     """Check exactness on a chunk of points; append failures in order."""
     ranks = []
     for sl in slices_np:
         fib = np.tensordot(pts, sl, axes=([1], [0])) % p
-        ranks.append(modp.batch_rank(fib, p, inv_table))
+        ranks.append(modp.batch_rank(fib, p))
     k = pts.shape[0]
     ok = np.ones(k, dtype=bool)
     first_bad = np.full(k, -1, dtype=np.int64)
@@ -292,7 +293,7 @@ def _scan_chunk(slices_np, dims, pts, p, inv_table, base_index, failures):
                              int(first_bad[t])))
 
 
-def _scan_point_chunks(C: LinearComplex, chunks, q: int, inv_table):
+def _scan_point_chunks(C: LinearComplex, chunks, q: int):
     """Failures of ``C`` over a stream of point chunks, indexed by position,
     and the number of points scanned."""
     slices_np = [np.stack([s.to_numpy() for s in d.slices]) for d in C.diffs]
@@ -300,7 +301,7 @@ def _scan_point_chunks(C: LinearComplex, chunks, q: int, inv_table):
     failures = []
     base = 0
     for pts in chunks:
-        _scan_chunk(slices_np, dims, pts, q, inv_table, base, failures)
+        _scan_chunk(slices_np, dims, pts, q, base, failures)
         base += pts.shape[0]
     return failures, base
 
@@ -345,15 +346,13 @@ def faithfulness_scan(C: LinearComplex, mode: str = "exhaustive", *,
         C = _anchor_restriction(C, anchor)
     if mode == "exhaustive":
         q = f.p
-        failures, scanned = _scan_point_chunks(
-            C, _normalized_point_chunks(q, n, chunk), q, modp.inverse_table(q))
+        failures, scanned = _scan_point_chunks(C, _normalized_point_chunks(q, n, chunk), q)
         assert scanned == count
         seed = None
     elif isinstance(f, PrimeField):
         q = f.p
-        inv_table = modp.inverse_table(q)
         failures, _ = _scan_point_chunks(
-            C, _random_point_chunks(q, n, samples, seed, inv_table, chunk), q, inv_table)
+            C, _random_point_chunks(q, n, samples, seed, chunk), q)
     else:
         # Rational fallback: per-point exact check on random integer vectors.
         rng = random.Random(seed)
@@ -369,8 +368,3 @@ def faithfulness_scan(C: LinearComplex, mode: str = "exhaustive", *,
             seen.add(v)
     failures = tuple((i, pt, degree + offset) for i, pt, degree in failures)
     return FaithfulnessReport(mode, repr(f), count, failures, seed)
-
-
-def bundle_rank(P: GradedEModule) -> int:
-    """Rank of the cokernel bundle: the top alternating sum chi_c."""
-    return chi(P)[-1]

@@ -16,10 +16,9 @@ import sys
 
 from . import __version__
 from .anchor import AnchoringSearchError, annihilator, is_anchoring, sample_anchoring
-from .bgg import bgg_complex
 from .fields import FieldError
 from .pipeline import (ConstructionParams, ParameterError, RetryBudgetError,
-                       VerificationPolicy, _module_from_json, cas_script,
+                       VerificationPolicy, _instance_from_report, cas_script,
                        construct, parse_field, report_to_json_str, verify)
 from .sheafcoh import CohomologyCalculator, cohomology_table
 
@@ -120,8 +119,7 @@ def _cmd_anchor(args) -> int:
 def _cmd_cohomology(args) -> int:
     with open(args.infile) as fh:
         report = json.load(fh)
-    field = parse_field(report["params"]["field"])
-    C = bgg_complex(_module_from_json(field, report["module"]))
+    C = _instance_from_report(report).C
     table = cohomology_table(C, args.t_lo, args.t_hi, CohomologyCalculator(C))
     print(table.to_text())
     return EXIT_OK

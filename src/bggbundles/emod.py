@@ -39,9 +39,6 @@ class GradedEModule:
     def top_degree(self) -> int:
         return len(self.piece_dims) - 1
 
-    def action(self, j: int, i: int) -> DenseMatrix:
-        return self.actions[i][j]
-
     def validate(self):
         """Assert shapes, positivity of P_0 and the exterior relations."""
         c = self.top_degree

@@ -358,19 +358,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def sum_intersection_dims(L1: Subspace, L2: Subspace):
-    """Dimensions ``(dim(L1+L2), dim(L1 n L2))`` of sum and intersection."""
-    if L1.field != L2.field:
-        raise FieldMismatchError("subspaces over different fields")
-    if L1.ambient_dim != L2.ambient_dim:
-        raise ShapeError("subspaces in different ambient spaces")
-    if L1.dim == 0 and L2.dim == 0:
-        return 0, 0
-    stack = DenseMatrix.vstack([m for m in (L1.basis, L2.basis) if m.nrows])
-    s = stack.rank()
-    inter = L1.dim + L2.dim - s
-    # Cross-check through the kernel route: pairs (x, y) with x*B1 = y*B2.
-    assert stack.transpose().kernel_basis().nrows == inter
-    return s, inter

@@ -16,13 +16,17 @@ exhaustive point scans over P^n(F_q) cheap.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 PRIME_BOUND = 1 << 20
 
 
+@lru_cache(maxsize=8)
 def inverse_table(p: int) -> np.ndarray:
-    """Table of multiplicative inverses mod p (index 0 unused, set to 0)."""
+    """Read-only table of multiplicative inverses mod p (index 0 unused, set
+    to 0), built once per prime and cached."""
     if p >= PRIME_BOUND:
         raise ValueError(f"p = {p} is not below the exactness bound {PRIME_BOUND}")
     # t[i] = i^(p-2) mod p by squaring; every product is below (p-1)^2 < 2^40.
@@ -37,6 +41,7 @@ def inverse_table(p: int) -> np.ndarray:
         base %= p
         e >>= 1
     t[:1] = 0
+    t.flags.writeable = False
     return t
 
 
@@ -104,7 +109,7 @@ def rref(a: np.ndarray, p: int):
     return a, pivots
 
 
-def batch_rank(mats: np.ndarray, p: int, inv_table: np.ndarray | None = None) -> np.ndarray:
+def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a stack of matrices over F_p.
 
     ``mats`` has shape ``(k, rows, cols)`` and is consumed (eliminated in
@@ -115,8 +120,7 @@ def batch_rank(mats: np.ndarray, p: int, inv_table: np.ndarray | None = None) ->
     k, rows, cols = a.shape
     if k == 0 or rows == 0 or cols == 0:
         return np.zeros(k, dtype=np.int64)
-    if inv_table is None:
-        inv_table = inverse_table(p)
+    inv_table = inverse_table(p)
     used = np.zeros((k, rows), dtype=bool)
     out = np.zeros(k, dtype=np.int64)
     ar = np.arange(k)

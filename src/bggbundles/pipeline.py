@@ -10,20 +10,21 @@ field), simplicity (endomorphism dimension 1), rank and certified
 homological dimension.  The whole record is serialized into a self-contained
 JSON report.
 
-``construct`` and ``verify`` run one list of checks, ``CHECKS``.  A check
-takes an :class:`Instance` (the parameters, the module M, its anchor L and
-the exhaustive rebuild exM, exL) and returns ``(ok, detail, sections)``,
+``construct`` and ``verify`` run one list of nine checks, ``CHECKS``.  A
+check takes an :class:`Instance` and returns ``(ok, detail, sections)``,
 where ``sections`` maps each report key the check vouches for to its
-recomputed value.  ``construct`` builds the instance, stops at the first
-failing check and writes the report from the sections; ``verify`` parses the
-instance from a report and passes a check only if it is ok and every
+recomputed value.  The instance's inputs are the parameters, the anchor L,
+the exhaustive rebuild's anchor exL and the attempt count; the modules M and
+exM are derived from their anchors as quotients of the free module, and the
+report records them as sections.  ``construct`` draws the anchors, stops at
+the first failing check and writes the report from the sections; ``verify``
+reads the inputs from a report and passes a check only if it is ok and every
 recomputed section equals the recorded one.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import time
 from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
@@ -166,32 +167,15 @@ def choose_parameters(n: int, l: int, r: int, multiplicity: int | None = None):
     return p, dim_l
 
 
-def _anchor_subspace(field, p: int, w: int, dim_l: int, seed: int,
-                     explicit: bool, max_attempts: int) -> AnchorProblem:
-    if dim_l == 0:
-        return AnchorProblem(p, w, Subspace(DenseMatrix.zeros(field, 0, p * w)))
+def _build(field, params: ConstructionParams, p: int, dim_l: int, seed: int) -> AnchorProblem:
+    """The anchor L over ``field``: explicit when asked for, else seeded random."""
+    w = comb(params.n + 1, params.l)
+    if not (params.explicit_anchor and dim_l):
+        return sample_anchoring(field, p, w, dim_l, seed=seed, max_attempts=8)
     if p == 1:
-        if explicit:
-            basis = DenseMatrix.identity(field, w)
-            rows = tuple(basis.row(i) for i in range(dim_l))
-            return AnchorProblem(1, w, Subspace(DenseMatrix(field, rows, w)))
-        rng = random.Random(seed)
-        while True:
-            rows = [[field.random_element(rng) for _ in range(w)] for _ in range(dim_l)]
-            basis = DenseMatrix(field, rows, w)
-            if basis.rank() == dim_l:
-                return AnchorProblem(1, w, Subspace(basis))
-    if explicit:
-        T = anchoring_tensor(field, p, dim_l, w)
-        return tensor_to_subspace(T)
-    return sample_anchoring(field, p, w, dim_l, seed=seed, max_attempts=max_attempts)
-
-
-def _build(field, params: ConstructionParams, p: int, dim_l: int, seed: int):
-    """The anchor L and the quotient module M = P/L over ``field``."""
-    L = _anchor_subspace(field, p, comb(params.n + 1, params.l), dim_l, seed,
-                         params.explicit_anchor, 8)
-    return L, _rebuild(params, L)
+        rows = [[int(i == j) for j in range(w)] for i in range(dim_l)]
+        return AnchorProblem(1, w, Subspace(DenseMatrix(field, rows, w)))
+    return tensor_to_subspace(anchoring_tensor(field, p, dim_l, w))
 
 
 def _rebuild(params: ConstructionParams, L: AnchorProblem) -> GradedEModule:
@@ -205,22 +189,25 @@ def _rebuild(params: ConstructionParams, L: AnchorProblem) -> GradedEModule:
 
 @dataclass
 class Instance:
-    """What the checks examine.  ``attempts`` fixes the random-scan seed."""
+    """What the checks examine: the inputs, and the modules their anchors
+    define.  ``attempts`` fixes the random-scan seed."""
 
     params: ConstructionParams
-    M: GradedEModule
     L: AnchorProblem
-    exM: GradedEModule
     exL: AnchorProblem
     attempts: int
 
     @cached_property
-    def C(self):
-        return bgg_complex(self.M)
+    def M(self) -> GradedEModule:
+        return _rebuild(self.params, self.L)
 
     @cached_property
-    def rebuilt(self) -> GradedEModule:
-        return _rebuild(self.params, self.L)
+    def exM(self) -> GradedEModule:
+        return _rebuild(self.params, self.exL)
+
+    @cached_property
+    def C(self):
+        return bgg_complex(self.M)
 
 
 def _needs_anchoring(L: AnchorProblem) -> bool:
@@ -251,15 +238,13 @@ def _check_anchoring(inst):
 
 def _check_module_rebuild(inst):
     L = inst.L
-    ok = inst.M == inst.rebuilt
-    return (ok, f"module is {'' if ok else 'not '}the free-module quotient by L",
-            {"quotient_basis": quotient_map(L.subspace) if L.d else None})
+    return (True, "module is the free-module quotient by L",
+            {"module": inst.M, "quotient_basis": quotient_map(L.subspace) if L.d else None})
 
 
 def _check_hom_dimension(inst):
     hom = hom_space_dim(inst.M)
-    if (hom != 1 and _needs_anchoring(inst.L) and inst.M == inst.rebuilt
-            and is_anchoring(inst.L).anchors):
+    if hom != 1 and _needs_anchoring(inst.L) and is_anchoring(inst.L).anchors:
         raise RuntimeError("anchoring verdict and endomorphism computation disagree: "
                            f"L anchors but Hom has dimension {hom}")
     return hom == 1, f"Hom dimension {hom}", {"hom_dim": hom}
@@ -270,16 +255,7 @@ def _check_rank(inst):
     return ch[-1] == inst.params.r, f"chi={ch}, rank={ch[-1]}", {"chi": ch, "rank": ch[-1]}
 
 
-def _check_composite_zero(inst):
-    inst.C.validate()
-    return True, "composite of differentials vanishes", {}
-
-
 def _check_random_faithfulness(inst):
-    # The anchored scan reads L and the shape of M's complex only;
-    # module_rebuild vouches that M's maps are those of the quotient by L.
-    if inst.M.piece_dims != inst.rebuilt.piece_dims:
-        return False, "module is not the free-module quotient by L", {}
     params = inst.params
     rnd = faithfulness_scan(inst.C, "random", samples=params.policy.random_samples,
                             seed=params.seed + inst.attempts - 1, anchor=inst.L)
@@ -289,12 +265,13 @@ def _check_random_faithfulness(inst):
 
 def _check_exhaustive_faithfulness(inst):
     exL = inst.exL
-    if (exL.u, exL.d) != (inst.L.u, inst.L.d) or inst.exM != _rebuild(inst.params, exL):
-        return False, "exhaustive module is not the free-module quotient by its anchor", {}
+    if (exL.u, exL.d) != (inst.L.u, inst.L.d):
+        return False, "exhaustive anchor and L differ in shape", {}
     scan = faithfulness_scan(bgg_complex(inst.exM), "exhaustive",
                              point_budget=inst.params.policy.point_budget, anchor=exL)
     return (scan.ok, f"{scan.points_checked} points, {len(scan.failures)} failures",
-            {"exhaustive.field": field_spec(exL.field), "exhaustive.scan": scan})
+            {"exhaustive.module": inst.exM, "exhaustive.field": field_spec(exL.field),
+             "exhaustive.scan": scan})
 
 
 def _check_cohomology(inst):
@@ -314,7 +291,6 @@ CHECKS = (
     ("module_rebuild", "build", _check_module_rebuild),
     ("hom_dimension", "simplicity", _check_hom_dimension),
     ("rank", "simplicity", _check_rank),
-    ("composite_zero", "build", _check_composite_zero),
     ("random_faithfulness", "random_scan", _check_random_faithfulness),
     ("exhaustive_faithfulness", "exhaustive_scan", _check_exhaustive_faithfulness),
     ("cohomology", "cohomology", _check_cohomology),
@@ -332,16 +308,16 @@ def _section(key):
 @dataclass(frozen=True)
 class BundleReport:
     params: ConstructionParams
-    module: GradedEModule
     anchor: AnchorProblem
     complex: LinearComplex
-    exhaustive_module: GradedEModule
     exhaustive_anchor: AnchorProblem
     sections: dict  # report key -> value, as the checks returned them
     attempts: int
     timings: dict
     version: str = __version__
 
+    module = _section("module")
+    exhaustive_module = _section("exhaustive.module")
     multiplicity = _section("multiplicity")
     anchor_dim = _section("anchor_dim")
     anchor_solution_dim = _section("anchor_solution_dim")
@@ -394,12 +370,12 @@ def _construct_once(params, field, ex_field, p, dim_l, attempts) -> BundleReport
     seed = params.seed + attempts - 1
     timings = dict.fromkeys((stage for _, stage, _ in CHECKS), 0.0)
     t0 = time.perf_counter()
-    L, M = _build(field, params, p, dim_l, seed)
+    L = _build(field, params, p, dim_l, seed)
     t1 = time.perf_counter()
-    exL, exM = _build(ex_field, params, p, dim_l, seed)
+    exL = _build(ex_field, params, p, dim_l, seed)
     timings["build"] += t1 - t0
     timings["exhaustive_scan"] += time.perf_counter() - t1
-    inst = Instance(params, M, L, exM, exL, attempts)
+    inst = Instance(params, L, exL, attempts)
     sections = {}
     for name, stage, check in CHECKS:
         t0 = time.perf_counter()
@@ -408,8 +384,7 @@ def _construct_once(params, field, ex_field, p, dim_l, attempts) -> BundleReport
         if not ok:
             raise VerificationError(f"{name}: {detail}")
         sections.update(found)
-    return BundleReport(params=params, module=M, anchor=L, complex=inst.C,
-                        exhaustive_module=exM, exhaustive_anchor=exL,
+    return BundleReport(params=params, anchor=L, complex=inst.C, exhaustive_anchor=exL,
                         sections=sections, attempts=attempts, timings=timings)
 
 
@@ -432,12 +407,6 @@ def _module_to_json(M: GradedEModule):
             "actions": [[_matrix_to_json(a) for a in level] for level in M.actions]}
 
 
-def _module_from_json(field, obj) -> GradedEModule:
-    actions = tuple(tuple(_matrix_from_json(field, a) for a in level)
-                    for level in obj["actions"])
-    return GradedEModule(obj["n"], field, tuple(obj["piece_dims"]), actions)
-
-
 def _anchor_to_json(L: AnchorProblem):
     return {"u": L.u, "w": L.w, "dim": L.d,
             "basis": _matrix_to_json(L.subspace.basis)}
@@ -458,6 +427,8 @@ def _section_json(value):
     """The report form of a section value returned by a check."""
     if isinstance(value, DenseMatrix):
         return _matrix_to_json(value)
+    if isinstance(value, GradedEModule):
+        return _module_to_json(value)
     if isinstance(value, FaithfulnessReport):
         return _scan_to_json(value)
     if isinstance(value, CohomologyTable):
@@ -493,10 +464,8 @@ def report_to_json(rep: BundleReport) -> dict:
         "schema": SCHEMA_VERSION,
         "version": rep.version,
         "params": _params_to_json(rep.params),
-        "module": _module_to_json(rep.module),
         "anchor": _anchor_to_json(rep.anchor),
-        "exhaustive": {"module": _module_to_json(rep.exhaustive_module),
-                       "anchor": _anchor_to_json(rep.exhaustive_anchor)},
+        "exhaustive": {"anchor": _anchor_to_json(rep.exhaustive_anchor)},
     }
     for key, value in rep.sections.items():
         *path, last = key.split(".")
@@ -536,16 +505,13 @@ class Verdict:
 
 
 def _instance_from_report(report: dict) -> Instance:
-    """The report's inputs: params, module, anchor, the exhaustive module and
-    anchor (read over the field the policy derives) and attempts."""
+    """The report's inputs: params, the anchor, the exhaustive anchor (read
+    over the field the policy derives) and attempts."""
     params = _params_from_json(report["params"])
-    field = params.field()
-    ex_field = _exhaustive_field(params)
-    ex = report["exhaustive"]
-    return Instance(params, _module_from_json(field, report["module"]),
-                    _anchor_from_json(field, report["anchor"]),
-                    _module_from_json(ex_field, ex["module"]),
-                    _anchor_from_json(ex_field, ex["anchor"]), report["attempts"])
+    return Instance(params, _anchor_from_json(params.field(), report["anchor"]),
+                    _anchor_from_json(_exhaustive_field(params),
+                                      report["exhaustive"]["anchor"]),
+                    report["attempts"])
 
 
 def verify(report: dict) -> Verdict:
@@ -583,13 +549,11 @@ def with_replaced_anchor(report: dict, new_basis_rows) -> dict:
     which checks the new subspace breaks.  Intended for mutation testing.
     """
     out = json.loads(json.dumps(report))
-    params = out["params"]
-    field = parse_field(params["field"])
-    w = comb(params["n"] + 1, params["l"])
-    basis = DenseMatrix(field, new_basis_rows, out["multiplicity"] * w)
+    params = _params_from_json(out["params"])
+    w = comb(params.n + 1, params.l)
+    basis = DenseMatrix(params.field(), new_basis_rows, out["multiplicity"] * w)
     L = AnchorProblem(out["multiplicity"], w, Subspace(basis))
-    Pfree = free_truncated(out["multiplicity"], params["l"], params["n"], field)
-    M = quotient_top(Pfree, L.subspace)
+    M = _rebuild(params, L)
     out["anchor"] = _anchor_to_json(L)
     out["anchor_dim"] = L.d
     out["module"] = _module_to_json(M)

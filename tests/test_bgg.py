@@ -6,10 +6,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from bggbundles import modp
 from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, GradedEModule,
                         LinearComplex, MatrixOfLinearForms, PointBudgetError,
-                        Subspace, anchoring_tensor, bgg_complex, bundle_rank,
+                        Subspace, anchoring_tensor, bgg_complex,
                         choose_parameters, evaluate_fiber, exact_at_point,
                         faithfulness_scan, free_truncated, projective_point_count,
                         quotient_top, tensor_to_subspace)
@@ -153,8 +152,7 @@ def test_random_scan_every_point_of_a_large_field():
     assert [pt for _, pt, _ in rep.failures] == [(1, 0, 0, 0)]
     assert rep == faithfulness_scan(C, "random", samples=count, seed=3,
                                     anchor=AnchorProblem(1, 4, L))
-    pts = np.concatenate(list(_random_point_chunks(q, 3, count, 3,
-                                                   modp.inverse_table(q))))
+    pts = np.concatenate(list(_random_point_chunks(q, 3, count, 3)))
     assert len({row.tobytes() for row in pts}) == count
 
 
@@ -166,10 +164,9 @@ def test_random_scan_in_pieces_gives_the_same_report():
         field = GF(q)
         L = Subspace(DenseMatrix(field, [[1, 0, 0, 0]], 4))
         C = bgg_complex(quotient_top(free_truncated(1, 1, 3, field), L))
-        inv = modp.inverse_table(q)
-        pieces = list(_random_point_chunks(q, 3, samples, 3, inv, 7))
+        pieces = list(_random_point_chunks(q, 3, samples, 3, 7))
         assert max(len(x) for x in pieces) == 7
-        whole = np.concatenate(list(_random_point_chunks(q, 3, samples, 3, inv)))
+        whole = np.concatenate(list(_random_point_chunks(q, 3, samples, 3)))
         assert np.array_equal(np.concatenate(pieces), whole)
         assert len({row.tobytes() for row in whole}) == len(whole) == samples
         for anchor in (None, AnchorProblem(1, 4, L)):
@@ -196,15 +193,6 @@ def test_composite_zero_on_validate():
     from bggbundles import ShapeError
     with pytest.raises(ShapeError):
         broken.validate()
-
-
-def test_bundle_rank():
-    P = free_truncated(2, 2, 3, F)
-    assert bundle_rank(P) == 6
-    rng = random.Random(0)
-    rows = [[F.random_element(rng) for _ in range(12)]]
-    Q = quotient_top(P, Subspace(DenseMatrix(F, rows, 12)))
-    assert bundle_rank(Q) == 5
 
 
 def _equivalence_anchors(field, p, d, w):

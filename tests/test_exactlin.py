@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from bggbundles import (GF, QQ, DenseMatrix, FieldError, MalformedSubspaceError,
-                        ParameterError, ShapeError, Subspace, modp,
-                        sum_intersection_dims)
+                        ParameterError, ShapeError, Subspace, modp)
 from bggbundles.fields import _is_prime
 from bggbundles.pipeline import parse_field
 
@@ -160,23 +159,6 @@ def test_subspace_rejects_dependent_basis():
         Subspace(DenseMatrix(QQ, [[1, 2], [2, 4]]))
 
 
-def test_sum_intersection_dims():
-    L1 = Subspace(DenseMatrix(QQ, [[1, 0, 0], [0, 1, 0]]))
-    L2 = Subspace(DenseMatrix(QQ, [[0, 1, 0], [0, 0, 1]]))
-    assert sum_intersection_dims(L1, L2) == (3, 1)
-    trivial = Subspace(DenseMatrix.zeros(QQ, 0, 3))
-    assert sum_intersection_dims(L1, trivial) == (2, 0)
-
-
-def test_sum_intersection_random_case():
-    rng = random.Random(61)
-    basis = random_matrix(F, rng, 6, 10)
-    assert basis.rank() == 6
-    L1 = Subspace(DenseMatrix(F, basis.rows()[:4], 10))
-    L2 = Subspace(DenseMatrix(F, basis.rows()[3:], 10))
-    assert sum_intersection_dims(L1, L2) == (6, 1)
-
-
 def test_prime_field_rank_bounded_by_rational_rank():
     """Reduction mod p cannot raise the rank; with one fixed seed it is equal."""
     rng = random.Random(2024)
@@ -235,6 +217,13 @@ def test_inverse_table_matches_python_pow():
         assert not np.any(np.arange(1, p) * t[1:] % p != 1)
     with pytest.raises(ValueError):
         modp.inverse_table(modp.PRIME_BOUND)
+
+
+def test_inverse_table_is_cached_and_read_only():
+    t = modp.inverse_table(LARGEST_PRIME)
+    assert modp.inverse_table(LARGEST_PRIME) is t
+    with pytest.raises(ValueError):
+        t[1] = 0
 
 
 def _rank_mod_p_fractions(rows, p):
