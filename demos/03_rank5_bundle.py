@@ -2,8 +2,10 @@
 
 The full pipeline: pick the multiplicity, quotient a truncated free module
 over the exterior algebra by an anchoring line, sheafify to a linear complex,
-then verify faithfulness (exhaustively over a small field), simplicity, rank
-and certified homological dimension.
+then verify faithfulness, simplicity, rank and certified homological
+dimension.  Faithfulness is a property of the anchor L alone, L n ker(v-wedge)
+= 0 at every point v, so both scans read L directly: a random one over the
+working field and an exhaustive one of a same-seed anchor over a small field.
 
 Run with: python3 demos/03_rank5_bundle.py
 """

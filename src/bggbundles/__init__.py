@@ -22,11 +22,11 @@ from .anchor import (AnchoringSearchError, AnchorProblem, AnchorVerdict,
                      general_position_range, is_anchoring, pair_solution_dim,
                      sample_anchoring, slices_from_subspace, tensor_to_subspace)
 from .bgg import (FaithfulnessReport, LinearComplex, MatrixOfLinearForms,
-                  PointBudgetError, bgg_complex, evaluate_fiber, exact_at_point,
-                  faithfulness_scan, projective_point_count)
+                  PointBudgetError, bgg_complex, evaluate_fiber, faithfulness_scan,
+                  projective_point_count)
 from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable,
-                       HdCertificate, certify_hd, cohomology_table, costrand_map,
-                       euler_line, line_coh, monomials, strand_map)
+                       HdCertificate, certify_hd, cohomology_table, euler_line,
+                       line_coh, monomials, strand_map)
 from .pipeline import (BundleReport, ConstructionParams, ParameterError,
                        RetryBudgetError, VerificationPolicy, cas_script,
                        choose_parameters, construct, report_to_json,
@@ -45,11 +45,11 @@ __all__ = [
     "pair_solution_dim", "sample_anchoring", "slices_from_subspace",
     "tensor_to_subspace",
     "FaithfulnessReport", "LinearComplex", "MatrixOfLinearForms",
-    "PointBudgetError", "bgg_complex", "evaluate_fiber",
-    "exact_at_point", "faithfulness_scan", "projective_point_count",
+    "PointBudgetError", "bgg_complex", "evaluate_fiber", "faithfulness_scan",
+    "projective_point_count",
     "CertificationError", "CohomologyCalculator", "CohomologyTable",
-    "HdCertificate", "certify_hd", "cohomology_table", "costrand_map",
-    "euler_line", "line_coh", "monomials", "strand_map",
+    "HdCertificate", "certify_hd", "cohomology_table", "euler_line",
+    "line_coh", "monomials", "strand_map",
     "BundleReport", "ConstructionParams", "ParameterError", "RetryBudgetError",
     "VerificationPolicy", "cas_script", "choose_parameters", "construct",
     "report_to_json", "report_to_json_str", "verify", "with_replaced_anchor",

@@ -8,13 +8,14 @@ top degree is what makes the cokernel sheaf a vector bundle.
 
 For the bundles built here, M = P/L with P = U (x) wedge^(<=l) the truncated
 free module and L a subspace of its top piece U (x) wedge^l, that exactness
-comes down to one condition.  Below degree l-1 the complex is the Koszul
-complex tensored with U, which is exact at every nonzero point
+comes down to one condition on the anchor L.  Below degree l-1 the complex
+is the Koszul complex tensored with U, which is exact at every nonzero point
 (Eisenbud-Floystad-Schreyer 2003), so only degree l-1 can fail, and it fails
 at v exactly when L n ker(v-wedge : U (x) wedge^l -> U (x) wedge^(l+1)) != 0:
 the image of the incoming map is ker(v-wedge) by Koszul exactness, and the
 quotient by L loses dim(L n ker(v-wedge)) of its rank.  ``faithfulness_scan``
-tests this condition, one rank per point, when it is given the anchor L.
+therefore takes the anchor L, not a complex, and tests this condition with
+one rank per point.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ class LinearComplex:
     def length(self) -> int:
         return len(self.terms) - 1
 
-    @property
-    def field(self):
-        return self.diffs[0].field if self.diffs else None
-
     def validate(self):
         c = self.length
         if len(self.diffs) != c:
@@ -140,49 +137,8 @@ def evaluate_fiber(D: MatrixOfLinearForms, v) -> DenseMatrix:
     return out
 
 
-def exact_at_point(C: LinearComplex, v) -> int:
-    """First degree below the top where the fiber sequence at ``v`` is not
-    exact, or -1 when it is exact at every such degree.
-
-    Checked through rank(in) + rank(out) = dim term_i with the convention
-    that the incoming map at degree 0 is zero; this simultaneously certifies
-    constant corank at the top, so the cokernel is locally free at the point.
-    """
-    prev_rank = 0
-    for i in range(C.length):
-        r = evaluate_fiber(C.diffs[i], v).rank()
-        if prev_rank + r != C.terms[i][1]:
-            return i
-        prev_rank = r
-    return -1
-
-
 def projective_point_count(q: int, n: int) -> int:
     return (q ** (n + 1) - 1) // (q - 1)
-
-
-def _anchor_restriction(C: LinearComplex, anchor: AnchorProblem) -> LinearComplex:
-    """The one-map complex 0 -> L -> U (x) wedge^(l+1) given by v-wedge on L.
-
-    ``C`` must be the complex of ``quotient_top(free_truncated(u, l, n), L)``
-    for ``anchor`` = (u, w = C(n+1, l), L); its term ranks are checked here,
-    the caller vouches for the maps.  The restriction's fiber at ``v`` has
-    rank dim L exactly when C's fiber sequence is exact below the top, and a
-    failure of C can only sit at degree l-1 (see the module docstring).
-    """
-    f, n, l = C.field, C.n, C.length
-    u, w, d = anchor.u, anchor.w, anchor.d
-    want = tuple(u * comb(n + 1, i) for i in range(l)) + (u * w - d,)
-    if (anchor.field != f or l < 1 or comb(n + 1, l) != w
-            or tuple(r for _, r in C.terms) != want):
-        raise ShapeError(f"complex with terms {C.terms} is not a top-piece "
-                         f"quotient by a {d}-dimensional anchor in k^{u} (x) k^{w}")
-    eye = DenseMatrix.identity(f, u)
-    basis_t = anchor.subspace.basis.transpose()
-    slices = tuple(eye.kron(generator_action(j, l, n, f)) @ basis_t
-                   for j in range(n + 1))
-    return LinearComplex(n, ((l, d), (l + 1, u * comb(n + 1, l + 1))),
-                         (MatrixOfLinearForms(slices),))
 
 
 def _normalized_point_chunks(q: int, n: int, chunk: int):
@@ -271,100 +227,88 @@ def _random_point_chunks(q: int, n: int, samples: int, seed: int,
                 return
 
 
-def _scan_chunk(slices_np, dims, pts, p, base_index, failures):
-    """Check exactness on a chunk of points; append failures in order."""
-    ranks = []
-    for sl in slices_np:
-        fib = np.tensordot(pts, sl, axes=([1], [0])) % p
-        ranks.append(modp.batch_rank(fib, p))
-    k = pts.shape[0]
-    ok = np.ones(k, dtype=bool)
-    first_bad = np.full(k, -1, dtype=np.int64)
-    prev = np.zeros(k, dtype=np.int64)
-    for i, rank in enumerate(ranks):
-        good = prev + rank == dims[i]
-        newly_bad = ok & ~good
-        first_bad[newly_bad] = i
-        ok &= good
-        prev = rank
-    if not ok.all():
-        for t in np.nonzero(~ok)[0]:
-            failures.append((base_index + int(t), tuple(int(x) for x in pts[t]),
-                             int(first_bad[t])))
+def _rational_points(n: int, samples: int, seed: int):
+    """``samples`` distinct seeded nonzero integer vectors with entries in
+    [-9, 9], the points of a random scan over Q."""
+    rng = random.Random(seed)
+    seen = set()
+    while len(seen) < samples:
+        v = tuple(rng.randint(-9, 9) for _ in range(n + 1))
+        if any(v) and v not in seen:
+            seen.add(v)
+            yield v
 
 
-def _scan_point_chunks(C: LinearComplex, chunks, q: int):
-    """Failures of ``C`` over a stream of point chunks, indexed by position,
-    and the number of points scanned."""
-    slices_np = [np.stack([s.to_numpy() for s in d.slices]) for d in C.diffs]
-    dims = [r for _, r in C.terms]
-    failures = []
-    base = 0
-    for pts in chunks:
-        _scan_chunk(slices_np, dims, pts, q, base, failures)
-        base += pts.shape[0]
-    return failures, base
+def _rank_deficient(pts, forms, q: int, d: int):
+    """Indices of the points whose fiber of ``forms`` has rank below d.  The
+    fibers and ranks die on return, so a scan holds one chunk's at a time."""
+    fibers = np.tensordot(pts, forms, axes=([1], [0])) % q
+    return np.nonzero(modp.batch_rank(fibers, q) < d)[0]
 
 
-def faithfulness_scan(C: LinearComplex, mode: str = "exhaustive", *,
-                      samples: int = 10000, seed: int = 0,
+def _anchor_restriction(anchor: AnchorProblem, n: int, l: int) -> MatrixOfLinearForms:
+    """v-wedge on L: the p*C(n+1, l+1) x dim L matrix of linear forms
+    sum_j x_j (I_p (x) e_j) basis(L)^T, for L inside U (x) wedge^l of k^(n+1).
+
+    Its fiber at v has rank dim L exactly when L n ker(v-wedge) = 0.
+    """
+    f, u = anchor.field, anchor.u
+    if anchor.w != comb(n + 1, l):
+        raise ShapeError(f"an anchor in k^{u} (x) k^{anchor.w} does not lie in "
+                         f"U (x) wedge^{l} of k^{n + 1}")
+    eye = DenseMatrix.identity(f, u)
+    basis_t = anchor.subspace.basis.transpose()
+    return MatrixOfLinearForms(tuple(eye.kron(generator_action(j, l, n, f)) @ basis_t
+                                     for j in range(n + 1)))
+
+
+def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int,
+                      l: int, samples: int = 10000, seed: int = 0,
                       point_budget: int = 2_000_000,
-                      chunk: int = 1 << 16,
-                      anchor: AnchorProblem | None = None) -> FaithfulnessReport:
-    """Scan projective points for failures of fiber exactness.
+                      chunk: int = 1 << 16) -> FaithfulnessReport:
+    """Scan projective points v of P^n for L n ker(v-wedge) != 0, where L is
+    ``anchor`` in U (x) wedge^l: the points where the quotient of
+    ``free_truncated(anchor.u, l, n)`` by L is not locally free.
 
     ``exhaustive`` iterates every normalized representative of P^n(F_q) (the
-    scalar domain must be a prime field whose point count fits the budget);
-    ``random`` samples distinct seeded points.  The failure list is ordered
-    by enumeration index regardless of chunking.
-
-    With ``anchor`` = L, ``C`` must be the complex of the quotient of
-    ``free_truncated(anchor.u, l, n)`` by L, and each point is tested by the
-    single rank condition L n ker(v-wedge) = 0 instead of a rank per
-    differential; the points and the report are the same either way.
+    anchor must be over a prime field whose point count fits the budget);
+    ``random`` samples ``samples`` distinct seeded points.  A failure is
+    recorded as (enumeration index, point, l - 1), the degree at which the
+    quotient's fiber sequence is not exact, and the failures are ordered by
+    index regardless of chunking.
     """
-    f = C.field
-    n = C.n
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    if f is None:
-        raise ValueError("a complex without differentials has no field to scan over")
+    D = _anchor_restriction(anchor, n, l)
+    f, d = anchor.field, anchor.d
     if mode == "exhaustive":
         if not isinstance(f, PrimeField):
             raise ValueError("exhaustive scans need a prime field")
         count = projective_point_count(f.p, n)
         if count > point_budget:
             raise PointBudgetError(f"{count} points exceed the budget {point_budget}")
-    else:
-        count = samples
-        if isinstance(f, PrimeField) and samples > projective_point_count(f.p, n):
-            raise ValueError(f"{samples} samples exceed the "
-                             f"{projective_point_count(f.p, n)} points of P^{n}(F_{f.p})")
-    offset = 0
-    if anchor is not None:
-        offset = C.length - 1
-        C = _anchor_restriction(C, anchor)
-    if mode == "exhaustive":
-        q = f.p
-        failures, scanned = _scan_point_chunks(C, _normalized_point_chunks(q, n, chunk), q)
-        assert scanned == count
+        points = _normalized_point_chunks(f.p, n, chunk)
         seed = None
-    elif isinstance(f, PrimeField):
-        q = f.p
-        failures, _ = _scan_point_chunks(
-            C, _random_point_chunks(q, n, samples, seed, chunk), q)
     else:
-        # Rational fallback: per-point exact check on random integer vectors.
-        rng = random.Random(seed)
-        seen = set()
+        if samples < 1:
+            raise ValueError(f"a random scan needs at least one sample, not {samples}")
+        count = samples
+        if isinstance(f, PrimeField):
+            if samples > projective_point_count(f.p, n):
+                raise ValueError(f"{samples} samples exceed the "
+                                 f"{projective_point_count(f.p, n)} points of P^{n}(F_{f.p})")
+            points = _random_point_chunks(f.p, n, samples, seed, chunk)
+    if isinstance(f, PrimeField):
+        forms = np.stack([s.to_numpy() for s in D.slices])
         failures = []
-        while len(seen) < samples:
-            v = tuple(rng.randint(-9, 9) for _ in range(n + 1))
-            if all(x == 0 for x in v) or v in seen:
-                continue
-            degree = exact_at_point(C, v)
-            if degree >= 0:
-                failures.append((len(seen), v, degree))
-            seen.add(v)
-    failures = tuple((i, pt, degree + offset) for i, pt, degree in failures)
-    return FaithfulnessReport(mode, repr(f), count, failures, seed)
+        base = 0
+        for pts in points:
+            failures += [(base + int(t), tuple(int(x) for x in pts[t]), l - 1)
+                         for t in _rank_deficient(pts, forms, f.p, d)]
+            base += pts.shape[0]
+        assert base == count
+    else:
+        # Rational fallback: one exact rank per random integer point.
+        failures = [(i, v, l - 1) for i, v in enumerate(_rational_points(n, samples, seed))
+                    if evaluate_fiber(D, v).rank() < d]
+    return FaithfulnessReport(mode, repr(f), count, tuple(failures), seed)

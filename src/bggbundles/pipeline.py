@@ -5,8 +5,8 @@ Given n >= 3, a target homological dimension l in [1, n-1] and a rank
 r >= n, the pipeline picks the smallest admissible multiplicity p, quotients
 the truncated free module by an anchoring subspace of the top piece, and
 verifies everything it claims: faithfulness (random sampling over the
-working field plus an exhaustive scan of a same-seed rebuild over a small
-field), simplicity (endomorphism dimension 1), rank and certified
+working field plus an exhaustive scan of a same-seed anchor drawn over a
+small field), simplicity (endomorphism dimension 1), rank and certified
 homological dimension.  The whole record is serialized into a self-contained
 JSON report.
 
@@ -14,12 +14,14 @@ JSON report.
 check takes an :class:`Instance` and returns ``(ok, detail, sections)``,
 where ``sections`` maps each report key the check vouches for to its
 recomputed value.  The instance's inputs are the parameters, the anchor L,
-the exhaustive rebuild's anchor exL and the attempt count; the modules M and
-exM are derived from their anchors as quotients of the free module, and the
-report records them as sections.  ``construct`` draws the anchors, stops at
-the first failing check and writes the report from the sections; ``verify``
-reads the inputs from a report and passes a check only if it is ok and every
-recomputed section equals the recorded one.
+the exhaustive anchor exL and the attempt count.  The module M is the free
+module's quotient by L, recorded as a section; each faithfulness scan reads
+its anchor directly, so the exhaustive block is exL, its field and its
+scan, and exL must be the anchor that some attempt within the retry budget
+draws over that field.  ``construct`` draws the anchors, stops at the first failing check and
+writes the report from the sections; ``verify`` reads the inputs from a
+report and passes a check only if it is ok and every recomputed section
+equals the recorded one.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .matrix import DenseMatrix, Subspace
 from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable,
                        HdCertificate, certify_hd, cohomology_table)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 CONVENTIONS = {
     "exterior_basis": "index subsets of {0..n}, lexicographic on sorted tuples",
@@ -189,8 +191,8 @@ def _rebuild(params: ConstructionParams, L: AnchorProblem) -> GradedEModule:
 
 @dataclass
 class Instance:
-    """What the checks examine: the inputs, and the modules their anchors
-    define.  ``attempts`` fixes the random-scan seed."""
+    """What the checks examine: the inputs, and the module and complex the
+    anchor L defines.  ``attempts`` fixes the random-scan seed."""
 
     params: ConstructionParams
     L: AnchorProblem
@@ -200,10 +202,6 @@ class Instance:
     @cached_property
     def M(self) -> GradedEModule:
         return _rebuild(self.params, self.L)
-
-    @cached_property
-    def exM(self) -> GradedEModule:
-        return _rebuild(self.params, self.exL)
 
     @cached_property
     def C(self):
@@ -257,21 +255,36 @@ def _check_rank(inst):
 
 def _check_random_faithfulness(inst):
     params = inst.params
-    rnd = faithfulness_scan(inst.C, "random", samples=params.policy.random_samples,
-                            seed=params.seed + inst.attempts - 1, anchor=inst.L)
+    rnd = faithfulness_scan(inst.L, "random", n=params.n, l=params.l,
+                            samples=params.policy.random_samples,
+                            seed=params.seed + inst.attempts - 1)
     return (rnd.ok, f"{rnd.points_checked} points, {len(rnd.failures)} failures",
             {"random_scan": rnd})
 
 
+def _drawn_within_budget(params, exL) -> bool:
+    """Whether exL is the anchor ``construct`` draws over its field at the seed
+    of some attempt the retry budget allows.  The recorded attempt count is
+    not consulted: it belongs to the random scan's check."""
+    p, dim_l = choose_parameters(params.n, params.l, params.r, params.multiplicity)
+    for k in range(params.policy.retry_budget):
+        try:
+            drawn = _build(exL.field, params, p, dim_l, params.seed + k)
+        except AnchoringSearchError:
+            continue  # that attempt drew no anchor
+        if (exL.u, exL.w, exL.subspace.basis) == (drawn.u, drawn.w, drawn.subspace.basis):
+            return True
+    return False
+
+
 def _check_exhaustive_faithfulness(inst):
-    exL = inst.exL
-    if (exL.u, exL.d) != (inst.L.u, inst.L.d):
-        return False, "exhaustive anchor and L differ in shape", {}
-    scan = faithfulness_scan(bgg_complex(inst.exM), "exhaustive",
-                             point_budget=inst.params.policy.point_budget, anchor=exL)
+    params, exL = inst.params, inst.exL
+    if not _drawn_within_budget(params, exL):
+        return False, "the exhaustive anchor is no attempt's draw over its field", {}
+    scan = faithfulness_scan(exL, "exhaustive", n=params.n, l=params.l,
+                             point_budget=params.policy.point_budget)
     return (scan.ok, f"{scan.points_checked} points, {len(scan.failures)} failures",
-            {"exhaustive.module": inst.exM, "exhaustive.field": field_spec(exL.field),
-             "exhaustive.scan": scan})
+            {"exhaustive.field": field_spec(exL.field), "exhaustive.scan": scan})
 
 
 def _check_cohomology(inst):
@@ -317,7 +330,6 @@ class BundleReport:
     version: str = __version__
 
     module = _section("module")
-    exhaustive_module = _section("exhaustive.module")
     multiplicity = _section("multiplicity")
     anchor_dim = _section("anchor_dim")
     anchor_solution_dim = _section("anchor_solution_dim")
@@ -342,6 +354,9 @@ def construct(params: ConstructionParams) -> BundleReport:
     pol = params.policy
     n = params.n
     p, dim_l = choose_parameters(n, params.l, params.r, params.multiplicity)
+    if pol.random_samples < 1:
+        raise ParameterError(f"{pol.random_samples} random samples: the random scan "
+                             "needs at least one")
     if isinstance(field, PrimeField):
         points = projective_point_count(field.p, n)
         if pol.random_samples > points:
@@ -520,6 +535,9 @@ def verify(report: dict) -> Verdict:
     Every report key other than the inputs, ``schema``, ``version`` and
     ``timings`` is a section of exactly one check, recomputed and compared.
     """
+    if not isinstance(report, dict):
+        return Verdict((("report", False,
+                         f"a report is a JSON object, not {type(report).__name__}"),))
     if report.get("schema") != SCHEMA_VERSION:
         return Verdict((("schema", False,
                          f"unsupported schema {report.get('schema')}"),))

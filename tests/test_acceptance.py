@@ -14,11 +14,12 @@ import pytest
 
 from bggbundles import (GF, QQ, ConstructionParams, DenseMatrix, LinearComplex,
                         VerificationPolicy, annihilator, anchoring_tensor,
-                        bgg_complex, cohomology_table, construct, faithfulness_scan,
-                        free_truncated, is_anchoring, line_coh, pair_solution_dim,
+                        bgg_complex, cohomology_table, construct, free_truncated,
+                        is_anchoring, line_coh, pair_solution_dim,
                         projective_point_count, report_to_json, Subspace, verify,
                         with_replaced_anchor)
 from bggbundles.anchor import AnchorProblem
+from scan_oracle import full_complex_scan
 
 F = GF(32003)
 
@@ -146,7 +147,7 @@ def test_acceptance_8_koszul_faithfulness_base_case():
             for l in range(1, n):
                 for p in (1, 2):
                     P = free_truncated(p, l, n, GF(q))
-                    rep = faithfulness_scan(bgg_complex(P), "exhaustive")
+                    rep = full_complex_scan(bgg_complex(P), "exhaustive")
                     assert rep.ok, (q, n, l, p)
                     assert rep.points_checked == projective_point_count(q, n)
     _report(8)

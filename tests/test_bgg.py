@@ -6,15 +6,26 @@ from math import comb
 import numpy as np
 import pytest
 
-from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, GradedEModule,
-                        LinearComplex, MatrixOfLinearForms, PointBudgetError,
-                        Subspace, anchoring_tensor, bgg_complex,
-                        choose_parameters, evaluate_fiber, exact_at_point,
-                        faithfulness_scan, free_truncated, projective_point_count,
-                        quotient_top, tensor_to_subspace)
+from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, LinearComplex,
+                        MatrixOfLinearForms, PointBudgetError, ShapeError, Subspace,
+                        anchoring_tensor, bgg_complex, choose_parameters,
+                        evaluate_fiber, faithfulness_scan, free_truncated,
+                        projective_point_count, quotient_top, tensor_to_subspace)
 from bggbundles.bgg import _random_point_chunks
+from scan_oracle import exact_at_point, full_complex_scan
 
 F = GF(32003)
+
+
+def zero_anchor(field, u, n, l):
+    """The anchor of the free module: the zero subspace of U (x) wedge^l."""
+    w = comb(n + 1, l)
+    return AnchorProblem(u, w, Subspace(DenseMatrix(field, [], u * w)))
+
+
+def e0_anchor(field):
+    """L = e_0 (x) wedge^1 in P^3, which meets ker(v-wedge) only at v = e_0."""
+    return AnchorProblem(1, 4, Subspace(DenseMatrix(field, [[1, 0, 0, 0]], 4)))
 
 
 def test_bgg_complex_terms():
@@ -82,17 +93,14 @@ def test_exhaustive_scan_free_small_fields():
     for q in (2, 3):
         for n in (2, 3):
             for l in range(1, n):
-                P = free_truncated(1, l, n, GF(q))
-                rep = faithfulness_scan(bgg_complex(P), "exhaustive")
+                rep = faithfulness_scan(zero_anchor(GF(q), 1, n, l), "exhaustive",
+                                        n=n, l=l)
                 assert rep.ok
                 assert rep.points_checked == projective_point_count(q, n)
 
 
 def test_exhaustive_scan_finds_failures():
-    P = free_truncated(1, 1, 3, GF(5))
-    L = Subspace(DenseMatrix(GF(5), [[1, 0, 0, 0]], 4))
-    C = bgg_complex(quotient_top(P, L))
-    rep = faithfulness_scan(C, "exhaustive")
+    rep = faithfulness_scan(e0_anchor(GF(5)), "exhaustive", n=3, l=1)
     assert not rep.ok
     # Exactly the point [1:0:0:0], at degree 0.
     assert len(rep.failures) == 1
@@ -101,57 +109,57 @@ def test_exhaustive_scan_finds_failures():
 
 
 def test_exhaustive_scan_budget():
-    P = free_truncated(1, 1, 3, GF(101))
     with pytest.raises(PointBudgetError):
-        faithfulness_scan(bgg_complex(P), "exhaustive", point_budget=1000)
+        faithfulness_scan(zero_anchor(GF(101), 1, 3, 1), "exhaustive", n=3, l=1,
+                          point_budget=1000)
 
 
 def test_exhaustive_scan_requires_prime_field():
-    P = free_truncated(1, 1, 3, QQ)
     with pytest.raises(ValueError):
-        faithfulness_scan(bgg_complex(P), "exhaustive")
+        faithfulness_scan(zero_anchor(QQ, 1, 3, 1), "exhaustive", n=3, l=1)
 
 
-
-def test_scan_checks_mode_field_and_budget_before_a_length_0_complex():
-    C = LinearComplex(3, ((0, 2),), ())  # no differential, so no field
-    for mode in ("exhaustive", "random"):
-        with pytest.raises(ValueError, match="field"):
-            faithfulness_scan(C, mode)
+def test_scan_refuses_unknown_mode_shape_and_sample_counts():
+    L = e0_anchor(GF(5))
     with pytest.raises(ValueError, match="unknown mode"):
-        faithfulness_scan(C, "sideways")
+        faithfulness_scan(L, "sideways", n=3, l=1)
+    # w = 4 is C(4, 1) but neither C(4, 2) nor C(5, 1).
+    for n, l in ((3, 2), (4, 1), (3, 0)):
+        with pytest.raises(ShapeError, match="does not lie in"):
+            faithfulness_scan(L, "random", n=n, l=l, samples=10)
+    for field in (GF(5), QQ):
+        for samples in (0, -5):
+            with pytest.raises(ValueError, match="at least one sample"):
+                faithfulness_scan(e0_anchor(field), "random", n=3, l=1,
+                                  samples=samples)
+
 
 def test_random_scan_prime_field():
-    P = free_truncated(2, 2, 3, F)
-    rep = faithfulness_scan(bgg_complex(P), "random", samples=500, seed=5)
+    rep = faithfulness_scan(zero_anchor(F, 2, 3, 2), "random", n=3, l=2, samples=500,
+                            seed=5)
     assert rep.ok and rep.points_checked == 500 and rep.seed == 5
 
 
 def test_random_scan_deterministic():
-    P = free_truncated(1, 1, 3, GF(5))
-    L = Subspace(DenseMatrix(GF(5), [[1, 0, 0, 0]], 4))
-    C = bgg_complex(quotient_top(P, L))
+    L = e0_anchor(GF(5))
     # 156 distinct points exhaust P^3(F_5), so the bad point is surely hit.
-    r1 = faithfulness_scan(C, "random", samples=156, seed=9)
-    r2 = faithfulness_scan(C, "random", samples=156, seed=9)
+    r1 = faithfulness_scan(L, "random", n=3, l=1, samples=156, seed=9)
+    r2 = faithfulness_scan(L, "random", n=3, l=1, samples=156, seed=9)
     assert r1.failures == r2.failures and not r1.ok
     with pytest.raises(ValueError, match="exceed"):
-        faithfulness_scan(C, "random", samples=157, seed=9)
+        faithfulness_scan(L, "random", n=3, l=1, samples=157, seed=9)
 
 
 def test_random_scan_every_point_of_a_large_field():
     # P^3(F_17) has 5220 points. Rejection sampling alone needs ~2600 rounds
     # for the last one; the scan must still draw each point exactly once.
     q, count = 17, projective_point_count(17, 3)
-    P = free_truncated(1, 1, 3, GF(q))
-    L = Subspace(DenseMatrix(GF(q), [[1, 0, 0, 0]], 4))
-    C = bgg_complex(quotient_top(P, L))
-    rep = faithfulness_scan(C, "random", samples=count, seed=3)
-    # e_0 (x) wedge^1 meets ker(v-wedge) only at v = e_0.
+    L = e0_anchor(GF(q))
+    rep = faithfulness_scan(L, "random", n=3, l=1, samples=count, seed=3)
     assert rep.points_checked == count
     assert [pt for _, pt, _ in rep.failures] == [(1, 0, 0, 0)]
-    assert rep == faithfulness_scan(C, "random", samples=count, seed=3,
-                                    anchor=AnchorProblem(1, 4, L))
+    C = bgg_complex(quotient_top(free_truncated(1, 1, 3, GF(q)), L.subspace))
+    assert rep == full_complex_scan(C, "random", samples=count, seed=3)
     pts = np.concatenate(list(_random_point_chunks(q, 3, count, 3)))
     assert len({row.tobytes() for row in pts}) == count
 
@@ -161,25 +169,21 @@ def test_random_scan_in_pieces_gives_the_same_report():
     # on every point of P^3(F_31), whose without-replacement fallback draws
     # the last ~15 points after 1000 rounds.
     for q, samples in ((5, 120), (31, projective_point_count(31, 3))):
-        field = GF(q)
-        L = Subspace(DenseMatrix(field, [[1, 0, 0, 0]], 4))
-        C = bgg_complex(quotient_top(free_truncated(1, 1, 3, field), L))
+        L = e0_anchor(GF(q))
         pieces = list(_random_point_chunks(q, 3, samples, 3, 7))
         assert max(len(x) for x in pieces) == 7
         whole = np.concatenate(list(_random_point_chunks(q, 3, samples, 3)))
         assert np.array_equal(np.concatenate(pieces), whole)
         assert len({row.tobytes() for row in whole}) == len(whole) == samples
-        for anchor in (None, AnchorProblem(1, 4, L)):
-            rep = faithfulness_scan(C, "random", samples=samples, seed=3, chunk=7,
-                                    anchor=anchor)
-            assert rep == faithfulness_scan(C, "random", samples=samples, seed=3,
-                                            anchor=anchor)
-            assert not rep.ok  # the bad point e_0 is drawn
+        rep = faithfulness_scan(L, "random", n=3, l=1, samples=samples, seed=3,
+                                chunk=7)
+        assert rep == faithfulness_scan(L, "random", n=3, l=1, samples=samples, seed=3)
+        assert not rep.ok  # the bad point e_0 is drawn
 
 
 def test_random_scan_rational():
-    P = free_truncated(1, 2, 3, QQ)
-    rep = faithfulness_scan(bgg_complex(P), "random", samples=50, seed=2)
+    rep = faithfulness_scan(zero_anchor(QQ, 1, 3, 2), "random", n=3, l=2, samples=50,
+                            seed=2)
     assert rep.ok and rep.points_checked == 50
 
 
@@ -190,7 +194,6 @@ def test_composite_zero_on_validate():
     # Swapping one slice breaks the quadratic-form identity.
     bad_d1 = MatrixOfLinearForms((C.diffs[1].slices[1],) + C.diffs[1].slices[1:])
     broken = LinearComplex(C.n, C.terms, (C.diffs[0], bad_d1))
-    from bggbundles import ShapeError
     with pytest.raises(ShapeError):
         broken.validate()
 
@@ -230,9 +233,9 @@ def test_anchored_scan_matches_full_complex_scan():
                 C = bgg_complex(quotient_top(P, L.subspace))
                 samples = projective_point_count(q, n) // 2
                 for mode in ("exhaustive", "random"):
-                    full = faithfulness_scan(C, mode, samples=samples, seed=q + n)
-                    anchored = faithfulness_scan(C, mode, samples=samples,
-                                                 seed=q + n, anchor=L)
+                    full = full_complex_scan(C, mode, samples=samples, seed=q + n)
+                    anchored = faithfulness_scan(L, mode, n=n, l=l, samples=samples,
+                                                 seed=q + n)
                     assert anchored == full, (q, n, l, r, mode)
                     assert all(deg == l - 1 for _, _, deg in full.failures)
                     compared[mode] += 1
@@ -249,10 +252,9 @@ def test_anchored_scan_rational_and_shape_checks():
     L = AnchorProblem(2, 6, Subspace(DenseMatrix(QQ, rows, 12)))
     C = bgg_complex(quotient_top(P, L.subspace))
     for seed in (1, 2):
-        full = faithfulness_scan(C, "random", samples=100, seed=seed)
+        full = full_complex_scan(C, "random", samples=100, seed=seed)
         assert not full.ok  # these seeds draw a point of span(e_0, e_1)
-        assert faithfulness_scan(C, "random", samples=100, seed=seed, anchor=L) == full
-    # An anchor that does not match the complex's terms is refused.
-    from bggbundles import ShapeError
-    with pytest.raises(ShapeError):
-        faithfulness_scan(bgg_complex(P), "random", samples=10, anchor=L)
+        assert faithfulness_scan(L, "random", n=3, l=2, samples=100, seed=seed) == full
+    # An anchor that does not lie in U (x) wedge^l is refused.
+    with pytest.raises(ShapeError, match="does not lie in"):
+        faithfulness_scan(L, "random", n=3, l=1, samples=10)

@@ -4,13 +4,14 @@ import json
 
 import pytest
 
-from bggbundles import (GF, ConstructionParams, ParameterError, VerificationPolicy,
-                        cas_script, choose_parameters, construct, free_truncated,
+from bggbundles import (GF, AnchorProblem, ConstructionParams, DenseMatrix,
+                        ParameterError, Subspace, VerificationPolicy, cas_script,
+                        choose_parameters, construct, free_truncated,
                         projective_point_count, report_to_json, report_to_json_str,
                         verify, with_replaced_anchor)
 import bggbundles.pipeline as pl
 from bggbundles.cli import main as cli_main
-from bggbundles.pipeline import _module_to_json, default_exhaustive_prime
+from bggbundles.pipeline import _anchor_to_json, _module_to_json, default_exhaustive_prime
 
 FAST = VerificationPolicy(exhaustive_prime=5, random_samples=500)
 
@@ -114,7 +115,7 @@ def test_report_conventions_block():
     obj = report_to_json(construct(fast_params(3, 1, 3, seed=0)))
     conv = obj["conventions"]
     assert "monomial_order" in conv and "tensor_flattening" in conv
-    assert obj["schema"] == 2
+    assert obj["schema"] == 3
     # Matrix entries serialize as strings.
     entry = obj["module"]["actions"][0][0]["entries"][0][0]
     assert isinstance(entry, str)
@@ -123,6 +124,20 @@ def test_report_conventions_block():
 def test_verify_rejects_unknown_schema():
     verdict = verify({"schema": 99})
     assert not verdict.ok
+
+
+@pytest.mark.parametrize("report", [[], "x", None])
+def test_verify_fails_a_report_that_is_not_an_object(report):
+    verdict = verify(report)
+    assert [name for name, _ in verdict.failed()] == ["report"]
+    assert "JSON object" in verdict.to_text()
+
+
+def test_cli_verify_fails_a_report_that_is_not_an_object(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    out.write_text("[]")
+    assert cli_main(["verify", "--in", str(out)]) == 1
+    assert "FAIL report" in capsys.readouterr().out
 
 
 def test_mutation_corrupted_action_matrix():
@@ -153,8 +168,11 @@ def fast_report():
 
 
 def _swap_in_free_module(obj):
-    free = free_truncated(obj["multiplicity"], 2, 3, GF(5))
-    obj["exhaustive"]["module"] = _module_to_json(free)
+    # The free module's anchor is the zero subspace.
+    w = obj["anchor"]["w"]
+    zero = Subspace(DenseMatrix(GF(5), [], obj["multiplicity"] * w))
+    obj["exhaustive"]["anchor"] = _anchor_to_json(AnchorProblem(obj["multiplicity"], w,
+                                                                zero))
 
 
 def _add_recorded_failure(obj):
@@ -233,16 +251,21 @@ def _forge_exhaustive_block_over_f3(obj):
     obj["exhaustive"] = report_to_json(construct(params))["exhaustive"]
 
 
-def _forge_exhaustive_module(obj):
-    obj["exhaustive"]["module"] = _module_to_json(free_truncated(2, 2, 3, GF(7)))
-
-
 def _forge_deleted_module(obj):
     del obj["module"]
 
 
-def _forge_deleted_exhaustive_module(obj):
-    del obj["exhaustive"]["module"]
+def _forge_exhaustive_anchor_header(obj):
+    # Still 12 columns, so the anchor reads, but as k^3 (x) k^4.
+    obj["exhaustive"]["anchor"].update(u=3, w=4)
+
+
+def _forge_exhaustive_anchor_w4(obj):
+    # k^2 (x) k^4 has the right u and dim, but w = 4 is not C(4, 2).
+    anchor = obj["exhaustive"]["anchor"]
+    anchor["w"] = 4
+    anchor["basis"]["cols"] = 8
+    anchor["basis"]["entries"] = [row[:8] for row in anchor["basis"]["entries"]]
 
 
 def _forge_exhaustive_anchor(obj):
@@ -259,6 +282,10 @@ def _forge_random_scan(obj):
 
 def _forge_random_samples(obj):
     obj["params"]["policy"]["random_samples"] = 10**6
+
+
+def _forge_negative_random_samples(obj):
+    obj["params"]["policy"]["random_samples"] = -5
 
 
 def _forge_attempts(obj):
@@ -308,12 +335,13 @@ def _forge_conventions(obj):
     (_forge_deleted_module, "module_rebuild"),
     (_forge_exhaustive_field, "exhaustive_faithfulness"),
     (_forge_exhaustive_block_over_f3, "exhaustive_faithfulness"),
-    (_forge_exhaustive_module, "exhaustive_faithfulness"),
-    (_forge_deleted_exhaustive_module, "exhaustive_faithfulness"),
     (_forge_exhaustive_anchor, "exhaustive_faithfulness"),
+    (_forge_exhaustive_anchor_header, "exhaustive_faithfulness"),
+    (_forge_exhaustive_anchor_w4, "exhaustive_faithfulness"),
     (_forge_exhaustive_scan, "exhaustive_faithfulness"),
     (_forge_random_scan, "random_faithfulness"),
     (_forge_random_samples, "random_faithfulness"),
+    (_forge_negative_random_samples, "random_faithfulness"),
     (_forge_attempts, "random_faithfulness"),
     (_forge_cohomology_entry, "cohomology"),
     (_forge_table_window, "cohomology"),
@@ -447,6 +475,18 @@ def test_cli_bad_params_exit_code(capsys):
                      "--field", "fp:2147483647"]) == 2
     assert cli_main(["anchor", "--u", "2", "--w", "4", "--d", "1"]) == 2
     capsys.readouterr()
+
+
+def test_negative_sample_count_refused_before_building(monkeypatch, capsys):
+    def no_build(*args):
+        raise AssertionError("built before refusing the sample count")
+
+    monkeypatch.setattr(pl, "_build", no_build)
+    with pytest.raises(ParameterError, match="at least one"):
+        construct(fast_params(3, 2, 5, policy=VerificationPolicy(random_samples=0)))
+    assert cli_main(["construct", "--n", "3", "--l", "2", "--r", "5",
+                     "--exhaustive-field", "5", "--samples", "-5"]) == 2
+    assert "-5 random samples" in capsys.readouterr().err
 
 
 def test_cli_anchor(capsys):
