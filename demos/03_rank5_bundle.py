@@ -3,9 +3,13 @@
 The full pipeline: pick the multiplicity, quotient a truncated free module
 over the exterior algebra by an anchoring line, sheafify to a linear complex,
 then verify faithfulness, simplicity, rank and certified homological
-dimension.  Faithfulness is a property of the anchor L alone, L n ker(v-wedge)
-= 0 at every point v, so both scans read L directly: a random one over the
-working field and an exhaustive one of a same-seed anchor over a small field.
+dimension.  The anchor L is the one random choice, drawn from the seed.
+Faithfulness is a property of L alone, L n ker(v-wedge) = 0 at every point
+v, so both scans read their anchor directly: a random one of L over the
+working field and an exhaustive one of the anchor the same seed draws over a
+small field.  The saved report's inputs are the parameters, L and the
+attempt count; ``verify`` recomputes everything else from them, the
+exhaustive anchor included.
 
 Run with: python3 demos/03_rank5_bundle.py
 """
@@ -41,8 +45,8 @@ print(f"exhaustive scan over {rep.exhaustive_field_spec}: "
 print("cohomology table:")
 print(rep.table.to_text())
 
-# The report is self-contained: verification replays every check from the
-# serialized matrices alone.
+# The report is self-contained: verification replays every check from its
+# recorded inputs alone.
 obj = report_to_json(rep)
 verdict = verify(json.loads(json.dumps(obj)))
 print(f"\nreport replay: {'all checks pass' if verdict.ok else verdict.to_text()}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
@@ -34,8 +34,12 @@ from .fields import PrimeField
 from .matrix import DenseMatrix, ShapeError
 
 
+POINT_BUDGET = 2_000_000  # most points one scan may test
+HEIGHT = 9  # a random point over Q has coordinates in [-HEIGHT, HEIGHT]
+
+
 class PointBudgetError(ValueError):
-    """Raised when an exhaustive scan would exceed the configured budget."""
+    """Raised when a scan would test more points than its budget."""
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,38 @@ def projective_point_count(q: int, n: int) -> int:
     return (q ** (n + 1) - 1) // (q - 1)
 
 
+def rational_point_count(n: int, height: int = HEIGHT) -> int:
+    """The points of P^n(Q) with an integer representative in [-height, height]^(n+1).
+    Each has two primitive ones, +-v, and a nonzero vector of the box is d times
+    a primitive one of the box of height // d: Moebius inversion over d = gcd."""
+    return ((2 * height + 1) ** (n + 1) - 1 - 2 * sum(
+        rational_point_count(n, height // d) for d in range(2, height + 1))) // 2
+
+
+def scan_point_count(field, n: int, mode: str, samples: int = 0) -> int:
+    """The points a scan of P^n over ``field`` tests: every point of P^n(F_q)
+    when ``exhaustive``, else ``samples`` distinct ones.  Raises ValueError
+    unless that is at least one, within budget and no more than exist."""
+    if mode == "exhaustive":
+        if not isinstance(field, PrimeField):
+            raise ValueError("exhaustive scans need a prime field")
+        count = projective_point_count(field.p, n)
+        if count > POINT_BUDGET:
+            raise PointBudgetError(f"{count} points exceed the budget {POINT_BUDGET}")
+        return count
+    if samples < 1:
+        raise ValueError(f"{samples} random samples: a scan needs at least one sample")
+    if samples > POINT_BUDGET:
+        raise PointBudgetError(f"{samples} samples exceed the point budget {POINT_BUDGET}")
+    if isinstance(field, PrimeField):
+        count, where = projective_point_count(field.p, n), f"P^{n}(F_{field.p})"
+    else:
+        count, where = rational_point_count(n), f"P^{n} in [-{HEIGHT}, {HEIGHT}]^{n + 1}"
+    if samples > count:
+        raise ValueError(f"{samples} random samples exceed the {count} points of {where}")
+    return samples
+
+
 def _normalized_point_chunks(q: int, n: int, chunk: int):
     """Canonical representatives of P^n(F_q), first nonzero coordinate 1.
 
@@ -228,15 +264,19 @@ def _random_point_chunks(q: int, n: int, samples: int, seed: int,
 
 
 def _rational_points(n: int, samples: int, seed: int):
-    """``samples`` distinct seeded nonzero integer vectors with entries in
-    [-9, 9], the points of a random scan over Q."""
+    """``samples`` distinct seeded points of P^n over Q, the points of a random
+    scan: nonzero integer vectors with entries in [-HEIGHT, HEIGHT], divided
+    by their gcd and signed so that the first nonzero entry is positive."""
     rng = random.Random(seed)
     seen = set()
     while len(seen) < samples:
-        v = tuple(rng.randint(-9, 9) for _ in range(n + 1))
-        if any(v) and v not in seen:
-            seen.add(v)
-            yield v
+        v = [rng.randint(-HEIGHT, HEIGHT) for _ in range(n + 1)]
+        if any(v):
+            g = gcd(*v) if next(filter(None, v)) > 0 else -gcd(*v)
+            v = tuple(x // g for x in v)
+            if v not in seen:
+                seen.add(v)
+                yield v
 
 
 def _rank_deficient(pts, forms, q: int, d: int):
@@ -264,7 +304,6 @@ def _anchor_restriction(anchor: AnchorProblem, n: int, l: int) -> MatrixOfLinear
 
 def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int,
                       l: int, samples: int = 10000, seed: int = 0,
-                      point_budget: int = 2_000_000,
                       chunk: int = 1 << 16) -> FaithfulnessReport:
     """Scan projective points v of P^n for L n ker(v-wedge) != 0, where L is
     ``anchor`` in U (x) wedge^l: the points where the quotient of
@@ -272,32 +311,22 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
 
     ``exhaustive`` iterates every normalized representative of P^n(F_q) (the
     anchor must be over a prime field whose point count fits the budget);
-    ``random`` samples ``samples`` distinct seeded points.  A failure is
-    recorded as (enumeration index, point, l - 1), the degree at which the
-    quotient's fiber sequence is not exact, and the failures are ordered by
-    index regardless of chunking.
+    ``random`` samples ``samples`` distinct seeded points; ``scan_point_count``
+    refuses counts beyond the points or the budget.  A failure is recorded as
+    (enumeration index, point, l - 1), the degree at which the quotient's
+    fiber sequence is not exact, and the failures are ordered by index
+    regardless of chunking.
     """
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
     D = _anchor_restriction(anchor, n, l)
     f, d = anchor.field, anchor.d
+    count = scan_point_count(f, n, mode, samples)
     if mode == "exhaustive":
-        if not isinstance(f, PrimeField):
-            raise ValueError("exhaustive scans need a prime field")
-        count = projective_point_count(f.p, n)
-        if count > point_budget:
-            raise PointBudgetError(f"{count} points exceed the budget {point_budget}")
         points = _normalized_point_chunks(f.p, n, chunk)
         seed = None
-    else:
-        if samples < 1:
-            raise ValueError(f"a random scan needs at least one sample, not {samples}")
-        count = samples
-        if isinstance(f, PrimeField):
-            if samples > projective_point_count(f.p, n):
-                raise ValueError(f"{samples} samples exceed the "
-                                 f"{projective_point_count(f.p, n)} points of P^{n}(F_{f.p})")
-            points = _random_point_chunks(f.p, n, samples, seed, chunk)
+    elif isinstance(f, PrimeField):
+        points = _random_point_chunks(f.p, n, samples, seed, chunk)
     if isinstance(f, PrimeField):
         forms = np.stack([s.to_numpy() for s in D.slices])
         failures = []

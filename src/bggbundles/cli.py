@@ -16,6 +16,7 @@ import sys
 
 from . import __version__
 from .anchor import AnchoringSearchError, annihilator, is_anchoring, sample_anchoring
+from .bgg import POINT_BUDGET
 from .fields import FieldError
 from .pipeline import (ConstructionParams, ParameterError, RetryBudgetError,
                        VerificationPolicy, _instance_from_report, cas_script,
@@ -40,12 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--field", default="fp:32003", help="fp:P or qq")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--multiplicity", type=int, default=None)
-    c.add_argument("--explicit-anchor", action="store_true",
-                   help="deterministic anchoring tensor instead of random search")
     c.add_argument("--exhaustive-field", type=int, default=None, metavar="Q",
                    help="prime for the exhaustive scan (default: by n)")
     c.add_argument("--samples", type=int, default=10000,
-                   help="random faithfulness sample count")
+                   help=f"random faithfulness sample count (at most {POINT_BUDGET:,} "
+                        "and the number of points to draw from)")
     c.add_argument("--out", default=None, metavar="report.json")
     c.add_argument("--emit-cas", default=None, metavar="script.txt")
     c.add_argument("--emit-table", default=None, metavar="table.txt")
@@ -72,8 +72,7 @@ def _cmd_construct(args) -> int:
                                 random_samples=args.samples)
     params = ConstructionParams(
         n=args.n, l=args.l, r=args.r, field_spec=args.field, seed=args.seed,
-        multiplicity=args.multiplicity, explicit_anchor=args.explicit_anchor,
-        policy=policy,
+        multiplicity=args.multiplicity, policy=policy,
     )
     rep = construct(params)
     text = report_to_json_str(rep)

@@ -10,18 +10,19 @@ small field), simplicity (endomorphism dimension 1), rank and certified
 homological dimension.  The whole record is serialized into a self-contained
 JSON report.
 
-``construct`` and ``verify`` run one list of nine checks, ``CHECKS``.  A
-check takes an :class:`Instance` and returns ``(ok, detail, sections)``,
-where ``sections`` maps each report key the check vouches for to its
-recomputed value.  The instance's inputs are the parameters, the anchor L,
-the exhaustive anchor exL and the attempt count.  The module M is the free
-module's quotient by L, recorded as a section; each faithfulness scan reads
-its anchor directly, so the exhaustive block is exL, its field and its
-scan, and exL must be the anchor that some attempt within the retry budget
-draws over that field.  ``construct`` draws the anchors, stops at the first failing check and
-writes the report from the sections; ``verify`` reads the inputs from a
-report and passes a check only if it is ok and every recomputed section
-equals the recorded one.
+The one random choice is the anchor, drawn by ``sample_anchoring`` at the
+seed ``params.seed + attempts - 1``; the retry budget, the point budget and
+the cohomology window are constants, not settings.  ``construct`` and
+``verify`` run one list of nine checks, ``CHECKS``.  A check takes an
+:class:`Instance` and returns ``(ok, detail, values)``, the values of the
+report sections its ``CHECKS`` row names.  The instance's inputs are the
+parameters, the anchor L and the attempt count.  The module M is the free
+module's quotient by L, and the exhaustive anchor exL is the same attempt's
+draw over the exhaustive field; both are recomputed sections, and each
+faithfulness scan reads its anchor directly.  ``construct`` draws L, stops
+at the first failing check and writes the report from the sections;
+``verify`` reads the inputs from a report and passes a check only if it is
+ok and every recomputed section equals the recorded one.
 """
 
 from __future__ import annotations
@@ -35,18 +36,18 @@ from math import comb
 from operator import getitem
 
 from . import __version__
-from .anchor import (AnchoringSearchError, AnchorProblem, anchoring_tensor,
-                     general_position_range, is_anchoring, sample_anchoring,
-                     tensor_to_subspace)
-from .bgg import (FaithfulnessReport, LinearComplex, bgg_complex, faithfulness_scan,
-                  projective_point_count)
+from .anchor import (AnchoringSearchError, AnchorProblem, general_position_range,
+                     is_anchoring, sample_anchoring)
+from .bgg import (POINT_BUDGET, FaithfulnessReport, LinearComplex, bgg_complex,
+                  faithfulness_scan, projective_point_count, scan_point_count)
 from .emod import GradedEModule, chi, free_truncated, hom_space_dim, quotient_map, quotient_top
 from .fields import GF, QQ, FieldError, PrimeField, RationalField
 from .matrix import DenseMatrix, Subspace
 from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable,
                        HdCertificate, certify_hd, cohomology_table)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
+RETRY_BUDGET = 32  # attempts, each at the next seed, before construct gives up
 
 CONVENTIONS = {
     "exterior_basis": "index subsets of {0..n}, lexicographic on sorted tuples",
@@ -78,9 +79,6 @@ class VerificationError(RuntimeError):
 class VerificationPolicy:
     exhaustive_prime: int | None = None  # None = pick by n
     random_samples: int = 10000
-    retry_budget: int = 32
-    point_budget: int = 2_000_000
-    table_window: tuple | None = None  # None = [-n-c-1, 0]
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,6 @@ class ConstructionParams:
     field_spec: str = "fp:32003"
     seed: int = 0
     multiplicity: int | None = None
-    explicit_anchor: bool = False
     policy: VerificationPolicy = dc_field(default_factory=VerificationPolicy)
 
     def field(self):
@@ -113,17 +110,16 @@ def field_spec(field) -> str:
     return "qq" if isinstance(field, RationalField) else f"fp:{field.p}"
 
 
-def default_exhaustive_prime(n: int, point_budget: int = 2_000_000) -> int:
+def default_exhaustive_prime(n: int) -> int:
     """Largest default prime whose projective point count fits the budget."""
     for q in (101, 31, 11, 7, 5, 3, 2):
-        if (q ** (n + 1) - 1) // (q - 1) <= point_budget:
+        if projective_point_count(q, n) <= POINT_BUDGET:
             return q
     raise ParameterError(f"no exhaustive field fits the budget for n = {n}")
 
 
 def _exhaustive_field(params: ConstructionParams) -> PrimeField:
-    pol = params.policy
-    return GF(pol.exhaustive_prime or default_exhaustive_prime(params.n, pol.point_budget))
+    return GF(params.policy.exhaustive_prime or default_exhaustive_prime(params.n))
 
 
 def choose_parameters(n: int, l: int, r: int, multiplicity: int | None = None):
@@ -169,15 +165,11 @@ def choose_parameters(n: int, l: int, r: int, multiplicity: int | None = None):
     return p, dim_l
 
 
-def _build(field, params: ConstructionParams, p: int, dim_l: int, seed: int) -> AnchorProblem:
-    """The anchor L over ``field``: explicit when asked for, else seeded random."""
-    w = comb(params.n + 1, params.l)
-    if not (params.explicit_anchor and dim_l):
-        return sample_anchoring(field, p, w, dim_l, seed=seed, max_attempts=8)
-    if p == 1:
-        rows = [[int(i == j) for j in range(w)] for i in range(dim_l)]
-        return AnchorProblem(1, w, Subspace(DenseMatrix(field, rows, w)))
-    return tensor_to_subspace(anchoring_tensor(field, p, dim_l, w))
+def _build(field, params: ConstructionParams, seed: int) -> AnchorProblem:
+    """The anchor L over ``field`` that ``sample_anchoring`` draws at ``seed``."""
+    n, l = params.n, params.l
+    p, dim_l = choose_parameters(n, l, params.r, params.multiplicity)
+    return sample_anchoring(field, p, comb(n + 1, l), dim_l, seed=seed, max_attempts=8)
 
 
 def _rebuild(params: ConstructionParams, L: AnchorProblem) -> GradedEModule:
@@ -191,13 +183,21 @@ def _rebuild(params: ConstructionParams, L: AnchorProblem) -> GradedEModule:
 
 @dataclass
 class Instance:
-    """What the checks examine: the inputs, and the module and complex the
-    anchor L defines.  ``attempts`` fixes the random-scan seed."""
+    """What the checks examine: the inputs, and what they define.  ``attempts``
+    fixes the seed of the attempt, which drew L and draws exL."""
 
     params: ConstructionParams
     L: AnchorProblem
-    exL: AnchorProblem
     attempts: int
+
+    @property
+    def seed(self) -> int:
+        return self.params.seed + self.attempts - 1
+
+    @cached_property
+    def exL(self) -> AnchorProblem:
+        """The same attempt's anchor over the exhaustive field."""
+        return _build(_exhaustive_field(self.params), self.params, self.seed)
 
     @cached_property
     def M(self) -> GradedEModule:
@@ -218,26 +218,24 @@ def _check_parameters(inst):
     p, dim_l = choose_parameters(n, l, inst.params.r, inst.params.multiplicity)
     L = inst.L
     return ((L.u, L.w, L.d) == (p, comb(n + 1, l), dim_l),
-            f"p={p}, anchor dim={dim_l}",
-            {"conventions": dict(CONVENTIONS), "multiplicity": p, "anchor_dim": dim_l})
+            f"p={p}, anchor dim={dim_l}", (dict(CONVENTIONS), p, dim_l))
 
 
 def _check_exterior_relations(inst):
     inst.M.validate()
-    return True, "exterior relations hold", {}
+    return True, "exterior relations hold", ()
 
 
 def _check_anchoring(inst):
     verdict = is_anchoring(inst.L)
     return (verdict.anchors or not _needs_anchoring(inst.L),
-            f"solution dimension {verdict.solution_dim}",
-            {"anchor_solution_dim": verdict.solution_dim})
+            f"solution dimension {verdict.solution_dim}", (verdict.solution_dim,))
 
 
 def _check_module_rebuild(inst):
     L = inst.L
     return (True, "module is the free-module quotient by L",
-            {"module": inst.M, "quotient_basis": quotient_map(L.subspace) if L.d else None})
+            (inst.M, quotient_map(L.subspace) if L.d else None))
 
 
 def _check_hom_dimension(inst):
@@ -245,68 +243,51 @@ def _check_hom_dimension(inst):
     if hom != 1 and _needs_anchoring(inst.L) and is_anchoring(inst.L).anchors:
         raise RuntimeError("anchoring verdict and endomorphism computation disagree: "
                            f"L anchors but Hom has dimension {hom}")
-    return hom == 1, f"Hom dimension {hom}", {"hom_dim": hom}
+    return hom == 1, f"Hom dimension {hom}", (hom,)
 
 
 def _check_rank(inst):
     ch = chi(inst.M)
-    return ch[-1] == inst.params.r, f"chi={ch}, rank={ch[-1]}", {"chi": ch, "rank": ch[-1]}
+    return ch[-1] == inst.params.r, f"chi={ch}, rank={ch[-1]}", (ch, ch[-1])
 
 
 def _check_random_faithfulness(inst):
     params = inst.params
     rnd = faithfulness_scan(inst.L, "random", n=params.n, l=params.l,
-                            samples=params.policy.random_samples,
-                            seed=params.seed + inst.attempts - 1)
-    return (rnd.ok, f"{rnd.points_checked} points, {len(rnd.failures)} failures",
-            {"random_scan": rnd})
-
-
-def _drawn_within_budget(params, exL) -> bool:
-    """Whether exL is the anchor ``construct`` draws over its field at the seed
-    of some attempt the retry budget allows.  The recorded attempt count is
-    not consulted: it belongs to the random scan's check."""
-    p, dim_l = choose_parameters(params.n, params.l, params.r, params.multiplicity)
-    for k in range(params.policy.retry_budget):
-        try:
-            drawn = _build(exL.field, params, p, dim_l, params.seed + k)
-        except AnchoringSearchError:
-            continue  # that attempt drew no anchor
-        if (exL.u, exL.w, exL.subspace.basis) == (drawn.u, drawn.w, drawn.subspace.basis):
-            return True
-    return False
+                            samples=params.policy.random_samples, seed=inst.seed)
+    return rnd.ok, f"{rnd.points_checked} points, {len(rnd.failures)} failures", (rnd,)
 
 
 def _check_exhaustive_faithfulness(inst):
     params, exL = inst.params, inst.exL
-    if not _drawn_within_budget(params, exL):
-        return False, "the exhaustive anchor is no attempt's draw over its field", {}
-    scan = faithfulness_scan(exL, "exhaustive", n=params.n, l=params.l,
-                             point_budget=params.policy.point_budget)
+    scan = faithfulness_scan(exL, "exhaustive", n=params.n, l=params.l)
     return (scan.ok, f"{scan.points_checked} points, {len(scan.failures)} failures",
-            {"exhaustive.field": field_spec(exL.field), "exhaustive.scan": scan})
+            (exL, field_spec(exL.field), scan))
 
 
 def _check_cohomology(inst):
     n, l, C = inst.params.n, inst.params.l, inst.C
     calc = CohomologyCalculator(C)
     cert = certify_hd(inst.M, C, calc)
-    t_lo, t_hi = inst.params.policy.table_window or (-n - C.length - 1, 0)
-    table = cohomology_table(C, t_lo, t_hi, calc)
-    return cert.value == l, f"certified hd {cert.value}", {"cohomology": table, "hd": cert}
+    table = cohomology_table(C, -n - C.length - 1, 0, calc)
+    return cert.value == l, f"certified hd {cert.value}", (table, cert)
 
 
-# (name, construct timing stage, check), in the order both callers run them.
+# (name, construct timing stage, the report keys of the values the check
+# returns, check), in the order both callers run them.
 CHECKS = (
-    ("parameters", "build", _check_parameters),
-    ("exterior_relations", "build", _check_exterior_relations),
-    ("anchoring", "simplicity", _check_anchoring),
-    ("module_rebuild", "build", _check_module_rebuild),
-    ("hom_dimension", "simplicity", _check_hom_dimension),
-    ("rank", "simplicity", _check_rank),
-    ("random_faithfulness", "random_scan", _check_random_faithfulness),
-    ("exhaustive_faithfulness", "exhaustive_scan", _check_exhaustive_faithfulness),
-    ("cohomology", "cohomology", _check_cohomology),
+    ("parameters", "build", ("conventions", "multiplicity", "anchor_dim"),
+     _check_parameters),
+    ("exterior_relations", "build", (), _check_exterior_relations),
+    ("anchoring", "simplicity", ("anchor_solution_dim",), _check_anchoring),
+    ("module_rebuild", "build", ("module", "quotient_basis"), _check_module_rebuild),
+    ("hom_dimension", "simplicity", ("hom_dim",), _check_hom_dimension),
+    ("rank", "simplicity", ("chi", "rank"), _check_rank),
+    ("random_faithfulness", "random_scan", ("random_scan",), _check_random_faithfulness),
+    ("exhaustive_faithfulness", "exhaustive_scan",
+     ("exhaustive.anchor", "exhaustive.field", "exhaustive.scan"),
+     _check_exhaustive_faithfulness),
+    ("cohomology", "cohomology", ("cohomology", "hd"), _check_cohomology),
 )
 
 
@@ -323,7 +304,6 @@ class BundleReport:
     params: ConstructionParams
     anchor: AnchorProblem
     complex: LinearComplex
-    exhaustive_anchor: AnchorProblem
     sections: dict  # report key -> value, as the checks returned them
     attempts: int
     timings: dict
@@ -337,6 +317,7 @@ class BundleReport:
     rank = _section("rank")
     chi = _section("chi")
     random_scan = _section("random_scan")
+    exhaustive_anchor = _section("exhaustive.anchor")
     exhaustive_field_spec = _section("exhaustive.field")
     exhaustive_scan = _section("exhaustive.scan")
     table = _section("cohomology")
@@ -351,56 +332,41 @@ def construct(params: ConstructionParams) -> BundleReport:
     simple over some field) reseed and retry up to the budget.
     """
     field = params.field()
-    pol = params.policy
     n = params.n
-    p, dim_l = choose_parameters(n, params.l, params.r, params.multiplicity)
-    if pol.random_samples < 1:
-        raise ParameterError(f"{pol.random_samples} random samples: the random scan "
-                             "needs at least one")
-    if isinstance(field, PrimeField):
-        points = projective_point_count(field.p, n)
-        if pol.random_samples > points:
-            raise ParameterError(f"{pol.random_samples} random samples exceed the "
-                                 f"{points} points of P^{n}(F_{field.p})")
+    choose_parameters(n, params.l, params.r, params.multiplicity)
     ex_field = _exhaustive_field(params)
-    ex_points = projective_point_count(ex_field.p, n)
-    if ex_points > pol.point_budget:
-        raise ParameterError(f"the {ex_points} points of P^{n}(F_{ex_field.p}) exceed "
-                             f"the point budget {pol.point_budget}")
+    try:
+        scan_point_count(field, n, "random", params.policy.random_samples)
+        scan_point_count(ex_field, n, "exhaustive")
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from exc
     diagnostics = []
-    # The explicit-anchor path has no randomness affecting the bundle, so a
-    # failed check cannot be cured by reseeding.
-    budget = 1 if params.explicit_anchor else pol.retry_budget
-    for attempt in range(budget):
+    for attempt in range(RETRY_BUDGET):
         try:
-            return _construct_once(params, field, ex_field, p, dim_l, attempt + 1)
+            return _construct_once(params, field, attempt + 1)
         except (VerificationError, CertificationError, AnchoringSearchError) as exc:
             diagnostics.append((attempt, str(exc)))
     raise RetryBudgetError(
-        f"construction failed {budget} time(s) for "
+        f"construction failed {RETRY_BUDGET} time(s) for "
         f"(n={params.n}, l={params.l}, r={params.r})", diagnostics)
 
 
-def _construct_once(params, field, ex_field, p, dim_l, attempts) -> BundleReport:
-    seed = params.seed + attempts - 1
-    timings = dict.fromkeys((stage for _, stage, _ in CHECKS), 0.0)
+def _construct_once(params, field, attempts) -> BundleReport:
+    timings = dict.fromkeys((stage for _, stage, _, _ in CHECKS), 0.0)
     t0 = time.perf_counter()
-    L = _build(field, params, p, dim_l, seed)
-    t1 = time.perf_counter()
-    exL = _build(ex_field, params, p, dim_l, seed)
-    timings["build"] += t1 - t0
-    timings["exhaustive_scan"] += time.perf_counter() - t1
-    inst = Instance(params, L, exL, attempts)
+    L = _build(field, params, params.seed + attempts - 1)
+    timings["build"] += time.perf_counter() - t0
+    inst = Instance(params, L, attempts)
     sections = {}
-    for name, stage, check in CHECKS:
+    for name, stage, keys, check in CHECKS:
         t0 = time.perf_counter()
-        ok, detail, found = check(inst)
+        ok, detail, values = check(inst)
         timings[stage] += time.perf_counter() - t0
         if not ok:
             raise VerificationError(f"{name}: {detail}")
-        sections.update(found)
-    return BundleReport(params=params, anchor=L, complex=inst.C, exhaustive_anchor=exL,
-                        sections=sections, attempts=attempts, timings=timings)
+        sections.update(zip(keys, values, strict=True))
+    return BundleReport(params=params, anchor=L, complex=inst.C, sections=sections,
+                        attempts=attempts, timings=timings)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +380,7 @@ def _matrix_to_json(m: DenseMatrix):
 
 
 def _matrix_from_json(field, obj) -> DenseMatrix:
-    return DenseMatrix(field, obj["entries"], obj["cols"])
+    return DenseMatrix(field, obj["entries"], int(obj["cols"]))
 
 
 def _module_to_json(M: GradedEModule):
@@ -429,7 +395,7 @@ def _anchor_to_json(L: AnchorProblem):
 
 def _anchor_from_json(field, obj) -> AnchorProblem:
     basis = _matrix_from_json(field, obj["basis"])
-    return AnchorProblem(obj["u"], obj["w"], Subspace(basis))
+    return AnchorProblem(int(obj["u"]), int(obj["w"]), Subspace(basis))
 
 
 def _scan_to_json(rep: FaithfulnessReport):
@@ -444,6 +410,8 @@ def _section_json(value):
         return _matrix_to_json(value)
     if isinstance(value, GradedEModule):
         return _module_to_json(value)
+    if isinstance(value, AnchorProblem):
+        return _anchor_to_json(value)
     if isinstance(value, FaithfulnessReport):
         return _scan_to_json(value)
     if isinstance(value, CohomologyTable):
@@ -457,38 +425,38 @@ def _section_json(value):
 
 
 def _params_to_json(params: ConstructionParams):
-    pol = params.policy
     return {"n": params.n, "l": params.l, "r": params.r, "field": params.field_spec,
             "seed": params.seed, "multiplicity": params.multiplicity,
-            "explicit_anchor": params.explicit_anchor,
-            "policy": {**asdict(pol), "table_window":
-                       list(pol.table_window) if pol.table_window else None}}
+            "policy": asdict(params.policy)}
 
 
 def _params_from_json(obj) -> ConstructionParams:
-    pol = dict(obj["policy"])
-    if pol["table_window"]:
-        pol["table_window"] = tuple(pol["table_window"])
-    return ConstructionParams(obj["n"], obj["l"], obj["r"], obj["field"], obj["seed"],
-                              obj["multiplicity"], obj["explicit_anchor"],
-                              VerificationPolicy(**pol))
+    """Numbers are read as ints, so a record that wrote one otherwise (``true``,
+    ``200.0``) departs from its re-serialization."""
+    pol = obj["policy"]
+    opt = lambda x: None if x is None else int(x)  # noqa: E731
+    return ConstructionParams(int(obj["n"]), int(obj["l"]), int(obj["r"]), obj["field"],
+                              int(obj["seed"]), opt(obj["multiplicity"]),
+                              VerificationPolicy(opt(pol["exhaustive_prime"]),
+                                                 int(pol["random_samples"])))
+
+
+def _put(tree: dict, key: str, value):
+    """Set the dotted ``key`` of nested dicts, making the dicts on its path."""
+    *path, last = key.split(".")
+    reduce(lambda node, part: node.setdefault(part, {}), path, tree)[last] = value
+
+
+def _inputs_to_json(params, anchor, attempts) -> dict:
+    return {"params": _params_to_json(params), "anchor": _anchor_to_json(anchor),
+            "attempts": attempts}
 
 
 def report_to_json(rep: BundleReport) -> dict:
-    out = {
-        "schema": SCHEMA_VERSION,
-        "version": rep.version,
-        "params": _params_to_json(rep.params),
-        "anchor": _anchor_to_json(rep.anchor),
-        "exhaustive": {"anchor": _anchor_to_json(rep.exhaustive_anchor)},
-    }
+    out = {"schema": SCHEMA_VERSION, "version": rep.version,
+           **_inputs_to_json(rep.params, rep.anchor, rep.attempts)}
     for key, value in rep.sections.items():
-        *path, last = key.split(".")
-        node = out
-        for part in path:
-            node = node[part]
-        node[last] = _section_json(value)
-    out["attempts"] = rep.attempts
+        _put(out, key, _section_json(value))
     out["timings"] = {k: round(v, 6) for k, v in rep.timings.items()}
     return out
 
@@ -519,21 +487,48 @@ class Verdict:
         return "\n".join(lines)
 
 
+_ABSENT = object()
+
+
+def _departures(record, expected, path=""):
+    """The key paths where ``record`` departs from ``expected``: a key one of them
+    lacks, or a value of another type or value.  ``...`` in ``expected`` matches
+    anything."""
+    if isinstance(record, dict) and isinstance(expected, dict):
+        return [found for key in {**expected, **record}
+                for found in _departures(record.get(key, _ABSENT),
+                                         expected.get(key, _ABSENT), f"{path}{key}.")]
+    same = type(record) is type(expected) and record == expected
+    return [] if expected is ... or same else [path[:-1]]
+
+
 def _instance_from_report(report: dict) -> Instance:
-    """The report's inputs: params, the anchor, the exhaustive anchor (read
-    over the field the policy derives) and attempts."""
+    """The report's inputs, written as ``construct`` writes them, with attempts
+    in [1, RETRY_BUDGET]; any other key must be metadata or a section."""
     params = _params_from_json(report["params"])
-    return Instance(params, _anchor_from_json(params.field(), report["anchor"]),
-                    _anchor_from_json(_exhaustive_field(params),
-                                      report["exhaustive"]["anchor"]),
-                    report["attempts"])
+    attempts = report["attempts"]
+    if type(attempts) is not int or not 1 <= attempts <= RETRY_BUDGET:
+        raise ValueError(f"attempts {attempts!r} lies outside [1, {RETRY_BUDGET}]")
+    inst = Instance(params, _anchor_from_json(params.field(), report["anchor"]), attempts)
+    expected = {"schema": ..., "version": ..., "timings": ...,
+                **_inputs_to_json(params, inst.L, attempts)}
+    for _, _, keys, _ in CHECKS:
+        for key in keys:
+            _put(expected, key, ...)
+    stray = _departures(report, expected)
+    if stray:
+        raise ValueError("neither an input as construct writes it nor a section of "
+                         f"a check: {', '.join(stray)}")
+    return inst
 
 
 def verify(report: dict) -> Verdict:
     """Re-run every check of a serialized report deterministically.
 
-    Every report key other than the inputs, ``schema``, ``version`` and
-    ``timings`` is a section of exactly one check, recomputed and compared.
+    The inputs are ``params``, ``anchor`` and ``attempts``.  Every other key
+    but ``schema``, ``version`` and ``timings`` is a section of exactly one
+    check, recomputed and compared, the exhaustive anchor included.  An
+    unreadable input or a key no check owns fails one ``report`` check.
     """
     if not isinstance(report, dict):
         return Verdict((("report", False,
@@ -546,10 +541,10 @@ def verify(report: dict) -> Verdict:
     except Exception as exc:  # an unreadable input fails the whole report
         return Verdict((("report", False, f"{type(exc).__name__}: {exc}"),))
     checks = []
-    for name, _, check in CHECKS:
+    for name, _, keys, check in CHECKS:
         try:
-            ok, detail, sections = check(inst)
-            differ = [key for key, value in sections.items()
+            ok, detail, values = check(inst)
+            differ = [key for key, value in zip(keys, values, strict=True)
                       if _section_json(value) != reduce(getitem, key.split("."), report)]
             if differ:
                 ok, detail = False, f"{detail}; differs from the record: {', '.join(differ)}"

@@ -1,7 +1,7 @@
 """Linear complexes, fiber evaluation and faithfulness scans."""
 
 import random
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -11,7 +11,8 @@ from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, LinearComplex,
                         anchoring_tensor, bgg_complex, choose_parameters,
                         evaluate_fiber, faithfulness_scan, free_truncated,
                         projective_point_count, quotient_top, tensor_to_subspace)
-from bggbundles.bgg import _random_point_chunks
+from bggbundles.bgg import (POINT_BUDGET, _random_point_chunks, _rational_points,
+                            rational_point_count)
 from scan_oracle import exact_at_point, full_complex_scan
 
 F = GF(32003)
@@ -109,9 +110,9 @@ def test_exhaustive_scan_finds_failures():
 
 
 def test_exhaustive_scan_budget():
-    with pytest.raises(PointBudgetError):
-        faithfulness_scan(zero_anchor(GF(101), 1, 3, 1), "exhaustive", n=3, l=1,
-                          point_budget=1000)
+    # P^3(F_1009) has 1,028,262,820 points, over the budget of 2,000,000.
+    with pytest.raises(PointBudgetError, match="1028262820 points"):
+        faithfulness_scan(zero_anchor(GF(1009), 1, 3, 1), "exhaustive", n=3, l=1)
 
 
 def test_exhaustive_scan_requires_prime_field():
@@ -185,6 +186,24 @@ def test_random_scan_rational():
     rep = faithfulness_scan(zero_anchor(QQ, 1, 3, 2), "random", n=3, l=2, samples=50,
                             seed=2)
     assert rep.ok and rep.points_checked == 50
+
+
+def test_rational_points_are_distinct_projective_points():
+    # The box [-9, 9]^2 holds 360 nonzero vectors but 112 points of P^1; a
+    # scan draws each point once, as its primitive vector with a positive lead.
+    count = rational_point_count(1)
+    pts = list(_rational_points(1, count, 0))
+    assert len(set(pts)) == count == 112
+    assert all(gcd(*v) == 1 and next(filter(None, v)) > 0 for v in pts)
+    assert rational_point_count(3) == 60640
+    with pytest.raises(ValueError, match="exceed the 60640 points"):
+        faithfulness_scan(zero_anchor(QQ, 1, 3, 2), "random", n=3, l=2, samples=60641)
+
+
+def test_random_scan_budget():
+    with pytest.raises(PointBudgetError):
+        faithfulness_scan(zero_anchor(F, 1, 3, 2), "random", n=3, l=2,
+                          samples=POINT_BUDGET + 1)
 
 
 def test_composite_zero_on_validate():

@@ -1,6 +1,7 @@
 """End-to-end construction, report serialization, verification, mutation."""
 
 import json
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from bggbundles import (GF, AnchorProblem, ConstructionParams, DenseMatrix,
                         choose_parameters, construct, free_truncated,
                         projective_point_count, report_to_json, report_to_json_str,
                         verify, with_replaced_anchor)
+import bggbundles.bgg as bgg
 import bggbundles.pipeline as pl
 from bggbundles.cli import main as cli_main
 from bggbundles.pipeline import _anchor_to_json, _module_to_json, default_exhaustive_prime
@@ -44,7 +46,6 @@ def test_choose_parameters_rejections():
 def test_default_exhaustive_prime():
     assert default_exhaustive_prime(3) == 101
     assert default_exhaustive_prime(4) == 31
-    assert default_exhaustive_prime(3, point_budget=200) == 5
 
 
 def test_construct_rank5_example_shape():
@@ -66,25 +67,6 @@ def test_construct_free_special_case():
     assert rep.anchor_dim == 0
     assert rep.module.piece_dims == (1, 5, 10, 10)
     assert rep.rank == 4 and rep.hom_dim == 1 and rep.hd.value == 3
-
-
-def test_construct_explicit_anchor_deterministic():
-    a = construct(fast_params(3, 2, 5, seed=0, explicit_anchor=True))
-    b = construct(fast_params(3, 2, 5, seed=99, explicit_anchor=True))
-    # The anchor comes from the deterministic tensor, so it cannot depend on
-    # the seed (the random scan record still does).
-    assert a.anchor.subspace.basis == b.anchor.subspace.basis
-    assert a.attempts == b.attempts == 1
-
-
-def test_construct_explicit_anchor_no_retries():
-    # Over a tiny scan field the deterministic tensor can land on a special
-    # position and fail faithfulness; reseeding cannot help, so the pipeline
-    # gives up after one attempt.
-    import bggbundles.pipeline as pl
-    with pytest.raises(pl.RetryBudgetError) as exc:
-        construct(fast_params(3, 1, 3, seed=0, explicit_anchor=True))
-    assert len(exc.value.diagnostics) == 1
 
 
 def test_construct_over_rationals():
@@ -115,7 +97,7 @@ def test_report_conventions_block():
     obj = report_to_json(construct(fast_params(3, 1, 3, seed=0)))
     conv = obj["conventions"]
     assert "monomial_order" in conv and "tensor_flattening" in conv
-    assert obj["schema"] == 3
+    assert obj["schema"] == 4
     # Matrix entries serialize as strings.
     entry = obj["module"]["actions"][0][0]["entries"][0][0]
     assert isinstance(entry, str)
@@ -179,12 +161,7 @@ def _add_recorded_failure(obj):
     obj["exhaustive"]["scan"]["failures"].append([0, [1, 0, 0, 0], 1])
 
 
-def _budget_below_point_count(obj):
-    obj["params"]["policy"]["point_budget"] = projective_point_count(5, 3) - 1
-
-
-@pytest.mark.parametrize("mutate", [_swap_in_free_module, _add_recorded_failure,
-                                    _budget_below_point_count])
+@pytest.mark.parametrize("mutate", [_swap_in_free_module, _add_recorded_failure])
 def test_mutation_exhaustive_block(fast_report, mutate):
     assert verify(fast_report).ok
     obj = json.loads(json.dumps(fast_report))
@@ -210,6 +187,133 @@ def test_exhaustive_point_budget_refused_before_building(monkeypatch):
                                 policy=VerificationPolicy(exhaustive_prime=101))
     with pytest.raises(ParameterError, match="105101005 points"):
         construct(params)
+
+
+def _shift_exhaustive_anchor(obj):
+    _entries(obj["exhaustive"]["anchor"]["basis"], lambda x: str((int(x) + 1) % 5))
+
+
+def _stale_retry_budget(obj):
+    obj["params"]["policy"]["retry_budget"] = 320
+    _shift_exhaustive_anchor(obj)
+
+
+def _stale_table_window(obj):
+    obj["params"]["policy"]["table_window"] = [-20, 0]
+
+
+def _exhaustive_prime_1009(obj):
+    obj["params"]["policy"]["exhaustive_prime"] = 1009
+    drawn = pl._build(GF(1009), fast_params(3, 2, 5, seed=42), 42)
+    obj["exhaustive"]["anchor"] = _anchor_to_json(drawn)
+
+
+def _stale_point_budget_over_f1009(obj):
+    _exhaustive_prime_1009(obj)
+    obj["params"]["policy"]["point_budget"] = 10**12
+
+
+def _samples_over_budget(obj):
+    obj["params"]["policy"]["random_samples"] = pl.POINT_BUDGET + 1
+
+
+# Report policies that once set what verify would spend: each a key that
+# is no longer a setting, or a setting beyond the constant point budget.
+@pytest.mark.parametrize("forge, owner", [
+    (_stale_retry_budget, "report"),
+    (_stale_table_window, "report"),
+    (_stale_point_budget_over_f1009, "report"),
+    (_exhaustive_prime_1009, "exhaustive_faithfulness"),
+    (_samples_over_budget, "random_faithfulness"),
+], ids=lambda x: x.__name__.strip("_") if callable(x) else x)
+def test_forged_policy_is_refused_within_a_second(fast_report, monkeypatch, forge, owner):
+    obj = json.loads(json.dumps(fast_report))
+    forge(obj)
+    assert [name for name, _ in verify(obj).failed()] == [owner]
+    # The step of verify that refuses the forgery enters no scan and no table,
+    # the paths whose cost a report could once set.
+    def slow_path(*args, **kwargs):
+        raise AssertionError("a refused report reached a scan or a table")
+
+    for module, name in [(bgg, "_normalized_point_chunks"), (bgg, "_random_point_chunks"),
+                         (pl, "cohomology_table")]:
+        monkeypatch.setattr(module, name, slow_path)
+    check = {name: check for name, _, _, check in pl.CHECKS}.get(owner)  # None: report
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        inst = pl._instance_from_report(obj)
+        check(inst)
+    assert time.perf_counter() - t0 < 1
+
+
+# Each returns the key it adds or forges.
+def _bogus_key(obj):
+    obj["bogus"] = 1
+    return "bogus"
+
+
+def _stale_exhaustive_module(obj):
+    obj["exhaustive"]["module"] = obj["module"]
+    return "exhaustive.module"
+
+
+def _stale_point_budget(obj):
+    obj["params"]["policy"]["point_budget"] = projective_point_count(5, 3) - 1
+    return "params.policy.point_budget"
+
+
+def _forged_anchor_dim(obj):
+    obj["anchor"]["dim"] = 5
+    return "anchor.dim"
+
+
+# construct writes these as ints; true == 1 and 500.0 == 500 in Python.
+def _seed_true(obj):
+    obj["params"]["seed"] = True
+    return "params.seed"
+
+
+def _samples_float(obj):
+    obj["params"]["policy"]["random_samples"] = 500.0
+    return "params.policy.random_samples"
+
+
+@pytest.mark.parametrize("forge", [_bogus_key, _stale_exhaustive_module,
+                                   _stale_point_budget, _forged_anchor_dim,
+                                   _seed_true, _samples_float])
+def test_stray_key_fails_the_report(fast_report, tmp_path, capsys, forge):
+    obj = json.loads(json.dumps(fast_report))
+    key = forge(obj)
+    verdict = verify(obj)
+    assert [name for name, _ in verdict.failed()] == ["report"]
+    assert verdict.failed()[0][1].endswith(key)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["verify", "--in", str(path)]) == 1
+    assert "FAIL report: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("attempts", [0, pl.RETRY_BUDGET + 1, "1", True])
+def test_attempts_outside_the_retry_budget_fail_the_report(fast_report, attempts):
+    obj = dict(fast_report, attempts=attempts)
+    verdict = verify(obj)
+    assert [name for name, _ in verdict.failed()] == ["report"]
+    assert "attempts" in verdict.failed()[0][1]
+
+
+def test_sample_count_beyond_the_points_or_the_budget_refused_before_building(
+        monkeypatch, capsys):
+    def no_build(*args):
+        raise AssertionError("built before refusing the sample count")
+
+    monkeypatch.setattr(pl, "_build", no_build)
+    with pytest.raises(ParameterError, match="exceed the point budget 2000000"):
+        construct(fast_params(3, 2, 5, policy=VerificationPolicy(
+            random_samples=pl.POINT_BUDGET + 1)))
+    # The box [-9, 9]^4 holds 130,320 nonzero vectors but 60,640 points of P^3.
+    assert cli_main(["construct", "--n", "3", "--l", "2", "--r", "5", "--field", "qq",
+                     "--exhaustive-field", "5", "--samples", "60641"]) == 2
+    assert "60640 points" in capsys.readouterr().err
 
 
 # Forging any section of this report must fail exactly the check that
@@ -342,7 +446,6 @@ def _forge_conventions(obj):
     (_forge_random_scan, "random_faithfulness"),
     (_forge_random_samples, "random_faithfulness"),
     (_forge_negative_random_samples, "random_faithfulness"),
-    (_forge_attempts, "random_faithfulness"),
     (_forge_cohomology_entry, "cohomology"),
     (_forge_table_window, "cohomology"),
     (_forge_hd, "cohomology"),
@@ -358,19 +461,26 @@ def test_forged_section_fails_exactly_its_check(forge_report, forge, owner):
     assert [name for name, _ in verify(obj).failed()] == [owner]
 
 
+def test_forged_attempts_fail_both_faithfulness_checks(forge_report):
+    # attempts fixes the seed of the random scan and of the exhaustive anchor.
+    obj = json.loads(json.dumps(forge_report))
+    _forge_attempts(obj)
+    assert [name for name, _ in verify(obj).failed()] == ["random_faithfulness",
+                                                          "exhaustive_faithfulness"]
+
+
 def test_construct_and_verify_walk_one_check_list(monkeypatch):
-    walked, owned = [], {}
+    walked = []
+    owned = {name: set(keys) for name, _, keys, _ in pl.CHECKS}
 
     def recording(name, check):
         def run(inst):
-            ok, detail, sections = check(inst)
             walked.append(name)
-            owned[name] = set(sections)
-            return ok, detail, sections
+            return check(inst)
         return run
 
-    monkeypatch.setattr(pl, "CHECKS", tuple((name, stage, recording(name, check))
-                                            for name, stage, check in pl.CHECKS))
+    monkeypatch.setattr(pl, "CHECKS", tuple((name, stage, keys, recording(name, check))
+                                            for name, stage, keys, check in pl.CHECKS))
     names = ["parameters", "exterior_relations", "anchoring", "module_rebuild",
              "hom_dimension", "rank", "random_faithfulness",
              "exhaustive_faithfulness", "cohomology"]
@@ -382,7 +492,7 @@ def test_construct_and_verify_walk_one_check_list(monkeypatch):
     assert walked == names == [name for name, _, _ in verdict.checks] and verdict.ok
     # Each report key is an input, metadata, or a section of exactly one check.
     keys = {k for k in obj if k != "exhaustive"} | {"exhaustive." + k for k in obj["exhaustive"]}
-    inputs = {"params", "anchor", "exhaustive.anchor", "attempts"}
+    inputs = {"params", "anchor", "attempts"}
     sections = [key for name in names for key in owned[name]]
     assert len(sections) == len(set(sections))
     assert keys == inputs | {"schema", "version", "timings"} | set(sections)
@@ -428,10 +538,10 @@ def test_retry_budget_exhausted(monkeypatch):
     import bggbundles.pipeline as pl
     from bggbundles import AnchorVerdict
     monkeypatch.setattr(pl, "is_anchoring", lambda prob: AnchorVerdict(False, 2))
+    monkeypatch.setattr(pl, "RETRY_BUDGET", 3)
     params = ConstructionParams(
         n=3, l=2, r=5, seed=0,
-        policy=VerificationPolicy(exhaustive_prime=5, random_samples=50,
-                                  retry_budget=3))
+        policy=VerificationPolicy(exhaustive_prime=5, random_samples=50))
     with pytest.raises(pl.RetryBudgetError) as exc:
         construct(params)
     assert len(exc.value.diagnostics) == 3
