@@ -7,7 +7,7 @@ dimension.  The anchor L is the one random choice, drawn from the seed.
 Faithfulness is a property of L alone, L n ker(v-wedge) = 0 at every point
 v, so both scans read their anchor directly: a random one of L over the
 working field and an exhaustive one of the anchor the same seed draws over a
-small field.  The saved report's inputs are the parameters, L and the
+small field (F_101 for n = 3).  The saved report's inputs are the parameters, L and the
 attempt count; ``verify`` recomputes everything else from them, the
 exhaustive anchor included.
 
@@ -16,8 +16,8 @@ Run with: python3 demos/03_rank5_bundle.py
 
 import json
 
-from bggbundles import (ConstructionParams, VerificationPolicy, cas_script,
-                        choose_parameters, construct, report_to_json, verify)
+from bggbundles import (ConstructionParams, cas_script, choose_parameters,
+                        construct, report_to_json, verify)
 
 n, l, r = 3, 2, 5
 
@@ -25,10 +25,7 @@ p, dim_l = choose_parameters(n, l, r)
 print(f"target: rank {r}, homological dimension {l} on P^{n}")
 print(f"chosen multiplicity p = {p}, anchoring subspace dimension = {dim_l}\n")
 
-params = ConstructionParams(
-    n=n, l=l, r=r, field_spec="fp:32003", seed=42,
-    policy=VerificationPolicy(exhaustive_prime=101))
-rep = construct(params)
+rep = construct(ConstructionParams(n=n, l=l, r=r, field_spec="fp:32003", seed=42))
 
 print(f"module piece dimensions: {rep.module.piece_dims}")
 print(f"resolution terms (twist, rank): {rep.complex.terms}")

@@ -28,9 +28,9 @@ from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable
                        HdCertificate, certify_hd, cohomology_table, euler_line,
                        line_coh, monomials, strand_map)
 from .pipeline import (BundleReport, ConstructionParams, ParameterError,
-                       RetryBudgetError, VerificationPolicy, cas_script,
-                       choose_parameters, construct, report_to_json,
-                       report_to_json_str, verify, with_replaced_anchor)
+                       RetryBudgetError, cas_script, choose_parameters,
+                       construct, report_to_json, report_to_json_str, verify,
+                       with_replaced_anchor)
 
 __all__ = [
     "GF", "QQ", "FieldError", "PrimeField", "RationalField",
@@ -51,6 +51,6 @@ __all__ = [
     "HdCertificate", "certify_hd", "cohomology_table", "euler_line",
     "line_coh", "monomials", "strand_map",
     "BundleReport", "ConstructionParams", "ParameterError", "RetryBudgetError",
-    "VerificationPolicy", "cas_script", "choose_parameters", "construct",
-    "report_to_json", "report_to_json_str", "verify", "with_replaced_anchor",
+    "cas_script", "choose_parameters", "construct", "report_to_json",
+    "report_to_json_str", "verify", "with_replaced_anchor",
 ]

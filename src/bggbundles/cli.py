@@ -16,11 +16,10 @@ import sys
 
 from . import __version__
 from .anchor import AnchoringSearchError, annihilator, is_anchoring, sample_anchoring
-from .bgg import POINT_BUDGET
 from .fields import FieldError
 from .pipeline import (ConstructionParams, ParameterError, RetryBudgetError,
-                       VerificationPolicy, _instance_from_report, cas_script,
-                       construct, parse_field, report_to_json_str, verify)
+                       _instance_from_report, cas_script, construct, parse_field,
+                       report_to_json_str, verify)
 from .sheafcoh import CohomologyCalculator, cohomology_table
 
 EXIT_OK = 0
@@ -41,11 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--field", default="fp:32003", help="fp:P or qq")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--multiplicity", type=int, default=None)
-    c.add_argument("--exhaustive-field", type=int, default=None, metavar="Q",
-                   help="prime for the exhaustive scan (default: by n)")
-    c.add_argument("--samples", type=int, default=10000,
-                   help=f"random faithfulness sample count (at most {POINT_BUDGET:,} "
-                        "and the number of points to draw from)")
     c.add_argument("--out", default=None, metavar="report.json")
     c.add_argument("--emit-cas", default=None, metavar="script.txt")
     c.add_argument("--emit-table", default=None, metavar="table.txt")
@@ -68,13 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args) -> int:
-    policy = VerificationPolicy(exhaustive_prime=args.exhaustive_field,
-                                random_samples=args.samples)
-    params = ConstructionParams(
-        n=args.n, l=args.l, r=args.r, field_spec=args.field, seed=args.seed,
-        multiplicity=args.multiplicity, policy=policy,
-    )
-    rep = construct(params)
+    rep = construct(ConstructionParams(n=args.n, l=args.l, r=args.r, field_spec=args.field,
+                                       seed=args.seed, multiplicity=args.multiplicity))
     text = report_to_json_str(rep)
     if args.out:
         with open(args.out, "w") as fh:

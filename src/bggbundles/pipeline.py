@@ -4,23 +4,24 @@ homological dimension, plus report serialization and re-verification.
 Given n >= 3, a target homological dimension l in [1, n-1] and a rank
 r >= n, the pipeline picks the smallest admissible multiplicity p, quotients
 the truncated free module by an anchoring subspace of the top piece, and
-verifies everything it claims: faithfulness (random sampling over the
-working field plus an exhaustive scan of a same-seed anchor drawn over a
-small field), simplicity (endomorphism dimension 1), rank and certified
-homological dimension.  The whole record is serialized into a self-contained
-JSON report.
+verifies everything it claims: faithfulness (a scan of ``RANDOM_SAMPLES``
+random points of P^n over the working field, or all of them if there are
+fewer, plus an exhaustive scan of a same-seed anchor drawn over the field
+``GF(default_exhaustive_prime(n))``), simplicity (endomorphism dimension 1),
+rank and certified homological dimension.  The whole record is serialized
+into a self-contained JSON report.
 
 The one random choice is the anchor, drawn by ``sample_anchoring`` at the
-seed ``params.seed + attempts - 1``; the retry budget, the point budget and
-the cohomology window are constants, not settings.  ``construct`` and
-``verify`` run one list of nine checks, ``CHECKS``.  A check takes an
-:class:`Instance` and returns ``(ok, detail, values)``, the values of the
-report sections its ``CHECKS`` row names.  The instance's inputs are the
-parameters, the anchor L and the attempt count.  The module M is the free
-module's quotient by L, and the exhaustive anchor exL is the same attempt's
-draw over the exhaustive field; both are recomputed sections, and each
-faithfulness scan reads its anchor directly.  ``construct`` draws L, stops
-at the first failing check and writes the report from the sections;
+seed ``params.seed + attempts - 1``; the retry budget, the point budget, the
+cohomology window and both scans' sizes are constants, not settings.
+``construct`` and ``verify`` run one list of nine checks, ``CHECKS``.  A
+check takes an :class:`Instance` and returns ``(ok, detail, values)``, the
+values of the report sections its ``CHECKS`` row names.  The instance's
+inputs are the parameters, the anchor L and the attempt count.  The module M
+is the free module's quotient by L, and the exhaustive anchor exL is the same
+attempt's draw over the exhaustive field; both are recomputed sections, and
+each faithfulness scan reads its anchor directly.  ``construct`` draws L,
+stops at the first failing check and writes the report from the sections;
 ``verify`` reads the inputs from a report and passes a check only if it is
 ok and every recomputed section equals the recorded one.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb
@@ -39,15 +40,16 @@ from . import __version__
 from .anchor import (AnchoringSearchError, AnchorProblem, general_position_range,
                      is_anchoring, sample_anchoring)
 from .bgg import (POINT_BUDGET, FaithfulnessReport, LinearComplex, bgg_complex,
-                  faithfulness_scan, projective_point_count, scan_point_count)
+                  faithfulness_scan, projective_point_count, rational_point_count)
 from .emod import GradedEModule, chi, free_truncated, hom_space_dim, quotient_map, quotient_top
 from .fields import GF, QQ, FieldError, PrimeField, RationalField
 from .matrix import DenseMatrix, Subspace
 from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable,
                        HdCertificate, certify_hd, cohomology_table)
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 RETRY_BUDGET = 32  # attempts, each at the next seed, before construct gives up
+RANDOM_SAMPLES = 10_000  # points of a random scan, unless P^n has fewer
 
 CONVENTIONS = {
     "exterior_basis": "index subsets of {0..n}, lexicographic on sorted tuples",
@@ -76,12 +78,6 @@ class VerificationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class VerificationPolicy:
-    exhaustive_prime: int | None = None  # None = pick by n
-    random_samples: int = 10000
-
-
-@dataclass(frozen=True)
 class ConstructionParams:
     n: int
     l: int
@@ -89,7 +85,10 @@ class ConstructionParams:
     field_spec: str = "fp:32003"
     seed: int = 0
     multiplicity: int | None = None
-    policy: VerificationPolicy = dc_field(default_factory=VerificationPolicy)
+
+    def __post_init__(self):
+        if self.seed < 0:  # the scans' generators take no negative seed
+            raise ParameterError(f"seed {self.seed} must be at least 0")
 
     def field(self):
         return parse_field(self.field_spec)
@@ -116,10 +115,6 @@ def default_exhaustive_prime(n: int) -> int:
         if projective_point_count(q, n) <= POINT_BUDGET:
             return q
     raise ParameterError(f"no exhaustive field fits the budget for n = {n}")
-
-
-def _exhaustive_field(params: ConstructionParams) -> PrimeField:
-    return GF(params.policy.exhaustive_prime or default_exhaustive_prime(params.n))
 
 
 def choose_parameters(n: int, l: int, r: int, multiplicity: int | None = None):
@@ -197,7 +192,7 @@ class Instance:
     @cached_property
     def exL(self) -> AnchorProblem:
         """The same attempt's anchor over the exhaustive field."""
-        return _build(_exhaustive_field(self.params), self.params, self.seed)
+        return _build(GF(default_exhaustive_prime(self.params.n)), self.params, self.seed)
 
     @cached_property
     def M(self) -> GradedEModule:
@@ -252,9 +247,11 @@ def _check_rank(inst):
 
 
 def _check_random_faithfulness(inst):
-    params = inst.params
+    params, f = inst.params, inst.L.field
+    points = (projective_point_count(f.p, params.n) if isinstance(f, PrimeField)
+              else rational_point_count(params.n))
     rnd = faithfulness_scan(inst.L, "random", n=params.n, l=params.l,
-                            samples=params.policy.random_samples, seed=inst.seed)
+                            samples=min(RANDOM_SAMPLES, points), seed=inst.seed)
     return rnd.ok, f"{rnd.points_checked} points, {len(rnd.failures)} failures", (rnd,)
 
 
@@ -332,14 +329,8 @@ def construct(params: ConstructionParams) -> BundleReport:
     simple over some field) reseed and retry up to the budget.
     """
     field = params.field()
-    n = params.n
-    choose_parameters(n, params.l, params.r, params.multiplicity)
-    ex_field = _exhaustive_field(params)
-    try:
-        scan_point_count(field, n, "random", params.policy.random_samples)
-        scan_point_count(ex_field, n, "exhaustive")
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
+    choose_parameters(params.n, params.l, params.r, params.multiplicity)
+    default_exhaustive_prime(params.n)  # refuses an n no exhaustive scan fits
     diagnostics = []
     for attempt in range(RETRY_BUDGET):
         try:
@@ -426,19 +417,15 @@ def _section_json(value):
 
 def _params_to_json(params: ConstructionParams):
     return {"n": params.n, "l": params.l, "r": params.r, "field": params.field_spec,
-            "seed": params.seed, "multiplicity": params.multiplicity,
-            "policy": asdict(params.policy)}
+            "seed": params.seed, "multiplicity": params.multiplicity}
 
 
 def _params_from_json(obj) -> ConstructionParams:
     """Numbers are read as ints, so a record that wrote one otherwise (``true``,
     ``200.0``) departs from its re-serialization."""
-    pol = obj["policy"]
-    opt = lambda x: None if x is None else int(x)  # noqa: E731
+    mult = obj["multiplicity"]
     return ConstructionParams(int(obj["n"]), int(obj["l"]), int(obj["r"]), obj["field"],
-                              int(obj["seed"]), opt(obj["multiplicity"]),
-                              VerificationPolicy(opt(pol["exhaustive_prime"]),
-                                                 int(pol["random_samples"])))
+                              int(obj["seed"]), None if mult is None else int(mult))
 
 
 def _put(tree: dict, key: str, value):
@@ -529,6 +516,8 @@ def verify(report: dict) -> Verdict:
     but ``schema``, ``version`` and ``timings`` is a section of exactly one
     check, recomputed and compared, the exhaustive anchor included.  An
     unreadable input or a key no check owns fails one ``report`` check.
+    What the scans spend is no input: the exhaustive field follows from n and
+    the random sample count from the working field, as in ``construct``.
     """
     if not isinstance(report, dict):
         return Verdict((("report", False,

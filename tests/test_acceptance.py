@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Criteria that exercise the full pipeline use default verification policies
-(exhaustive scan field chosen by n), so this file is the slow part of the
-test suite; everything else lives in the per-module test files.
+Criteria that exercise the full pipeline use the default scans (exhaustive
+scan field chosen by n), so this file is the slow part of the test suite;
+everything else lives in the per-module test files.
 """
 
 import json
@@ -13,12 +13,13 @@ from math import ceil, comb
 import pytest
 
 from bggbundles import (GF, QQ, ConstructionParams, DenseMatrix, LinearComplex,
-                        VerificationPolicy, annihilator, anchoring_tensor,
-                        bgg_complex, cohomology_table, construct, free_truncated,
+                        annihilator, anchoring_tensor, bgg_complex,
+                        cohomology_table, construct, free_truncated,
                         is_anchoring, line_coh, pair_solution_dim,
                         projective_point_count, report_to_json, Subspace, verify,
                         with_replaced_anchor)
 from bggbundles.anchor import AnchorProblem
+import bggbundles.pipeline as pl
 from scan_oracle import full_complex_scan
 
 F = GF(32003)
@@ -30,7 +31,7 @@ def _report(k):
 
 @pytest.fixture(scope="module")
 def construction_grid():
-    """All default-policy constructions for n in {3,4}, l in [1,n-1], r in [n,n+3]."""
+    """All default constructions for n in {3,4}, l in [1,n-1], r in [n,n+3]."""
     t0 = time.perf_counter()
     reports = {}
     for n in (3, 4):
@@ -155,10 +156,10 @@ def test_acceptance_8_koszul_faithfulness_base_case():
 
 @pytest.fixture(scope="module")
 def small_report():
-    params = ConstructionParams(
-        n=3, l=2, r=5, seed=42,
-        policy=VerificationPolicy(exhaustive_prime=5, random_samples=500))
-    return report_to_json(construct(params))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pl, "RANDOM_SAMPLES", 500)
+        mp.setattr(pl, "default_exhaustive_prime", lambda n: 5)
+        return report_to_json(construct(ConstructionParams(n=3, l=2, r=5, seed=42)))
 
 
 def test_acceptance_9_mutation_tests(small_report):

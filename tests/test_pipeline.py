@@ -2,11 +2,12 @@
 
 import json
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from bggbundles import (GF, AnchorProblem, ConstructionParams, DenseMatrix,
-                        ParameterError, Subspace, VerificationPolicy, cas_script,
+                        ParameterError, Subspace, cas_script,
                         choose_parameters, construct, free_truncated,
                         projective_point_count, report_to_json, report_to_json_str,
                         verify, with_replaced_anchor)
@@ -15,12 +16,21 @@ import bggbundles.pipeline as pl
 from bggbundles.cli import main as cli_main
 from bggbundles.pipeline import _anchor_to_json, _module_to_json, default_exhaustive_prime
 
-FAST = VerificationPolicy(exhaustive_prime=5, random_samples=500)
+
+@contextmanager
+def small_scans(samples=500, prime=5):
+    """Random scans of at most ``samples`` points and exhaustive scans over
+    GF(``prime``), in place of the constants, so that a test runs in seconds."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pl, "RANDOM_SAMPLES", samples)
+        mp.setattr(pl, "default_exhaustive_prime", lambda n: prime)
+        yield
 
 
-def fast_params(n, l, r, **kw):
-    kw.setdefault("policy", FAST)
-    return ConstructionParams(n=n, l=l, r=r, **kw)
+@pytest.fixture(autouse=True)
+def fast():
+    with small_scans():
+        yield
 
 
 def test_choose_parameters_examples():
@@ -49,7 +59,7 @@ def test_default_exhaustive_prime():
 
 
 def test_construct_rank5_example_shape():
-    rep = construct(fast_params(3, 2, 5, seed=42))
+    rep = construct(ConstructionParams(3, 2, 5, seed=42))
     assert rep.module.piece_dims == (2, 8, 11)
     assert rep.rank == 5 and rep.hom_dim == 1 and rep.hd.value == 2
     assert rep.multiplicity == 2 and rep.anchor_dim == 1
@@ -57,27 +67,31 @@ def test_construct_rank5_example_shape():
 
 
 def test_construct_small_l1():
-    rep = construct(fast_params(3, 1, 3, seed=0))
+    rep = construct(ConstructionParams(3, 1, 3, seed=0))
     assert rep.module.piece_dims == (2, 5)
     assert rep.rank == 3 and rep.hd.value == 1
 
 
 def test_construct_free_special_case():
-    rep = construct(fast_params(4, 3, 4, seed=0, multiplicity=1))
+    rep = construct(ConstructionParams(4, 3, 4, seed=0, multiplicity=1))
     assert rep.anchor_dim == 0
     assert rep.module.piece_dims == (1, 5, 10, 10)
     assert rep.rank == 4 and rep.hom_dim == 1 and rep.hd.value == 3
 
 
-def test_construct_over_rationals():
-    rep = construct(ConstructionParams(
-        n=3, l=2, r=5, field_spec="qq", seed=3,
-        policy=VerificationPolicy(exhaustive_prime=3, random_samples=50)))
-    assert rep.rank == 5 and rep.hd.value == 2
+@pytest.fixture(scope="module")
+def qq_report():
+    with small_scans():
+        return report_to_json(construct(ConstructionParams(3, 2, 5, field_spec="qq", seed=3)))
+
+
+def test_construct_over_rationals(qq_report):
+    assert qq_report["rank"] == 5 and qq_report["hd"]["value"] == 2
+    assert verify(qq_report).ok
 
 
 def test_report_roundtrip_verify():
-    rep = construct(fast_params(3, 2, 5, seed=42))
+    rep = construct(ConstructionParams(3, 2, 5, seed=42))
     obj = json.loads(report_to_json_str(rep))
     verdict = verify(obj)
     assert verdict.ok, verdict.to_text()
@@ -86,18 +100,18 @@ def test_report_roundtrip_verify():
 
 
 def test_report_determinism():
-    a = report_to_json(construct(fast_params(3, 2, 5, seed=42)))
-    b = report_to_json(construct(fast_params(3, 2, 5, seed=42)))
+    a = report_to_json(construct(ConstructionParams(3, 2, 5, seed=42)))
+    b = report_to_json(construct(ConstructionParams(3, 2, 5, seed=42)))
     a.pop("timings")
     b.pop("timings")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_report_conventions_block():
-    obj = report_to_json(construct(fast_params(3, 1, 3, seed=0)))
+    obj = report_to_json(construct(ConstructionParams(3, 1, 3, seed=0)))
     conv = obj["conventions"]
     assert "monomial_order" in conv and "tensor_flattening" in conv
-    assert obj["schema"] == 4
+    assert obj["schema"] == 5
     # Matrix entries serialize as strings.
     entry = obj["module"]["actions"][0][0]["entries"][0][0]
     assert isinstance(entry, str)
@@ -123,7 +137,7 @@ def test_cli_verify_fails_a_report_that_is_not_an_object(tmp_path, capsys):
 
 
 def test_mutation_corrupted_action_matrix():
-    obj = report_to_json(construct(fast_params(3, 2, 5, seed=42)))
+    obj = report_to_json(construct(ConstructionParams(3, 2, 5, seed=42)))
     obj["module"]["actions"][1][0]["entries"][0][0] = "12345"
     verdict = verify(obj)
     assert not verdict.ok
@@ -132,7 +146,7 @@ def test_mutation_corrupted_action_matrix():
 
 
 def test_mutation_non_anchoring_subspace():
-    obj = report_to_json(construct(fast_params(3, 2, 5, seed=42)))
+    obj = report_to_json(construct(ConstructionParams(3, 2, 5, seed=42)))
     # Decomposable basis u1 (x) w1: preserved by all diagonal phi.
     row = ["0"] * 12
     row[0] = "1"
@@ -146,7 +160,8 @@ def test_mutation_non_anchoring_subspace():
 
 @pytest.fixture(scope="module")
 def fast_report():
-    return report_to_json(construct(fast_params(3, 2, 5, seed=42)))
+    with small_scans():
+        return report_to_json(construct(ConstructionParams(3, 2, 5, seed=42)))
 
 
 def _swap_in_free_module(obj):
@@ -178,56 +193,57 @@ def test_mutation_main_module_swapped_for_free_module(fast_report):
     assert [name for name, _ in verify(obj).failed()] == ["module_rebuild"]
 
 
-def test_exhaustive_point_budget_refused_before_building(monkeypatch):
-    def no_build(*args):
-        raise AssertionError("built before refusing the budget")
-
-    monkeypatch.setattr(pl, "_build", no_build)
-    params = ConstructionParams(n=4, l=3, r=7,
-                                policy=VerificationPolicy(exhaustive_prime=101))
-    with pytest.raises(ParameterError, match="105101005 points"):
-        construct(params)
-
-
 def _shift_exhaustive_anchor(obj):
     _entries(obj["exhaustive"]["anchor"]["basis"], lambda x: str((int(x) + 1) % 5))
 
 
+def _policy(obj):
+    """The ``params.policy`` of a report, which no schema-5 report has."""
+    return obj["params"].setdefault("policy", {})
+
+
 def _stale_retry_budget(obj):
-    obj["params"]["policy"]["retry_budget"] = 320
+    _policy(obj)["retry_budget"] = 320
     _shift_exhaustive_anchor(obj)
 
 
 def _stale_table_window(obj):
-    obj["params"]["policy"]["table_window"] = [-20, 0]
+    _policy(obj)["table_window"] = [-20, 0]
 
 
 def _exhaustive_prime_1009(obj):
-    obj["params"]["policy"]["exhaustive_prime"] = 1009
-    drawn = pl._build(GF(1009), fast_params(3, 2, 5, seed=42), 42)
+    _policy(obj)["exhaustive_prime"] = 1009
+    drawn = pl._build(GF(1009), ConstructionParams(3, 2, 5, seed=42), 42)
     obj["exhaustive"]["anchor"] = _anchor_to_json(drawn)
 
 
 def _stale_point_budget_over_f1009(obj):
     _exhaustive_prime_1009(obj)
-    obj["params"]["policy"]["point_budget"] = 10**12
+    _policy(obj)["point_budget"] = 10**12
 
 
 def _samples_over_budget(obj):
-    obj["params"]["policy"]["random_samples"] = pl.POINT_BUDGET + 1
+    _policy(obj)["random_samples"] = pl.POINT_BUDGET + 1
+
+
+def _qq_samples_1200001(obj):
+    # Over Q, about 7.6 minutes of exact ranks had verify scanned them.
+    _policy(obj)["random_samples"] = 1_200_001
 
 
 # Report policies that once set what verify would spend: each a key that
-# is no longer a setting, or a setting beyond the constant point budget.
+# is no longer a setting.
 @pytest.mark.parametrize("forge, owner", [
     (_stale_retry_budget, "report"),
     (_stale_table_window, "report"),
     (_stale_point_budget_over_f1009, "report"),
-    (_exhaustive_prime_1009, "exhaustive_faithfulness"),
-    (_samples_over_budget, "random_faithfulness"),
+    (_exhaustive_prime_1009, "report"),
+    (_samples_over_budget, "report"),
+    (_qq_samples_1200001, "report"),
 ], ids=lambda x: x.__name__.strip("_") if callable(x) else x)
-def test_forged_policy_is_refused_within_a_second(fast_report, monkeypatch, forge, owner):
-    obj = json.loads(json.dumps(fast_report))
+def test_forged_policy_is_refused_within_a_second(fast_report, qq_report, monkeypatch,
+                                                  forge, owner):
+    obj = json.loads(json.dumps(qq_report if forge is _qq_samples_1200001 else fast_report))
     forge(obj)
     assert [name for name, _ in verify(obj).failed()] == [owner]
     # The step of verify that refuses the forgery enters no scan and no table,
@@ -236,7 +252,7 @@ def test_forged_policy_is_refused_within_a_second(fast_report, monkeypatch, forg
         raise AssertionError("a refused report reached a scan or a table")
 
     for module, name in [(bgg, "_normalized_point_chunks"), (bgg, "_random_point_chunks"),
-                         (pl, "cohomology_table")]:
+                         (bgg, "_rational_points"), (pl, "cohomology_table")]:
         monkeypatch.setattr(module, name, slow_path)
     check = {name: check for name, _, _, check in pl.CHECKS}.get(owner)  # None: report
     t0 = time.perf_counter()
@@ -258,8 +274,8 @@ def _stale_exhaustive_module(obj):
 
 
 def _stale_point_budget(obj):
-    obj["params"]["policy"]["point_budget"] = projective_point_count(5, 3) - 1
-    return "params.policy.point_budget"
+    _policy(obj)["point_budget"] = projective_point_count(5, 3) - 1
+    return "params.policy"
 
 
 def _forged_anchor_dim(obj):
@@ -274,8 +290,8 @@ def _seed_true(obj):
 
 
 def _samples_float(obj):
-    obj["params"]["policy"]["random_samples"] = 500.0
-    return "params.policy.random_samples"
+    _policy(obj)["random_samples"] = 500.0
+    return "params.policy"
 
 
 @pytest.mark.parametrize("forge", [_bogus_key, _stale_exhaustive_module,
@@ -301,31 +317,34 @@ def test_attempts_outside_the_retry_budget_fail_the_report(fast_report, attempts
     assert "attempts" in verdict.failed()[0][1]
 
 
-def test_sample_count_beyond_the_points_or_the_budget_refused_before_building(
-        monkeypatch, capsys):
+def test_negative_seed_refused_before_building(fast_report, monkeypatch, capsys):
     def no_build(*args):
-        raise AssertionError("built before refusing the sample count")
+        raise AssertionError("built before refusing the seed")
 
     monkeypatch.setattr(pl, "_build", no_build)
-    with pytest.raises(ParameterError, match="exceed the point budget 2000000"):
-        construct(fast_params(3, 2, 5, policy=VerificationPolicy(
-            random_samples=pl.POINT_BUDGET + 1)))
-    # The box [-9, 9]^4 holds 130,320 nonzero vectors but 60,640 points of P^3.
-    assert cli_main(["construct", "--n", "3", "--l", "2", "--r", "5", "--field", "qq",
-                     "--exhaustive-field", "5", "--samples", "60641"]) == 2
-    assert "60640 points" in capsys.readouterr().err
+    for field in ("fp:32003", "qq"):
+        assert cli_main(["construct", "--n", "3", "--l", "2", "--r", "5",
+                         "--field", field, "--seed", "-1"]) == 2
+        assert "seed -1" in capsys.readouterr().err
+    obj = dict(fast_report, params=dict(fast_report["params"], seed=-1))
+    verdict = verify(obj)
+    assert [name for name, _ in verdict.failed()] == ["report"]
+    assert "seed -1" in verdict.failed()[0][1]
 
 
-# Forging any section of this report must fail exactly the check that
+def test_small_working_field_scans_all_its_points(tmp_path, capsys):
+    # P^3(F_5) has 156 points, fewer than a random scan's sample count.
+    out = tmp_path / "rep.json"
+    assert cli_main(["construct", "--n", "3", "--l", "2", "--r", "5",
+                     "--field", "fp:5", "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["random_scan"]["points_checked"] == projective_point_count(5, 3) == 156
+    assert cli_main(["verify", "--in", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("overall: PASS\n")
+
+
+# Forging any section of the fast report must fail exactly the check that
 # recomputes it.
-FORGE_POLICY = VerificationPolicy(exhaustive_prime=7, random_samples=200)
-
-
-@pytest.fixture(scope="module")
-def forge_report():
-    return report_to_json(construct(fast_params(3, 2, 5, seed=42, policy=FORGE_POLICY)))
-
-
 def _entries(obj, f):
     obj["entries"] = [[f(x) for x in row] for row in obj["entries"]]
 
@@ -350,9 +369,9 @@ def _forge_exhaustive_field(obj):
 
 
 def _forge_exhaustive_block_over_f3(obj):
-    params = fast_params(3, 2, 5, seed=42,
-                         policy=VerificationPolicy(exhaustive_prime=3, random_samples=200))
-    obj["exhaustive"] = report_to_json(construct(params))["exhaustive"]
+    with small_scans(prime=3):
+        rep = construct(ConstructionParams(3, 2, 5, seed=42))
+    obj["exhaustive"] = report_to_json(rep)["exhaustive"]
 
 
 def _forge_deleted_module(obj):
@@ -373,7 +392,7 @@ def _forge_exhaustive_anchor_w4(obj):
 
 
 def _forge_exhaustive_anchor(obj):
-    _entries(obj["exhaustive"]["anchor"]["basis"], lambda x: str((int(x) + 1) % 7))
+    _entries(obj["exhaustive"]["anchor"]["basis"], lambda x: str((int(x) + 1) % 5))
 
 
 def _forge_exhaustive_scan(obj):
@@ -385,11 +404,11 @@ def _forge_random_scan(obj):
 
 
 def _forge_random_samples(obj):
-    obj["params"]["policy"]["random_samples"] = 10**6
+    _policy(obj)["random_samples"] = 10**6
 
 
 def _forge_negative_random_samples(obj):
-    obj["params"]["policy"]["random_samples"] = -5
+    _policy(obj)["random_samples"] = -5
 
 
 def _forge_attempts(obj):
@@ -444,8 +463,8 @@ def _forge_conventions(obj):
     (_forge_exhaustive_anchor_w4, "exhaustive_faithfulness"),
     (_forge_exhaustive_scan, "exhaustive_faithfulness"),
     (_forge_random_scan, "random_faithfulness"),
-    (_forge_random_samples, "random_faithfulness"),
-    (_forge_negative_random_samples, "random_faithfulness"),
+    (_forge_random_samples, "report"),
+    (_forge_negative_random_samples, "report"),
     (_forge_cohomology_entry, "cohomology"),
     (_forge_table_window, "cohomology"),
     (_forge_hd, "cohomology"),
@@ -455,15 +474,15 @@ def _forge_conventions(obj):
     (_forge_multiplicity, "parameters"),
     (_forge_conventions, "parameters"),
 ], ids=lambda x: x.__name__[len("_forge_"):] if callable(x) else x)
-def test_forged_section_fails_exactly_its_check(forge_report, forge, owner):
-    obj = json.loads(json.dumps(forge_report))
+def test_forged_section_fails_exactly_its_check(fast_report, forge, owner):
+    obj = json.loads(json.dumps(fast_report))
     forge(obj)
     assert [name for name, _ in verify(obj).failed()] == [owner]
 
 
-def test_forged_attempts_fail_both_faithfulness_checks(forge_report):
+def test_forged_attempts_fail_both_faithfulness_checks(fast_report):
     # attempts fixes the seed of the random scan and of the exhaustive anchor.
-    obj = json.loads(json.dumps(forge_report))
+    obj = json.loads(json.dumps(fast_report))
     _forge_attempts(obj)
     assert [name for name, _ in verify(obj).failed()] == ["random_faithfulness",
                                                           "exhaustive_faithfulness"]
@@ -484,7 +503,7 @@ def test_construct_and_verify_walk_one_check_list(monkeypatch):
     names = ["parameters", "exterior_relations", "anchoring", "module_rebuild",
              "hom_dimension", "rank", "random_faithfulness",
              "exhaustive_faithfulness", "cohomology"]
-    rep = construct(fast_params(3, 2, 5, seed=42, policy=FORGE_POLICY))
+    rep = construct(ConstructionParams(3, 2, 5, seed=42))
     assert rep.attempts == 1 and walked == names
     obj = report_to_json(rep)
     walked.clear()
@@ -499,7 +518,7 @@ def test_construct_and_verify_walk_one_check_list(monkeypatch):
     assert not inputs & set(sections)
 
 def test_cas_script_contents():
-    obj = report_to_json(construct(fast_params(3, 2, 5, seed=42)))
+    obj = report_to_json(construct(ConstructionParams(3, 2, 5, seed=42)))
     script = cas_script(obj)
     assert "kk = ZZ/32003" in script
     assert "coker" in script and "sheaf M" in script
@@ -512,7 +531,7 @@ def test_loud_failure_on_verdict_disagreement(monkeypatch):
     import bggbundles.pipeline as pl
     monkeypatch.setattr(pl, "hom_space_dim", lambda P: 2)
     with pytest.raises(RuntimeError, match="disagree"):
-        construct(fast_params(3, 2, 5, seed=42))
+        construct(ConstructionParams(3, 2, 5, seed=42))
 
 
 def test_retry_on_bad_genericity(monkeypatch):
@@ -530,7 +549,7 @@ def test_retry_on_bad_genericity(monkeypatch):
         return real(prob)
 
     monkeypatch.setattr(pl, "is_anchoring", flaky)
-    rep = construct(fast_params(3, 2, 5, seed=42))
+    rep = construct(ConstructionParams(3, 2, 5, seed=42))
     assert rep.attempts == 2 and rep.hom_dim == 1
 
 
@@ -539,11 +558,8 @@ def test_retry_budget_exhausted(monkeypatch):
     from bggbundles import AnchorVerdict
     monkeypatch.setattr(pl, "is_anchoring", lambda prob: AnchorVerdict(False, 2))
     monkeypatch.setattr(pl, "RETRY_BUDGET", 3)
-    params = ConstructionParams(
-        n=3, l=2, r=5, seed=0,
-        policy=VerificationPolicy(exhaustive_prime=5, random_samples=50))
     with pytest.raises(pl.RetryBudgetError) as exc:
-        construct(params)
+        construct(ConstructionParams(n=3, l=2, r=5, seed=0))
     assert len(exc.value.diagnostics) == 3
 
 
@@ -552,8 +568,7 @@ def test_cli_construct_verify_cohomology(tmp_path, capsys):
     cas = tmp_path / "cas.txt"
     tbl = tmp_path / "tbl.txt"
     code = cli_main(["construct", "--n", "3", "--l", "2", "--r", "5",
-                     "--seed", "42", "--exhaustive-field", "5",
-                     "--samples", "500", "--out", str(out),
+                     "--seed", "42", "--out", str(out),
                      "--emit-cas", str(cas), "--emit-table", str(tbl)])
     assert code == 0
     assert out.exists() and cas.exists() and tbl.exists()
@@ -566,8 +581,7 @@ def test_cli_construct_verify_cohomology(tmp_path, capsys):
 def test_cli_verify_fails_on_mutation(tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert cli_main(["construct", "--n", "3", "--l", "1", "--r", "3",
-                     "--seed", "0", "--exhaustive-field", "5",
-                     "--samples", "200", "--out", str(out)]) == 0
+                     "--seed", "0", "--out", str(out)]) == 0
     obj = json.loads(out.read_text())
     obj["module"]["actions"][0][0]["entries"][0][0] = "777"
     out.write_text(json.dumps(obj))
@@ -577,26 +591,14 @@ def test_cli_verify_fails_on_mutation(tmp_path, capsys):
 
 def test_cli_bad_params_exit_code(capsys):
     assert cli_main(["construct", "--n", "2", "--l", "1", "--r", "3"]) == 2
-    # P^3(F_7) has 400 points, fewer than the 10000 default samples.
-    assert cli_main(["construct", "--n", "3", "--l", "2", "--r", "5",
-                     "--field", "fp:7", "--exhaustive-field", "5"]) == 2
-    assert "400 points" in capsys.readouterr().err
+    # The scans' sizes are constants, not flags.
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["construct", "--n", "3", "--l", "2", "--r", "5", "--samples", "500"])
+    assert exc.value.code == 2
     assert cli_main(["construct", "--n", "3", "--l", "2", "--r", "5",
                      "--field", "fp:2147483647"]) == 2
     assert cli_main(["anchor", "--u", "2", "--w", "4", "--d", "1"]) == 2
     capsys.readouterr()
-
-
-def test_negative_sample_count_refused_before_building(monkeypatch, capsys):
-    def no_build(*args):
-        raise AssertionError("built before refusing the sample count")
-
-    monkeypatch.setattr(pl, "_build", no_build)
-    with pytest.raises(ParameterError, match="at least one"):
-        construct(fast_params(3, 2, 5, policy=VerificationPolicy(random_samples=0)))
-    assert cli_main(["construct", "--n", "3", "--l", "2", "--r", "5",
-                     "--exhaustive-field", "5", "--samples", "-5"]) == 2
-    assert "-5 random samples" in capsys.readouterr().err
 
 
 def test_cli_anchor(capsys):

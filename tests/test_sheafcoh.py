@@ -7,11 +7,11 @@ from math import comb
 import numpy as np
 import pytest
 
-from bggbundles import sheafcoh
+from bggbundles import pipeline, sheafcoh
 from bggbundles import (GF, QQ, CertificationError, CohomologyCalculator,
                         DenseMatrix, MatrixOfLinearForms, Subspace, bgg_complex,
                         certify_hd, cohomology_table, construct,
-                        ConstructionParams, VerificationPolicy, euler_line,
+                        ConstructionParams, euler_line,
                         free_truncated, line_coh, monomials, quotient_top,
                         strand_map)
 from bggbundles.anchor import sample_anchoring
@@ -211,9 +211,9 @@ def test_certify_rank5_example():
     assert cert.nonvanishing == (1, -4, 2)
 
 
-def test_certify_n3_l1_example():
-    pol = VerificationPolicy(exhaustive_prime=5)
-    rep = construct(ConstructionParams(n=3, l=1, r=3, seed=0, policy=pol))
+def test_certify_n3_l1_example(monkeypatch):
+    monkeypatch.setattr(pipeline, "default_exhaustive_prime", lambda n: 5)
+    rep = construct(ConstructionParams(n=3, l=1, r=3, seed=0))
     calc = CohomologyCalculator(rep.complex)
     assert calc.dim_h(2, -4) == 2
     cert = certify_hd(rep.module, rep.complex, calc=calc)
