@@ -14,14 +14,28 @@ is the Koszul complex tensored with U, which is exact at every nonzero point
 at v exactly when L n ker(v-wedge : U (x) wedge^l -> U (x) wedge^(l+1)) != 0:
 the image of the incoming map is ker(v-wedge) by Koszul exactness, and the
 quotient by L loses dim(L n ker(v-wedge)) of its rank.  ``faithfulness_scan``
-therefore takes the anchor L, not a complex, and tests this condition with
-one rank per point.
+therefore takes the anchor L, not a complex, and tests this condition on the
+N x k matrix of linear forms D = v-wedge|_L (N = p*C(n+1, l+1), k = dim L).
+
+The exhaustive scan first tries to decide the condition at every point at
+once.  The degree-a strand of the transpose of D maps g in S_(a-1) (x) k^N
+to h = D^T g in S_a (x) k^k; if it is onto, no point over the algebraic
+closure fails.  For suppose D(v) lam = 0 with v != 0.  Every h in the image
+has sum_i h_i(v) lam_i = g(v) . D(v) lam = 0, and the image holds every
+x^alpha e_i, so v^alpha lam_i = 0 for every degree-a monomial; one of them
+is nonzero at v, so lam = 0.  The converse holds only for large a: if L is
+faithful over the closure, the cokernel of D^T has finite length and every
+high enough strand is onto.  An anchor that fails at some point has no
+certificate at any degree, and only the enumeration of P^n(F_q), one rank
+per point, can say where it fails, so the scan enumerates when N <= k or
+when no strand within ``CERTIFICATE_CELLS`` cells is onto.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, gcd
 
 import numpy as np
@@ -36,6 +50,7 @@ from .matrix import DenseMatrix, ShapeError
 
 POINT_BUDGET = 2_000_000  # most points one scan may test
 HEIGHT = 9  # a random point over Q has coordinates in [-HEIGHT, HEIGHT]
+CERTIFICATE_CELLS = 2_000_000  # largest strand an exhaustive scan ranks
 
 
 class PointBudgetError(ValueError):
@@ -112,6 +127,10 @@ class FaithfulnessReport:
     points_checked: int
     failures: tuple  # (enumeration index, point tuple, degree)
     seed: int | None = None
+    # (a, rows, cols) of the onto strand that decided an exhaustive scan, None
+    # when the points were enumerated: how the verdict was reached, not part
+    # of it, so reports of either path compare equal.
+    certificate: tuple | None = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -302,6 +321,29 @@ def _anchor_restriction(anchor: AnchorProblem, n: int, l: int) -> MatrixOfLinear
                                      for j in range(n + 1)))
 
 
+def _strand_certificate(D: MatrixOfLinearForms):
+    """``(a, rows, cols)`` for the first degree a whose strand of the
+    transposed forms, S_(a-1) (x) k^N -> S_a (x) k^k for the N x k matrix
+    ``D``, is onto, or None when N <= k or no strand of at most
+    ``CERTIFICATE_CELLS`` cells is.  An onto strand proves that D(v) has rank
+    k at every nonzero v over the algebraic closure.
+
+    Below a = ceil(n*k / (N - k)) the strand has fewer columns than rows.
+    """
+    from .sheafcoh import _transpose_forms, strand_map  # sheafcoh imports bgg
+
+    n, N, k = D.nvars - 1, D.nrows, D.ncols
+    if N <= k:
+        return None
+    Dt = _transpose_forms(D)
+    for a in itertools.count(-(-n * k // (N - k))):
+        rows, cols = comb(n + a, n) * k, comb(n + a - 1, n) * N
+        if rows * cols > CERTIFICATE_CELLS:
+            return None
+        if strand_map(Dt, a - 1).rank() == rows:
+            return a, rows, cols
+
+
 def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int,
                       l: int, samples: int = 10000, seed: int = 0,
                       chunk: int = 1 << 16) -> FaithfulnessReport:
@@ -309,8 +351,17 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
     ``anchor`` in U (x) wedge^l: the points where the quotient of
     ``free_truncated(anchor.u, l, n)`` by L is not locally free.
 
-    ``exhaustive`` iterates every normalized representative of P^n(F_q) (the
-    anchor must be over a prime field whose point count fits the budget);
+    ``exhaustive`` covers every point of P^n(F_q) (the anchor must be over a
+    prime field whose point count fits the budget).  It first ranks the
+    strands of ``_strand_certificate``.  One that is onto proves that no point
+    over the algebraic closure fails: a kernel vector lam of D(v) pairs to 0
+    with every h = D^T g evaluated at v, so with every x^alpha e_i, which
+    forces lam = 0.  The report then lists no failure and records the strand
+    in ``certificate``.  This is sound at every degree, and complete only for
+    large degrees, where a faithful anchor's strands are all onto.
+    Otherwise, always for an anchor that does fail somewhere, it enumerates
+    every normalized representative with one rank per point, which is what
+    names the failing points.
     ``random`` samples ``samples`` distinct seeded points; ``scan_point_count``
     refuses counts beyond the points or the budget.  A failure is recorded as
     (enumeration index, point, l - 1), the degree at which the quotient's
@@ -323,6 +374,9 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
     f, d = anchor.field, anchor.d
     count = scan_point_count(f, n, mode, samples)
     if mode == "exhaustive":
+        certificate = _strand_certificate(D)
+        if certificate is not None:
+            return FaithfulnessReport(mode, repr(f), count, (), None, certificate)
         points = _normalized_point_chunks(f.p, n, chunk)
         seed = None
     elif isinstance(f, PrimeField):

@@ -17,9 +17,9 @@ import sys
 from . import __version__
 from .anchor import AnchoringSearchError, annihilator, is_anchoring, sample_anchoring
 from .fields import FieldError
-from .pipeline import (ConstructionParams, ParameterError, RetryBudgetError,
-                       _instance_from_report, cas_script, construct, parse_field,
-                       report_to_json_str, verify)
+from .pipeline import (SCHEMA_VERSION, ConstructionParams, ParameterError,
+                       RetryBudgetError, _instance_from_report, cas_script, construct,
+                       parse_field, report_to_json_str, verify)
 from .sheafcoh import CohomologyCalculator, cohomology_table
 
 EXIT_OK = 0
@@ -107,6 +107,10 @@ def _cmd_anchor(args) -> int:
 def _cmd_cohomology(args) -> int:
     with open(args.infile) as fh:
         report = json.load(fh)
+    schema = report.get("schema") if isinstance(report, dict) else None
+    if schema != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema {schema} (this version reads schema "
+                         f"{SCHEMA_VERSION})")
     C = _instance_from_report(report).C
     table = cohomology_table(C, args.t_lo, args.t_hi, CohomologyCalculator(C))
     print(table.to_text())

@@ -7,9 +7,12 @@ the truncated free module by an anchoring subspace of the top piece, and
 verifies everything it claims: faithfulness (a scan of ``RANDOM_SAMPLES``
 random points of P^n over the working field, or all of them if there are
 fewer, plus an exhaustive scan of a same-seed anchor drawn over the field
-``GF(default_exhaustive_prime(n))``), simplicity (endomorphism dimension 1),
-rank and certified homological dimension.  The whole record is serialized
-into a self-contained JSON report.
+``GF(default_exhaustive_prime(n))``, which an onto strand of the anchor's
+matrix of linear forms decides at every point at once and which enumerates
+the points only when no strand within the cap is onto), simplicity
+(endomorphism dimension 1), rank and certified homological dimension.  The
+whole record is serialized into a self-contained JSON report; the
+``exhaustive_faithfulness`` verdict says which way its scan was decided.
 
 The one random choice is the anchor, drawn by ``sample_anchoring`` at the
 seed ``params.seed + attempts - 1``; the retry budget, the point budget, the
@@ -258,7 +261,12 @@ def _check_random_faithfulness(inst):
 def _check_exhaustive_faithfulness(inst):
     params, exL = inst.params, inst.exL
     scan = faithfulness_scan(exL, "exhaustive", n=params.n, l=params.l)
-    return (scan.ok, f"{scan.points_checked} points, {len(scan.failures)} failures",
+    if scan.certificate is not None:
+        a, rows, cols = scan.certificate
+        how = f"certified by the degree-{a} strand ({rows}x{cols})"
+    else:
+        how = "enumerated"
+    return (scan.ok, f"{how}, {scan.points_checked} points, {len(scan.failures)} failures",
             (exL, field_spec(exL.field), scan))
 
 

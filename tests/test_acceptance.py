@@ -14,11 +14,12 @@ import pytest
 
 from bggbundles import (GF, QQ, ConstructionParams, DenseMatrix, LinearComplex,
                         annihilator, anchoring_tensor, bgg_complex,
-                        cohomology_table, construct, free_truncated,
+                        cohomology_table, construct, faithfulness_scan, free_truncated,
                         is_anchoring, line_coh, pair_solution_dim,
                         projective_point_count, report_to_json, Subspace, verify,
                         with_replaced_anchor)
 from bggbundles.anchor import AnchorProblem
+import bggbundles.bgg as bgg
 import bggbundles.pipeline as pl
 from scan_oracle import full_complex_scan
 
@@ -53,7 +54,14 @@ def test_acceptance_1_rank5_example_reproduction():
     assert rep.exhaustive_field_spec == "fp:101"
     assert rep.exhaustive_scan.points_checked == 1040604
     assert rep.exhaustive_scan.failures == ()
+    assert rep.exhaustive_scan.certificate == (1, 4, 8)
     assert elapsed < 60, f"rank-5 example took {elapsed:.1f}s"
+    # The certificate stands in for ranking every point; rank them all once.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bgg, "_strand_certificate", lambda D: None)
+        enumerated = faithfulness_scan(rep.exhaustive_anchor, "exhaustive", n=3, l=2)
+    assert enumerated.certificate is None
+    assert enumerated == rep.exhaustive_scan
     _report(1)
 
 
@@ -64,6 +72,8 @@ def test_acceptance_2_construction_grid(construction_grid):
         assert rep.rank == r, (n, l, r)
         assert rep.hd.value == l, (n, l, r)
         assert rep.hom_dim == 1, (n, l, r)
+        # A strand of low degree decides every exhaustive block of the grid.
+        assert rep.exhaustive_scan.certificate[0] <= 3, (n, l, r)
     assert elapsed < 900, f"grid took {elapsed:.0f}s"
     _report(2)
 

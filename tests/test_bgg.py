@@ -1,6 +1,8 @@
 """Linear complexes, fiber evaluation and faithfulness scans."""
 
+import itertools
 import random
+from contextlib import contextmanager
 from math import comb, gcd
 
 import numpy as np
@@ -11,8 +13,11 @@ from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, LinearComplex,
                         anchoring_tensor, bgg_complex, choose_parameters,
                         evaluate_fiber, faithfulness_scan, free_truncated,
                         projective_point_count, quotient_top, tensor_to_subspace)
-from bggbundles.bgg import (POINT_BUDGET, _random_point_chunks, _rational_points,
+import bggbundles.bgg as bgg
+from bggbundles.bgg import (CERTIFICATE_CELLS, POINT_BUDGET, _anchor_restriction,
+                            _random_point_chunks, _rational_points, _strand_certificate,
                             rational_point_count)
+from bggbundles.sheafcoh import _transpose_forms, strand_map
 from scan_oracle import exact_at_point, full_complex_scan
 
 F = GF(32003)
@@ -27,6 +32,14 @@ def zero_anchor(field, u, n, l):
 def e0_anchor(field):
     """L = e_0 (x) wedge^1 in P^3, which meets ker(v-wedge) only at v = e_0."""
     return AnchorProblem(1, 4, Subspace(DenseMatrix(field, [[1, 0, 0, 0]], 4)))
+
+
+@contextmanager
+def enumerating():
+    """Exhaustive scans without the strand certificate: every point is ranked."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bgg, "_strand_certificate", lambda D: None)
+        yield
 
 
 def test_bgg_complex_terms():
@@ -94,19 +107,62 @@ def test_exhaustive_scan_free_small_fields():
     for q in (2, 3):
         for n in (2, 3):
             for l in range(1, n):
-                rep = faithfulness_scan(zero_anchor(GF(q), 1, n, l), "exhaustive",
-                                        n=n, l=l)
-                assert rep.ok
+                L = zero_anchor(GF(q), 1, n, l)
+                rep = faithfulness_scan(L, "exhaustive", n=n, l=l)
+                # L = 0 needs no injectivity: its strands have no rows.
+                assert rep.ok and rep.certificate is not None
                 assert rep.points_checked == projective_point_count(q, n)
+                with enumerating():
+                    assert faithfulness_scan(L, "exhaustive", n=n, l=l) == rep
 
 
 def test_exhaustive_scan_finds_failures():
     rep = faithfulness_scan(e0_anchor(GF(5)), "exhaustive", n=3, l=1)
-    assert not rep.ok
+    assert not rep.ok and rep.certificate is None
     # Exactly the point [1:0:0:0], at degree 0.
     assert len(rep.failures) == 1
     idx, point, degree = rep.failures[0]
     assert point == (1, 0, 0, 0) and degree == 0
+
+
+def _strand_onto(D, a):
+    """Whether the degree-a strand of the transposed forms of the N x k matrix
+    ``D``, S_(a-1) (x) k^N -> S_a (x) k^k, is onto."""
+    n, N, k = D.nvars - 1, D.nrows, D.ncols
+    S = strand_map(_transpose_forms(D), a - 1)
+    assert S.shape == (comb(n + a, n) * k, comb(n + a - 1, n) * N)
+    return S.rank() == S.nrows
+
+
+def _capped_degrees(D):
+    """The degrees a >= 1 whose strand has at most ``CERTIFICATE_CELLS`` cells."""
+    n, N, k = D.nvars - 1, D.nrows, D.ncols
+    return itertools.takewhile(
+        lambda a: comb(n + a, n) * k * comb(n + a - 1, n) * N <= CERTIFICATE_CELLS,
+        itertools.count(1))
+
+
+def test_decomposable_anchor_is_never_certified():
+    # v-wedge kills e_0 (x) e_0 at v = e_0, over every field: each strand
+    # misses exactly one dimension, so no degree certifies it.
+    for q in (3, 5, 101):
+        D = _anchor_restriction(e0_anchor(GF(q)), 3, 1)
+        assert (D.nrows, D.ncols) == (6, 1)
+        assert _strand_certificate(D) is None
+        assert not any(_strand_onto(D, a) for a in _capped_degrees(D))
+        assert all(strand_map(_transpose_forms(D), a - 1).rank() == comb(3 + a, 3) - 1
+                   for a in (1, 2, 3))
+
+
+def test_anchor_outgrowing_its_target_is_enumerated():
+    # dim L = 4 = N inside wedge^2 of k^4: L meets the 3-dimensional
+    # ker(v-wedge) at every point, and no strand can be onto.
+    rows = DenseMatrix.identity(GF(5), 6).rows()[:4]
+    L = AnchorProblem(1, 6, Subspace(DenseMatrix(GF(5), rows, 6)))
+    assert _strand_certificate(_anchor_restriction(L, 3, 2)) is None
+    rep = faithfulness_scan(L, "exhaustive", n=3, l=2)
+    assert rep.certificate is None
+    assert len(rep.failures) == rep.points_checked == projective_point_count(5, 3)
 
 
 def test_exhaustive_scan_budget():
@@ -237,6 +293,38 @@ def _equivalence_anchors(field, p, d, w):
     return anchors
 
 
+GRID = tuple((n, l, r) for n in (3, 4) for l in range(1, n) for r in range(n, n + 4))
+
+
+def test_certificate_agrees_with_enumeration():
+    # Over F_3, F_5 and F_7 a certified anchor scans clean, every anchor that
+    # fails at a point has no onto strand up to the cap, and either way the
+    # scan reports what the enumeration of every point reports.
+    certified = failing = 0
+    for q in (3, 5, 7):
+        for n, l, r in GRID:
+            p, d = choose_parameters(n, l, r)
+            for L in _equivalence_anchors(GF(q), p, d, comb(n + 1, l)):
+                D = _anchor_restriction(L, n, l)
+                scan = faithfulness_scan(L, "exhaustive", n=n, l=l)
+                with enumerating():
+                    enumerated = faithfulness_scan(L, "exhaustive", n=n, l=l)
+                assert scan == enumerated, (q, n, l, r)
+                assert enumerated.certificate is None
+                if scan.certificate is not None:
+                    certified += 1
+                    assert enumerated.ok, (q, n, l, r)
+                    a, rows, cols = scan.certificate
+                    # The first onto strand, of the shape recorded.
+                    assert [b for b in range(1, a + 1) if _strand_onto(D, b)] == [a]
+                    assert strand_map(_transpose_forms(D), a - 1).shape == (rows, cols)
+                if not enumerated.ok:
+                    failing += 1
+                    assert scan.certificate is None, (q, n, l, r)
+                    assert not any(_strand_onto(D, a) for a in _capped_degrees(D))
+    assert certified > 0 and failing > 0, (certified, failing)
+
+
 def test_anchored_scan_matches_full_complex_scan():
     cases = ((3, 1, 3), (3, 1, 4), (3, 2, 3), (3, 2, 5), (3, 2, 6),
              (4, 1, 5), (4, 2, 5), (4, 2, 7), (4, 3, 5), (4, 3, 7))
@@ -253,8 +341,9 @@ def test_anchored_scan_matches_full_complex_scan():
                 samples = projective_point_count(q, n) // 2
                 for mode in ("exhaustive", "random"):
                     full = full_complex_scan(C, mode, samples=samples, seed=q + n)
-                    anchored = faithfulness_scan(L, mode, n=n, l=l, samples=samples,
-                                                 seed=q + n)
+                    with enumerating():  # the certificate is cross-checked above
+                        anchored = faithfulness_scan(L, mode, n=n, l=l, samples=samples,
+                                                     seed=q + n)
                     assert anchored == full, (q, n, l, r, mode)
                     assert all(deg == l - 1 for _, _, deg in full.failures)
                     compared[mode] += 1

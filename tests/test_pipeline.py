@@ -99,6 +99,17 @@ def test_report_roundtrip_verify():
     assert "hom_dimension" in names and "exhaustive_faithfulness" in names
 
 
+def test_exhaustive_detail_says_how_the_verdict_was_reached(fast_report, monkeypatch):
+    def detail():
+        verdict = verify(fast_report)
+        assert verdict.ok
+        return {name: text for name, _, text in verdict.checks}["exhaustive_faithfulness"]
+
+    assert detail() == "certified by the degree-1 strand (4x8), 156 points, 0 failures"
+    monkeypatch.setattr(bgg, "_strand_certificate", lambda D: None)
+    assert detail() == "enumerated, 156 points, 0 failures"
+
+
 def test_report_determinism():
     a = report_to_json(construct(ConstructionParams(3, 2, 5, seed=42)))
     b = report_to_json(construct(ConstructionParams(3, 2, 5, seed=42)))
@@ -575,6 +586,25 @@ def test_cli_construct_verify_cohomology(tmp_path, capsys):
     assert cli_main(["verify", "--in", str(out)]) == 0
     assert cli_main(["cohomology", "--in", str(out),
                      "--t-lo", "-6", "--t-hi", "0"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_cohomology_refuses_another_schema(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert cli_main(["construct", "--n", "3", "--l", "2", "--r", "5",
+                     "--seed", "42", "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    for schema in (99, 4, None):
+        obj["schema"] = schema
+        out.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli_main(["cohomology", "--in", str(out),
+                         "--t-lo", "-6", "--t-hi", "0"]) == 2
+        captured = capsys.readouterr()
+        assert f"unsupported schema {schema}" in captured.err
+        assert captured.out == ""
+    out.write_text("[]")
+    assert cli_main(["cohomology", "--in", str(out), "--t-lo", "-6", "--t-hi", "0"]) == 2
     capsys.readouterr()
 
 
