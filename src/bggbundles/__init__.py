@@ -3,9 +3,10 @@
 Construct bundles of prescribed rank and homological dimension as cokernels
 of linear complexes attached to quotients of truncated free modules over the
 exterior algebra, and verify every claimed property with exact linear
-algebra: faithfulness by point scans, simplicity by endomorphism-space
-dimension, rank by Euler characteristics, homological dimension by certified
-cohomology vanishing.
+algebra: faithfulness by a strand certificate of the reported anchor over its
+own field (no other anchor is drawn) beside a random point scan, simplicity
+by endomorphism-space dimension, rank by Euler characteristics, homological
+dimension by certified cohomology vanishing.
 """
 
 __version__ = "0.1.0"
@@ -29,8 +30,7 @@ from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable
                        line_coh, monomials, strand_map)
 from .pipeline import (BundleReport, ConstructionParams, ParameterError,
                        RetryBudgetError, cas_script, choose_parameters,
-                       construct, report_to_json, report_to_json_str, verify,
-                       with_replaced_anchor)
+                       construct, report_to_json, report_to_json_str, verify)
 
 __all__ = [
     "GF", "QQ", "FieldError", "PrimeField", "RationalField",
@@ -52,5 +52,5 @@ __all__ = [
     "line_coh", "monomials", "strand_map",
     "BundleReport", "ConstructionParams", "ParameterError", "RetryBudgetError",
     "cas_script", "choose_parameters", "construct", "report_to_json",
-    "report_to_json_str", "verify", "with_replaced_anchor",
+    "report_to_json_str", "verify",
 ]

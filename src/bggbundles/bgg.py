@@ -17,25 +17,26 @@ quotient by L loses dim(L n ker(v-wedge)) of its rank.  ``faithfulness_scan``
 therefore takes the anchor L, not a complex, and tests this condition on the
 N x k matrix of linear forms D = v-wedge|_L (N = p*C(n+1, l+1), k = dim L).
 
-The exhaustive scan first tries to decide the condition at every point at
-once.  The degree-a strand of the transpose of D maps g in S_(a-1) (x) k^N
-to h = D^T g in S_a (x) k^k; if it is onto, no point over the algebraic
-closure fails.  For suppose D(v) lam = 0 with v != 0.  Every h in the image
-has sum_i h_i(v) lam_i = g(v) . D(v) lam = 0, and the image holds every
-x^alpha e_i, so v^alpha lam_i = 0 for every degree-a monomial; one of them
-is nonzero at v, so lam = 0.  The converse holds only for large a: if L is
-faithful over the closure, the cokernel of D^T has finite length and every
+The exhaustive scan decides the condition at every point at once, over the
+anchor's own field.  The degree-a strand of the transpose of D maps g in
+S_(a-1) (x) k^N to h = D^T g in S_a (x) k^k; if it is onto, no point over the
+algebraic closure fails.  For suppose D(v) lam = 0 with v != 0.  Every h in
+the image has sum_i h_i(v) lam_i = g(v) . D(v) lam = 0, and the image holds
+every x^alpha e_i, so v^alpha lam_i = 0 for every degree-a monomial; one of
+them is nonzero at v, so lam = 0.  The converse holds only for large a: if L
+is faithful over the closure, the cokernel of D^T has finite length and every
 high enough strand is onto.  An anchor that fails at some point has no
-certificate at any degree, and only the enumeration of P^n(F_q), one rank
-per point, can say where it fails, so the scan enumerates when N <= k or
-when no strand within ``CERTIFICATE_CELLS`` cells is onto.
+certificate at any degree, so a scan without an onto strand within
+``CERTIFICATE_CELLS`` cells is not ok.  It names no failing point.  An
+enumeration of P^n(F_q) would, but it checks only the F_q-rational points,
+so it proves nothing about the closure; it is kept as a test oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, gcd
 
 import numpy as np
@@ -48,7 +49,7 @@ from .fields import PrimeField
 from .matrix import DenseMatrix, ShapeError
 
 
-POINT_BUDGET = 2_000_000  # most points one scan may test
+POINT_BUDGET = 2_000_000  # most points a random scan may test
 HEIGHT = 9  # a random point over Q has coordinates in [-HEIGHT, HEIGHT]
 CERTIFICATE_CELLS = 2_000_000  # largest strand an exhaustive scan ranks
 
@@ -124,17 +125,18 @@ class LinearComplex:
 class FaithfulnessReport:
     mode: str
     field_desc: str
-    points_checked: int
+    points_checked: int | None  # of P^n(F_q); None for an exhaustive scan over Q
     failures: tuple  # (enumeration index, point tuple, degree)
     seed: int | None = None
-    # (a, rows, cols) of the onto strand that decided an exhaustive scan, None
-    # when the points were enumerated: how the verdict was reached, not part
-    # of it, so reports of either path compare equal.
-    certificate: tuple | None = field(default=None, compare=False)
+    # (a, rows, cols) of the onto strand that proves an exhaustive scan, or
+    # None when no strand within the cap is onto.
+    certificate: tuple | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """No failing point, and an exhaustive scan's every point certified."""
+        return not self.failures and (self.mode != "exhaustive"
+                                      or self.certificate is not None)
 
 
 def bgg_complex(P: GradedEModule) -> LinearComplex:
@@ -172,17 +174,10 @@ def rational_point_count(n: int, height: int = HEIGHT) -> int:
         rational_point_count(n, height // d) for d in range(2, height + 1))) // 2
 
 
-def scan_point_count(field, n: int, mode: str, samples: int = 0) -> int:
-    """The points a scan of P^n over ``field`` tests: every point of P^n(F_q)
-    when ``exhaustive``, else ``samples`` distinct ones.  Raises ValueError
-    unless that is at least one, within budget and no more than exist."""
-    if mode == "exhaustive":
-        if not isinstance(field, PrimeField):
-            raise ValueError("exhaustive scans need a prime field")
-        count = projective_point_count(field.p, n)
-        if count > POINT_BUDGET:
-            raise PointBudgetError(f"{count} points exceed the budget {POINT_BUDGET}")
-        return count
+def scan_point_count(field, n: int, samples: int) -> int:
+    """The points a random scan of P^n over ``field`` tests, ``samples``
+    distinct ones.  Raises ValueError unless that is at least one, within
+    budget and no more than exist."""
     if samples < 1:
         raise ValueError(f"{samples} random samples: a scan needs at least one sample")
     if samples > POINT_BUDGET:
@@ -321,27 +316,33 @@ def _anchor_restriction(anchor: AnchorProblem, n: int, l: int) -> MatrixOfLinear
                                      for j in range(n + 1)))
 
 
-def _strand_certificate(D: MatrixOfLinearForms):
-    """``(a, rows, cols)`` for the first degree a whose strand of the
-    transposed forms, S_(a-1) (x) k^N -> S_a (x) k^k for the N x k matrix
-    ``D``, is onto, or None when N <= k or no strand of at most
-    ``CERTIFICATE_CELLS`` cells is.  An onto strand proves that D(v) has rank
-    k at every nonzero v over the algebraic closure.
-
-    Below a = ceil(n*k / (N - k)) the strand has fewer columns than rows.
-    """
-    from .sheafcoh import _transpose_forms, strand_map  # sheafcoh imports bgg
-
-    n, N, k = D.nvars - 1, D.nrows, D.ncols
+def strand_shapes(n: int, N: int, k: int):
+    """The shapes (a, rows, cols) of the strands ``_strand_certificate`` ranks
+    for an N x k matrix of linear forms on P^n, by degree: from the first
+    degree a = ceil(n*k / (N - k)) whose strand has as many columns as rows,
+    to the last of at most ``CERTIFICATE_CELLS`` cells.  None at all when
+    N <= k, where no strand can be onto."""
     if N <= k:
-        return None
-    Dt = _transpose_forms(D)
+        return
     for a in itertools.count(-(-n * k // (N - k))):
         rows, cols = comb(n + a, n) * k, comb(n + a - 1, n) * N
         if rows * cols > CERTIFICATE_CELLS:
-            return None
-        if strand_map(Dt, a - 1).rank() == rows:
-            return a, rows, cols
+            return
+        yield a, rows, cols
+
+
+def _strand_certificate(D: MatrixOfLinearForms):
+    """``(a, rows, cols)`` for the first degree a whose strand of the
+    transposed forms, S_(a-1) (x) k^N -> S_a (x) k^k for the N x k matrix
+    ``D``, is onto, or None when none of ``strand_shapes`` is.  An onto strand
+    proves that D(v) has rank k at every nonzero v over the algebraic closure.
+    """
+    from .sheafcoh import _transpose_forms, strand_map  # sheafcoh imports bgg
+
+    Dt = _transpose_forms(D)
+    return next(((a, rows, cols)
+                 for a, rows, cols in strand_shapes(D.nvars - 1, D.nrows, D.ncols)
+                 if strand_map(Dt, a - 1).rank() == rows), None)
 
 
 def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int,
@@ -351,17 +352,15 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
     ``anchor`` in U (x) wedge^l: the points where the quotient of
     ``free_truncated(anchor.u, l, n)`` by L is not locally free.
 
-    ``exhaustive`` covers every point of P^n(F_q) (the anchor must be over a
-    prime field whose point count fits the budget).  It first ranks the
-    strands of ``_strand_certificate``.  One that is onto proves that no point
-    over the algebraic closure fails: a kernel vector lam of D(v) pairs to 0
-    with every h = D^T g evaluated at v, so with every x^alpha e_i, which
-    forces lam = 0.  The report then lists no failure and records the strand
-    in ``certificate``.  This is sound at every degree, and complete only for
-    large degrees, where a faithful anchor's strands are all onto.
-    Otherwise, always for an anchor that does fail somewhere, it enumerates
-    every normalized representative with one rank per point, which is what
-    names the failing points.
+    ``exhaustive`` covers every point over the algebraic closure of the
+    anchor's field, F_q or Q, by ranking the strands of ``_strand_certificate``.
+    One that is onto proves that no point fails: a kernel vector lam of D(v)
+    pairs to 0 with every h = D^T g evaluated at v, so with every
+    x^alpha e_i, which forces lam = 0.  The report records the strand in
+    ``certificate``, and over F_q counts the points of P^n(F_q) as checked.
+    This is sound at every degree, and complete only for large degrees, where
+    a faithful anchor's strands are all onto; without an onto strand the scan
+    is not ok, and lists no failure.
     ``random`` samples ``samples`` distinct seeded points; ``scan_point_count``
     refuses counts beyond the points or the budget.  A failure is recorded as
     (enumeration index, point, l - 1), the degree at which the quotient's
@@ -372,20 +371,15 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
         raise ValueError(f"unknown mode {mode!r}")
     D = _anchor_restriction(anchor, n, l)
     f, d = anchor.field, anchor.d
-    count = scan_point_count(f, n, mode, samples)
     if mode == "exhaustive":
-        certificate = _strand_certificate(D)
-        if certificate is not None:
-            return FaithfulnessReport(mode, repr(f), count, (), None, certificate)
-        points = _normalized_point_chunks(f.p, n, chunk)
-        seed = None
-    elif isinstance(f, PrimeField):
-        points = _random_point_chunks(f.p, n, samples, seed, chunk)
+        count = projective_point_count(f.p, n) if isinstance(f, PrimeField) else None
+        return FaithfulnessReport(mode, repr(f), count, (), None, _strand_certificate(D))
+    count = scan_point_count(f, n, samples)
     if isinstance(f, PrimeField):
         forms = np.stack([s.to_numpy() for s in D.slices])
         failures = []
         base = 0
-        for pts in points:
+        for pts in _random_point_chunks(f.p, n, samples, seed, chunk):
             failures += [(base + int(t), tuple(int(x) for x in pts[t]), l - 1)
                          for t in _rank_deficient(pts, forms, f.p, d)]
             base += pts.shape[0]

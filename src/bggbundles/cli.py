@@ -111,7 +111,11 @@ def _cmd_cohomology(args) -> int:
     if schema != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {schema} (this version reads schema "
                          f"{SCHEMA_VERSION})")
-    C = _instance_from_report(report).C
+    try:
+        inst = _instance_from_report(report)
+    except (KeyError, TypeError) as exc:  # a missing input, or one of another type
+        raise ValueError(f"unreadable report: {type(exc).__name__}: {exc}") from exc
+    C = inst.C
     table = cohomology_table(C, args.t_lo, args.t_hi, CohomologyCalculator(C))
     print(table.to_text())
     return EXIT_OK

@@ -6,27 +6,26 @@ r >= n, the pipeline picks the smallest admissible multiplicity p, quotients
 the truncated free module by an anchoring subspace of the top piece, and
 verifies everything it claims: faithfulness (a scan of ``RANDOM_SAMPLES``
 random points of P^n over the working field, or all of them if there are
-fewer, plus an exhaustive scan of a same-seed anchor drawn over the field
-``GF(default_exhaustive_prime(n))``, which an onto strand of the anchor's
-matrix of linear forms decides at every point at once and which enumerates
-the points only when no strand within the cap is onto), simplicity
-(endomorphism dimension 1), rank and certified homological dimension.  The
-whole record is serialized into a self-contained JSON report; the
-``exhaustive_faithfulness`` verdict says which way its scan was decided.
+fewer, plus a strand certificate of the reported anchor L over its own
+field, which proves the condition at every point over the algebraic
+closure; no other anchor is drawn), simplicity (endomorphism dimension 1),
+rank and certified homological dimension.  The whole record is serialized
+into a self-contained JSON report.
 
 The one random choice is the anchor, drawn by ``sample_anchoring`` at the
 seed ``params.seed + attempts - 1``; the retry budget, the point budget, the
-cohomology window and both scans' sizes are constants, not settings.
-``construct`` and ``verify`` run one list of nine checks, ``CHECKS``.  A
-check takes an :class:`Instance` and returns ``(ok, detail, values)``, the
-values of the report sections its ``CHECKS`` row names.  The instance's
-inputs are the parameters, the anchor L and the attempt count.  The module M
-is the free module's quotient by L, and the exhaustive anchor exL is the same
-attempt's draw over the exhaustive field; both are recomputed sections, and
-each faithfulness scan reads its anchor directly.  ``construct`` draws L,
-stops at the first failing check and writes the report from the sections;
-``verify`` reads the inputs from a report and passes a check only if it is
-ok and every recomputed section equals the recorded one.
+cohomology window, the random scan's size and the certificate's cell cap are
+constants, not settings.  ``construct`` refuses a case none of whose strands
+fits that cap before building.  ``construct`` and ``verify`` run one list of nine
+checks, ``CHECKS``.  A check takes an :class:`Instance` and returns
+``(ok, detail, values)``, the values of the report sections its ``CHECKS``
+row names.  The instance's inputs are the parameters, the anchor L and the
+attempt count.  The module M is the free module's quotient by L, a
+recomputed section, and each faithfulness scan reads L directly.
+``construct`` draws L, stops at the first failing check and writes the
+report from the sections; ``verify`` reads the inputs from a report and
+passes a check only if it is ok and every recomputed section equals the
+recorded one.
 """
 
 from __future__ import annotations
@@ -39,18 +38,18 @@ from functools import cached_property, reduce
 from math import comb
 from operator import getitem
 
-from . import __version__
+from . import __version__, bgg
 from .anchor import (AnchoringSearchError, AnchorProblem, general_position_range,
                      is_anchoring, sample_anchoring)
-from .bgg import (POINT_BUDGET, FaithfulnessReport, LinearComplex, bgg_complex,
-                  faithfulness_scan, projective_point_count, rational_point_count)
+from .bgg import (FaithfulnessReport, LinearComplex, bgg_complex, faithfulness_scan,
+                  projective_point_count, rational_point_count)
 from .emod import GradedEModule, chi, free_truncated, hom_space_dim, quotient_map, quotient_top
 from .fields import GF, QQ, FieldError, PrimeField, RationalField
 from .matrix import DenseMatrix, Subspace
 from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable,
                        HdCertificate, certify_hd, cohomology_table)
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 RETRY_BUDGET = 32  # attempts, each at the next seed, before construct gives up
 RANDOM_SAMPLES = 10_000  # points of a random scan, unless P^n has fewer
 
@@ -110,14 +109,6 @@ def parse_field(spec: str):
 
 def field_spec(field) -> str:
     return "qq" if isinstance(field, RationalField) else f"fp:{field.p}"
-
-
-def default_exhaustive_prime(n: int) -> int:
-    """Largest default prime whose projective point count fits the budget."""
-    for q in (101, 31, 11, 7, 5, 3, 2):
-        if projective_point_count(q, n) <= POINT_BUDGET:
-            return q
-    raise ParameterError(f"no exhaustive field fits the budget for n = {n}")
 
 
 def choose_parameters(n: int, l: int, r: int, multiplicity: int | None = None):
@@ -182,7 +173,7 @@ def _rebuild(params: ConstructionParams, L: AnchorProblem) -> GradedEModule:
 @dataclass
 class Instance:
     """What the checks examine: the inputs, and what they define.  ``attempts``
-    fixes the seed of the attempt, which drew L and draws exL."""
+    fixes the seed of the attempt, which drew L and seeds the random scan."""
 
     params: ConstructionParams
     L: AnchorProblem
@@ -191,11 +182,6 @@ class Instance:
     @property
     def seed(self) -> int:
         return self.params.seed + self.attempts - 1
-
-    @cached_property
-    def exL(self) -> AnchorProblem:
-        """The same attempt's anchor over the exhaustive field."""
-        return _build(GF(default_exhaustive_prime(self.params.n)), self.params, self.seed)
 
     @cached_property
     def M(self) -> GradedEModule:
@@ -259,15 +245,14 @@ def _check_random_faithfulness(inst):
 
 
 def _check_exhaustive_faithfulness(inst):
-    params, exL = inst.params, inst.exL
-    scan = faithfulness_scan(exL, "exhaustive", n=params.n, l=params.l)
-    if scan.certificate is not None:
-        a, rows, cols = scan.certificate
-        how = f"certified by the degree-{a} strand ({rows}x{cols})"
+    L = inst.L
+    scan = faithfulness_scan(L, "exhaustive", n=inst.params.n, l=inst.params.l)
+    if scan.certificate is None:
+        detail = f"no strand of at most {bgg.CERTIFICATE_CELLS} cells is onto"
     else:
-        how = "enumerated"
-    return (scan.ok, f"{how}, {scan.points_checked} points, {len(scan.failures)} failures",
-            (exL, field_spec(exL.field), scan))
+        a, rows, cols = scan.certificate
+        detail = f"certified by the degree-{a} strand ({rows}x{cols})"
+    return scan.ok, f"{detail} over {scan.field_desc}", (field_spec(L.field), scan)
 
 
 def _check_cohomology(inst):
@@ -290,7 +275,7 @@ CHECKS = (
     ("rank", "simplicity", ("chi", "rank"), _check_rank),
     ("random_faithfulness", "random_scan", ("random_scan",), _check_random_faithfulness),
     ("exhaustive_faithfulness", "exhaustive_scan",
-     ("exhaustive.anchor", "exhaustive.field", "exhaustive.scan"),
+     ("exhaustive.field", "exhaustive.scan"),
      _check_exhaustive_faithfulness),
     ("cohomology", "cohomology", ("cohomology", "hd"), _check_cohomology),
 )
@@ -322,7 +307,6 @@ class BundleReport:
     rank = _section("rank")
     chi = _section("chi")
     random_scan = _section("random_scan")
-    exhaustive_anchor = _section("exhaustive.anchor")
     exhaustive_field_spec = _section("exhaustive.field")
     exhaustive_scan = _section("exhaustive.scan")
     table = _section("cohomology")
@@ -332,13 +316,18 @@ class BundleReport:
 def construct(params: ConstructionParams) -> BundleReport:
     """Run the whole construction with verification and seeded retries.
 
-    Structural parameter problems raise :class:`ParameterError` immediately;
-    genericity failures (a random choice that is not anchoring, faithful or
-    simple over some field) reseed and retry up to the budget.
+    Structural parameter problems raise :class:`ParameterError` immediately,
+    among them a case whose anchors no strand within the certificate's cell
+    cap could certify; genericity failures (a random choice that is not
+    anchoring, certified faithful or simple) reseed and retry up to the
+    budget.
     """
     field = params.field()
-    choose_parameters(params.n, params.l, params.r, params.multiplicity)
-    default_exhaustive_prime(params.n)  # refuses an n no exhaustive scan fits
+    n, l, r = params.n, params.l, params.r
+    p, dim_l = choose_parameters(n, l, r, params.multiplicity)
+    if next(bgg.strand_shapes(n, p * comb(n + 1, l + 1), dim_l), None) is None:
+        raise ParameterError(f"no strand of (n={n}, l={l}, r={r}) within "
+                             f"{bgg.CERTIFICATE_CELLS} cells can certify its anchor")
     diagnostics = []
     for attempt in range(RETRY_BUDGET):
         try:
@@ -398,9 +387,12 @@ def _anchor_from_json(field, obj) -> AnchorProblem:
 
 
 def _scan_to_json(rep: FaithfulnessReport):
-    return {"mode": rep.mode, "field": rep.field_desc,
-            "points_checked": rep.points_checked, "seed": rep.seed,
-            "failures": [[i, list(pt), degree] for i, pt, degree in rep.failures]}
+    out = {"mode": rep.mode, "field": rep.field_desc,
+           "points_checked": rep.points_checked, "seed": rep.seed,
+           "failures": [[i, list(pt), degree] for i, pt, degree in rep.failures]}
+    if rep.mode == "exhaustive":
+        out["certificate"] = None if rep.certificate is None else list(rep.certificate)
+    return out
 
 
 def _section_json(value):
@@ -409,8 +401,6 @@ def _section_json(value):
         return _matrix_to_json(value)
     if isinstance(value, GradedEModule):
         return _module_to_json(value)
-    if isinstance(value, AnchorProblem):
-        return _anchor_to_json(value)
     if isinstance(value, FaithfulnessReport):
         return _scan_to_json(value)
     if isinstance(value, CohomologyTable):
@@ -522,10 +512,11 @@ def verify(report: dict) -> Verdict:
 
     The inputs are ``params``, ``anchor`` and ``attempts``.  Every other key
     but ``schema``, ``version`` and ``timings`` is a section of exactly one
-    check, recomputed and compared, the exhaustive anchor included.  An
+    check, recomputed and compared, the strand certificate included.  An
     unreadable input or a key no check owns fails one ``report`` check.
-    What the scans spend is no input: the exhaustive field follows from n and
-    the random sample count from the working field, as in ``construct``.
+    What the scans spend is no input: the random sample count follows from
+    the working field and the certificate's cell cap is a constant, as in
+    ``construct``.
     """
     if not isinstance(report, dict):
         return Verdict((("report", False,
@@ -549,27 +540,6 @@ def verify(report: dict) -> Verdict:
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         checks.append((name, bool(ok), detail))
     return Verdict(tuple(checks))
-
-
-def with_replaced_anchor(report: dict, new_basis_rows) -> dict:
-    """A consistent-but-unverified copy of a report with a different L.
-
-    Rebuilds the module, complex and chi from the new subspace while leaving
-    the recorded verdicts untouched; feeding the result to ``verify`` shows
-    which checks the new subspace breaks.  Intended for mutation testing.
-    """
-    out = json.loads(json.dumps(report))
-    params = _params_from_json(out["params"])
-    w = comb(params.n + 1, params.l)
-    basis = DenseMatrix(params.field(), new_basis_rows, out["multiplicity"] * w)
-    L = AnchorProblem(out["multiplicity"], w, Subspace(basis))
-    M = _rebuild(params, L)
-    out["anchor"] = _anchor_to_json(L)
-    out["anchor_dim"] = L.d
-    out["module"] = _module_to_json(M)
-    out["chi"] = list(chi(M))
-    out["rank"] = chi(M)[-1]
-    return out
 
 
 # ---------------------------------------------------------------------------

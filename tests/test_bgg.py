@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from contextlib import contextmanager
 from math import comb, gcd
 
 import numpy as np
@@ -12,13 +11,14 @@ from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, LinearComplex,
                         MatrixOfLinearForms, PointBudgetError, ShapeError, Subspace,
                         anchoring_tensor, bgg_complex, choose_parameters,
                         evaluate_fiber, faithfulness_scan, free_truncated,
-                        projective_point_count, quotient_top, tensor_to_subspace)
+                        projective_point_count, quotient_top, sample_anchoring,
+                        tensor_to_subspace)
 import bggbundles.bgg as bgg
 from bggbundles.bgg import (CERTIFICATE_CELLS, POINT_BUDGET, _anchor_restriction,
                             _random_point_chunks, _rational_points, _strand_certificate,
                             rational_point_count)
 from bggbundles.sheafcoh import _transpose_forms, strand_map
-from scan_oracle import exact_at_point, full_complex_scan
+from scan_oracle import enumerated_scan, exact_at_point, full_complex_scan
 
 F = GF(32003)
 
@@ -32,14 +32,6 @@ def zero_anchor(field, u, n, l):
 def e0_anchor(field):
     """L = e_0 (x) wedge^1 in P^3, which meets ker(v-wedge) only at v = e_0."""
     return AnchorProblem(1, 4, Subspace(DenseMatrix(field, [[1, 0, 0, 0]], 4)))
-
-
-@contextmanager
-def enumerating():
-    """Exhaustive scans without the strand certificate: every point is ranked."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bgg, "_strand_certificate", lambda D: None)
-        yield
 
 
 def test_bgg_complex_terms():
@@ -110,18 +102,20 @@ def test_exhaustive_scan_free_small_fields():
                 L = zero_anchor(GF(q), 1, n, l)
                 rep = faithfulness_scan(L, "exhaustive", n=n, l=l)
                 # L = 0 needs no injectivity: its strands have no rows.
-                assert rep.ok and rep.certificate is not None
+                assert rep.ok and rep.certificate == (0, 0, 0)
                 assert rep.points_checked == projective_point_count(q, n)
-                with enumerating():
-                    assert faithfulness_scan(L, "exhaustive", n=n, l=l) == rep
+                enumerated = enumerated_scan(L, n=n, l=l)
+                assert enumerated.ok and enumerated.points_checked == rep.points_checked
 
 
 def test_exhaustive_scan_finds_failures():
     rep = faithfulness_scan(e0_anchor(GF(5)), "exhaustive", n=3, l=1)
-    assert not rep.ok and rep.certificate is None
-    # Exactly the point [1:0:0:0], at degree 0.
-    assert len(rep.failures) == 1
-    idx, point, degree = rep.failures[0]
+    # No strand is onto, so the scan fails; it names no point.
+    assert not rep.ok and rep.certificate is None and rep.failures == ()
+    # The enumeration names exactly the point [1:0:0:0], at degree 0.
+    enumerated = enumerated_scan(e0_anchor(GF(5)), n=3, l=1)
+    assert len(enumerated.failures) == 1
+    idx, point, degree = enumerated.failures[0]
     assert point == (1, 0, 0, 0) and degree == 0
 
 
@@ -161,19 +155,40 @@ def test_anchor_outgrowing_its_target_is_enumerated():
     L = AnchorProblem(1, 6, Subspace(DenseMatrix(GF(5), rows, 6)))
     assert _strand_certificate(_anchor_restriction(L, 3, 2)) is None
     rep = faithfulness_scan(L, "exhaustive", n=3, l=2)
-    assert rep.certificate is None
-    assert len(rep.failures) == rep.points_checked == projective_point_count(5, 3)
+    assert not rep.ok and rep.certificate is None
+    enumerated = enumerated_scan(L, n=3, l=2)
+    assert len(enumerated.failures) == enumerated.points_checked == projective_point_count(5, 3)
 
 
 def test_exhaustive_scan_budget():
-    # P^3(F_1009) has 1,028,262,820 points, over the budget of 2,000,000.
+    # P^3(F_1009) has 1,028,262,820 points, over the budget of 2,000,000: the
+    # certificate covers them all, an enumeration is refused.
+    L = zero_anchor(GF(1009), 1, 3, 1)
+    rep = faithfulness_scan(L, "exhaustive", n=3, l=1)
+    assert rep.ok and rep.points_checked == 1028262820
     with pytest.raises(PointBudgetError, match="1028262820 points"):
-        faithfulness_scan(zero_anchor(GF(1009), 1, 3, 1), "exhaustive", n=3, l=1)
+        enumerated_scan(L, n=3, l=1)
 
 
 def test_exhaustive_scan_requires_prime_field():
-    with pytest.raises(ValueError):
-        faithfulness_scan(zero_anchor(QQ, 1, 3, 1), "exhaustive", n=3, l=1)
+    # Only the enumeration does: the certificate works over Q too.
+    with pytest.raises(ValueError, match="prime field"):
+        enumerated_scan(zero_anchor(QQ, 1, 3, 1), n=3, l=1)
+
+
+def test_exhaustive_scan_certifies_over_the_rationals(monkeypatch):
+    assert faithfulness_scan(zero_anchor(QQ, 1, 3, 1), "exhaustive", n=3,
+                             l=1).certificate == (0, 0, 0)
+    # Exact ranks over Q: the strands of the full cap would take a minute.
+    with monkeypatch.context() as mp:
+        mp.setattr(bgg, "CERTIFICATE_CELLS", 10_000)
+        rep = faithfulness_scan(e0_anchor(QQ), "exhaustive", n=3, l=1)
+    assert not rep.ok and rep.points_checked is None
+    # The rank-5 shape's anchor over Q has the strand of its F_32003 draw.
+    p, d = choose_parameters(3, 2, 5)
+    rep = faithfulness_scan(sample_anchoring(QQ, p, 6, d, seed=3), "exhaustive", n=3, l=2)
+    assert rep.ok and rep.certificate == (1, 4, 8) and rep.points_checked is None
+    assert rep.field_desc == repr(QQ)
 
 
 def test_scan_refuses_unknown_mode_shape_and_sample_counts():
@@ -297,9 +312,8 @@ GRID = tuple((n, l, r) for n in (3, 4) for l in range(1, n) for r in range(n, n 
 
 
 def test_certificate_agrees_with_enumeration():
-    # Over F_3, F_5 and F_7 a certified anchor scans clean, every anchor that
-    # fails at a point has no onto strand up to the cap, and either way the
-    # scan reports what the enumeration of every point reports.
+    # Over F_3, F_5 and F_7 a certified anchor enumerates clean, and every
+    # anchor that fails at a point has no onto strand up to the cap.
     certified = failing = 0
     for q in (3, 5, 7):
         for n, l, r in GRID:
@@ -307,10 +321,9 @@ def test_certificate_agrees_with_enumeration():
             for L in _equivalence_anchors(GF(q), p, d, comb(n + 1, l)):
                 D = _anchor_restriction(L, n, l)
                 scan = faithfulness_scan(L, "exhaustive", n=n, l=l)
-                with enumerating():
-                    enumerated = faithfulness_scan(L, "exhaustive", n=n, l=l)
-                assert scan == enumerated, (q, n, l, r)
-                assert enumerated.certificate is None
+                enumerated = enumerated_scan(L, n=n, l=l)
+                assert scan.points_checked == enumerated.points_checked
+                assert scan.failures == () and scan.ok == (scan.certificate is not None)
                 if scan.certificate is not None:
                     certified += 1
                     assert enumerated.ok, (q, n, l, r)
@@ -328,8 +341,8 @@ def test_certificate_agrees_with_enumeration():
 def test_anchored_scan_matches_full_complex_scan():
     cases = ((3, 1, 3), (3, 1, 4), (3, 2, 3), (3, 2, 5), (3, 2, 6),
              (4, 1, 5), (4, 2, 5), (4, 2, 7), (4, 3, 5), (4, 3, 7))
-    compared = {"exhaustive": 0, "random": 0}
-    failing = {"exhaustive": 0, "random": 0}
+    compared = {"enumerated": 0, "random": 0}
+    failing = {"enumerated": 0, "random": 0}
     for q in (3, 5, 7):
         field = GF(q)
         for n, l, r in cases:
@@ -339,12 +352,13 @@ def test_anchored_scan_matches_full_complex_scan():
             for L in _equivalence_anchors(field, p, d, w):
                 C = bgg_complex(quotient_top(P, L.subspace))
                 samples = projective_point_count(q, n) // 2
-                for mode in ("exhaustive", "random"):
+                anchored = {
+                    "enumerated": enumerated_scan(L, n=n, l=l),
+                    "random": faithfulness_scan(L, "random", n=n, l=l, samples=samples,
+                                                seed=q + n)}
+                for mode, scan in anchored.items():
                     full = full_complex_scan(C, mode, samples=samples, seed=q + n)
-                    with enumerating():  # the certificate is cross-checked above
-                        anchored = faithfulness_scan(L, mode, n=n, l=l, samples=samples,
-                                                     seed=q + n)
-                    assert anchored == full, (q, n, l, r, mode)
+                    assert scan == full, (q, n, l, r, mode)
                     assert all(deg == l - 1 for _, _, deg in full.failures)
                     compared[mode] += 1
                     failing[mode] += not full.ok

@@ -6,24 +6,23 @@ from contextlib import contextmanager
 
 import pytest
 
-from bggbundles import (GF, AnchorProblem, ConstructionParams, DenseMatrix,
-                        ParameterError, Subspace, cas_script,
-                        choose_parameters, construct, free_truncated,
+from bggbundles import (GF, ConstructionParams, ParameterError, cas_script,
+                        choose_parameters, construct, faithfulness_scan, free_truncated,
                         projective_point_count, report_to_json, report_to_json_str,
-                        verify, with_replaced_anchor)
+                        verify)
 import bggbundles.bgg as bgg
 import bggbundles.pipeline as pl
 from bggbundles.cli import main as cli_main
-from bggbundles.pipeline import _anchor_to_json, _module_to_json, default_exhaustive_prime
+from bggbundles.pipeline import _module_to_json, _scan_to_json
+from forgery import with_replaced_anchor
 
 
 @contextmanager
-def small_scans(samples=500, prime=5):
-    """Random scans of at most ``samples`` points and exhaustive scans over
-    GF(``prime``), in place of the constants, so that a test runs in seconds."""
+def small_scans(samples=500):
+    """Random scans of at most ``samples`` points, in place of the constant,
+    so that a test runs in seconds."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pl, "RANDOM_SAMPLES", samples)
-        mp.setattr(pl, "default_exhaustive_prime", lambda n: prime)
         yield
 
 
@@ -53,9 +52,18 @@ def test_choose_parameters_rejections():
         choose_parameters(4, 3, 8, multiplicity=2)  # trivial quotient at p = 2
 
 
-def test_default_exhaustive_prime():
-    assert default_exhaustive_prime(3) == 101
-    assert default_exhaustive_prime(4) == 31
+def test_case_without_a_certificate_is_refused_before_building(monkeypatch, capsys):
+    # (6,3,7)'s first strand that can be onto, at degree 4, is 2730x2940.
+    def no_build(*args):
+        raise AssertionError("built before refusing the case")
+
+    monkeypatch.setattr(pl, "_build", no_build)
+    t0 = time.perf_counter()
+    with pytest.raises(ParameterError, match="no strand of \\(n=6, l=3, r=7\\)"):
+        construct(ConstructionParams(6, 3, 7))
+    assert time.perf_counter() - t0 < 1
+    assert cli_main(["construct", "--n", "6", "--l", "3", "--r", "7"]) == 2
+    assert "within 2000000 cells" in capsys.readouterr().err
 
 
 def test_construct_rank5_example_shape():
@@ -90,6 +98,15 @@ def test_construct_over_rationals(qq_report):
     assert verify(qq_report).ok
 
 
+def test_rational_report_certifies_its_own_anchor(qq_report):
+    block = qq_report["exhaustive"]
+    assert block["field"] == "qq" and block["scan"]["field"] == "QQ"
+    assert block["scan"]["certificate"] == [1, 4, 8]
+    assert block["scan"]["points_checked"] is None
+    detail = {name: text for name, _, text in verify(qq_report).checks}
+    assert detail["exhaustive_faithfulness"] == "certified by the degree-1 strand (4x8) over QQ"
+
+
 def test_report_roundtrip_verify():
     rep = construct(ConstructionParams(3, 2, 5, seed=42))
     obj = json.loads(report_to_json_str(rep))
@@ -99,15 +116,38 @@ def test_report_roundtrip_verify():
     assert "hom_dimension" in names and "exhaustive_faithfulness" in names
 
 
-def test_exhaustive_detail_says_how_the_verdict_was_reached(fast_report, monkeypatch):
-    def detail():
-        verdict = verify(fast_report)
-        assert verdict.ok
-        return {name: text for name, _, text in verdict.checks}["exhaustive_faithfulness"]
+def test_exhaustive_detail_says_how_the_verdict_was_reached(fast_report):
+    verdict = verify(fast_report)
+    assert verdict.ok
+    detail = {name: text for name, _, text in verdict.checks}["exhaustive_faithfulness"]
+    assert detail == "certified by the degree-1 strand (4x8) over GF(32003)"
+    assert fast_report["exhaustive"] == {
+        "field": "fp:32003",
+        "scan": {"mode": "exhaustive", "field": "GF(32003)",
+                 "points_checked": projective_point_count(32003, 3), "seed": None,
+                 "failures": [], "certificate": [1, 4, 8]}}
 
-    assert detail() == "certified by the degree-1 strand (4x8), 156 points, 0 failures"
+
+def test_uncertified_anchor_fails_its_check_and_is_retried(fast_report, monkeypatch):
+    # With no strand allowed, the reported anchor is uncertified: verify
+    # fails exactly the check that owns the certificate.
+    with monkeypatch.context() as mp:
+        mp.setattr(bgg, "CERTIFICATE_CELLS", 0)
+        verdict = verify(fast_report)
+        assert verdict.failed() == [("exhaustive_faithfulness",
+                                     "no strand of at most 0 cells is onto over GF(32003); "
+                                     "differs from the record: exhaustive.scan")]
+        # construct refuses such a cap for the case before building anything.
+        with pytest.raises(ParameterError, match="within 0 cells"):
+            construct(ConstructionParams(3, 2, 5, seed=42))
+    # An anchor left uncertified within the cap is a genericity failure.
     monkeypatch.setattr(bgg, "_strand_certificate", lambda D: None)
-    assert detail() == "enumerated, 156 points, 0 failures"
+    monkeypatch.setattr(pl, "RETRY_BUDGET", 3)
+    with pytest.raises(pl.RetryBudgetError) as exc:
+        construct(ConstructionParams(3, 2, 5, seed=42))
+    assert [detail for _, detail in exc.value.diagnostics] == [
+        "exhaustive_faithfulness: no strand of at most 2000000 cells is onto over "
+        "GF(32003)"] * 3
 
 
 def test_report_determinism():
@@ -122,7 +162,7 @@ def test_report_conventions_block():
     obj = report_to_json(construct(ConstructionParams(3, 1, 3, seed=0)))
     conv = obj["conventions"]
     assert "monomial_order" in conv and "tensor_flattening" in conv
-    assert obj["schema"] == 5
+    assert obj["schema"] == 6
     # Matrix entries serialize as strings.
     entry = obj["module"]["actions"][0][0]["entries"][0][0]
     assert isinstance(entry, str)
@@ -176,11 +216,8 @@ def fast_report():
 
 
 def _swap_in_free_module(obj):
-    # The free module's anchor is the zero subspace.
-    w = obj["anchor"]["w"]
-    zero = Subspace(DenseMatrix(GF(5), [], obj["multiplicity"] * w))
-    obj["exhaustive"]["anchor"] = _anchor_to_json(AnchorProblem(obj["multiplicity"], w,
-                                                                zero))
+    # The free module's anchor is the zero subspace, certified by a 0x0 strand.
+    obj["exhaustive"]["scan"]["certificate"] = [0, 0, 0]
 
 
 def _add_recorded_failure(obj):
@@ -204,18 +241,13 @@ def test_mutation_main_module_swapped_for_free_module(fast_report):
     assert [name for name, _ in verify(obj).failed()] == ["module_rebuild"]
 
 
-def _shift_exhaustive_anchor(obj):
-    _entries(obj["exhaustive"]["anchor"]["basis"], lambda x: str((int(x) + 1) % 5))
-
-
 def _policy(obj):
-    """The ``params.policy`` of a report, which no schema-5 report has."""
+    """The ``params.policy`` of a report, which no report since schema 5 has."""
     return obj["params"].setdefault("policy", {})
 
 
 def _stale_retry_budget(obj):
     _policy(obj)["retry_budget"] = 320
-    _shift_exhaustive_anchor(obj)
 
 
 def _stale_table_window(obj):
@@ -224,8 +256,6 @@ def _stale_table_window(obj):
 
 def _exhaustive_prime_1009(obj):
     _policy(obj)["exhaustive_prime"] = 1009
-    drawn = pl._build(GF(1009), ConstructionParams(3, 2, 5, seed=42), 42)
-    obj["exhaustive"]["anchor"] = _anchor_to_json(drawn)
 
 
 def _stale_point_budget_over_f1009(obj):
@@ -234,7 +264,7 @@ def _stale_point_budget_over_f1009(obj):
 
 
 def _samples_over_budget(obj):
-    _policy(obj)["random_samples"] = pl.POINT_BUDGET + 1
+    _policy(obj)["random_samples"] = bgg.POINT_BUDGET + 1
 
 
 def _qq_samples_1200001(obj):
@@ -273,44 +303,73 @@ def test_forged_policy_is_refused_within_a_second(fast_report, qq_report, monkey
     assert time.perf_counter() - t0 < 1
 
 
-# Each returns the key it adds or forges.
+# Each returns the path of the key it adds or forges.
 def _bogus_key(obj):
     obj["bogus"] = 1
-    return "bogus"
+    return ("bogus",)
 
 
 def _stale_exhaustive_module(obj):
     obj["exhaustive"]["module"] = obj["module"]
-    return "exhaustive.module"
+    return ("exhaustive", "module")
 
 
 def _stale_point_budget(obj):
     _policy(obj)["point_budget"] = projective_point_count(5, 3) - 1
-    return "params.policy"
+    return ("params", "policy")
 
 
 def _forged_anchor_dim(obj):
     obj["anchor"]["dim"] = 5
-    return "anchor.dim"
+    return ("anchor", "dim")
 
 
 # construct writes these as ints; true == 1 and 500.0 == 500 in Python.
 def _seed_true(obj):
     obj["params"]["seed"] = True
-    return "params.seed"
+    return ("params", "seed")
 
 
 def _samples_float(obj):
     _policy(obj)["random_samples"] = 500.0
-    return "params.policy"
+    return ("params", "policy")
+
+
+# Schema 5 recorded a sibling anchor, drawn over a small field, beside the
+# exhaustive scan; schema 6 certifies the reported anchor and has no such key.
+def _sibling(obj):
+    sibling = json.loads(json.dumps(obj["anchor"]))
+    obj["exhaustive"]["anchor"] = sibling
+    return sibling
+
+
+def _sibling_anchor(obj):
+    _entries(_sibling(obj)["basis"], lambda x: str((int(x) + 1) % 5))
+    return ("exhaustive", "anchor")
+
+
+def _sibling_anchor_header(obj):
+    # Still 12 columns, so the anchor reads, but as k^3 (x) k^4.
+    _sibling(obj).update(u=3, w=4)
+    return ("exhaustive", "anchor")
+
+
+def _sibling_anchor_w4(obj):
+    # k^2 (x) k^4 has the right u and dim, but w = 4 is not C(4, 2).
+    sibling = _sibling(obj)
+    sibling["w"] = 4
+    sibling["basis"]["cols"] = 8
+    sibling["basis"]["entries"] = [row[:8] for row in sibling["basis"]["entries"]]
+    return ("exhaustive", "anchor")
 
 
 @pytest.mark.parametrize("forge", [_bogus_key, _stale_exhaustive_module,
                                    _stale_point_budget, _forged_anchor_dim,
-                                   _seed_true, _samples_float])
+                                   _seed_true, _samples_float, _sibling_anchor,
+                                   _sibling_anchor_header, _sibling_anchor_w4])
 def test_stray_key_fails_the_report(fast_report, tmp_path, capsys, forge):
     obj = json.loads(json.dumps(fast_report))
-    key = forge(obj)
+    key = ".".join(forge(obj))
     verdict = verify(obj)
     assert [name for name, _ in verdict.failed()] == ["report"]
     assert verdict.failed()[0][1].endswith(key)
@@ -380,30 +439,19 @@ def _forge_exhaustive_field(obj):
 
 
 def _forge_exhaustive_block_over_f3(obj):
-    with small_scans(prime=3):
-        rep = construct(ConstructionParams(3, 2, 5, seed=42))
-    obj["exhaustive"] = report_to_json(rep)["exhaustive"]
+    # The certified block of the same seed's anchor over F_3, as schema 5 drew it.
+    sibling = pl._build(GF(3), ConstructionParams(3, 2, 5, seed=42), 42)
+    obj["exhaustive"] = {"field": "fp:3", "scan": _scan_to_json(
+        faithfulness_scan(sibling, "exhaustive", n=3, l=2))}
 
 
 def _forge_deleted_module(obj):
     del obj["module"]
 
 
-def _forge_exhaustive_anchor_header(obj):
-    # Still 12 columns, so the anchor reads, but as k^3 (x) k^4.
-    obj["exhaustive"]["anchor"].update(u=3, w=4)
-
-
-def _forge_exhaustive_anchor_w4(obj):
-    # k^2 (x) k^4 has the right u and dim, but w = 4 is not C(4, 2).
-    anchor = obj["exhaustive"]["anchor"]
-    anchor["w"] = 4
-    anchor["basis"]["cols"] = 8
-    anchor["basis"]["entries"] = [row[:8] for row in anchor["basis"]["entries"]]
-
-
-def _forge_exhaustive_anchor(obj):
-    _entries(obj["exhaustive"]["anchor"]["basis"], lambda x: str((int(x) + 1) % 5))
+def _forge_certificate(obj):
+    # The degree-1 strand (4x8) is onto; a certificate of another strand is forged.
+    obj["exhaustive"]["scan"]["certificate"] = [2, 40, 48]
 
 
 def _forge_exhaustive_scan(obj):
@@ -469,9 +517,7 @@ def _forge_conventions(obj):
     (_forge_deleted_module, "module_rebuild"),
     (_forge_exhaustive_field, "exhaustive_faithfulness"),
     (_forge_exhaustive_block_over_f3, "exhaustive_faithfulness"),
-    (_forge_exhaustive_anchor, "exhaustive_faithfulness"),
-    (_forge_exhaustive_anchor_header, "exhaustive_faithfulness"),
-    (_forge_exhaustive_anchor_w4, "exhaustive_faithfulness"),
+    (_forge_certificate, "exhaustive_faithfulness"),
     (_forge_exhaustive_scan, "exhaustive_faithfulness"),
     (_forge_random_scan, "random_faithfulness"),
     (_forge_random_samples, "report"),
@@ -491,12 +537,11 @@ def test_forged_section_fails_exactly_its_check(fast_report, forge, owner):
     assert [name for name, _ in verify(obj).failed()] == [owner]
 
 
-def test_forged_attempts_fail_both_faithfulness_checks(fast_report):
-    # attempts fixes the seed of the random scan and of the exhaustive anchor.
+def test_forged_attempts_fail_only_the_random_scan(fast_report):
+    # attempts fixes the seed of the random scan; the certificate is of L.
     obj = json.loads(json.dumps(fast_report))
     _forge_attempts(obj)
-    assert [name for name, _ in verify(obj).failed()] == ["random_faithfulness",
-                                                          "exhaustive_faithfulness"]
+    assert [name for name, _ in verify(obj).failed()] == ["random_faithfulness"]
 
 
 def test_construct_and_verify_walk_one_check_list(monkeypatch):
@@ -606,6 +651,23 @@ def test_cli_cohomology_refuses_another_schema(tmp_path, capsys):
     out.write_text("[]")
     assert cli_main(["cohomology", "--in", str(out), "--t-lo", "-6", "--t-hi", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("forge, error", [
+    (lambda obj: obj.pop("params"), "KeyError: 'params'"),
+    (lambda obj: obj.update(anchor="x"), "TypeError: "),
+], ids=["no_params", "anchor_string"])
+def test_cli_cohomology_refuses_a_malformed_report(fast_report, tmp_path, capsys,
+                                                   forge, error):
+    obj = json.loads(json.dumps(fast_report))
+    forge(obj)
+    out = tmp_path / "rep.json"
+    out.write_text(json.dumps(obj))
+    assert cli_main(["cohomology", "--in", str(out), "--t-lo", "-6", "--t-hi", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"invalid parameters: unreadable report: {error}")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_verify_fails_on_mutation(tmp_path, capsys):

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from bggbundles import pipeline, sheafcoh
+from bggbundles import sheafcoh
 from bggbundles import (GF, QQ, CertificationError, CohomologyCalculator,
                         DenseMatrix, MatrixOfLinearForms, Subspace, bgg_complex,
                         certify_hd, cohomology_table, construct,
@@ -211,8 +211,7 @@ def test_certify_rank5_example():
     assert cert.nonvanishing == (1, -4, 2)
 
 
-def test_certify_n3_l1_example(monkeypatch):
-    monkeypatch.setattr(pipeline, "default_exhaustive_prime", lambda n: 5)
+def test_certify_n3_l1_example():
     rep = construct(ConstructionParams(n=3, l=1, r=3, seed=0))
     calc = CohomologyCalculator(rep.complex)
     assert calc.dim_h(2, -4) == 2
