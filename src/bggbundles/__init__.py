@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .fields import GF, QQ, FieldError, PrimeField, RationalField
 from .matrix import (DenseMatrix, FieldMismatchError, MalformedSubspaceError,
-                     ShapeError, Solution, Subspace)
+                     ShapeError, Subspace)
 from .extalg import basis_subsets, generator_action, left_mult_sign, vector_action
 from .emod import (GradedEModule, ModuleInvariantError, chi, free_truncated,
                    hom_space_dim, quotient_top)
@@ -35,7 +35,7 @@ from .pipeline import (BundleReport, ConstructionParams, ParameterError,
 __all__ = [
     "GF", "QQ", "FieldError", "PrimeField", "RationalField",
     "DenseMatrix", "FieldMismatchError", "MalformedSubspaceError", "ShapeError",
-    "Solution", "Subspace",
+    "Subspace",
     "basis_subsets", "generator_action", "left_mult_sign", "vector_action",
     "GradedEModule", "ModuleInvariantError", "chi", "free_truncated",
     "hom_space_dim", "quotient_top",

@@ -162,8 +162,7 @@ def burnside_pair(field, s: int, seed: int = 0, max_attempts: int = 32):
                                 for _ in range(s)], s)
         if x.rank() != s:
             continue
-        sol = x.solve_right(DenseMatrix.identity(field, s))
-        b2 = x @ diag @ sol.particular
+        b2 = x @ diag @ x.solve_right(DenseMatrix.identity(field, s))
         if commutant_dim(field, [diag, b2]) == 1:
             return diag, b2
     raise AnchoringSearchError(

@@ -18,7 +18,8 @@ therefore takes the anchor L, not a complex, and tests this condition on the
 N x k matrix of linear forms D = v-wedge|_L (N = p*C(n+1, l+1), k = dim L).
 
 The exhaustive scan decides the condition at every point at once, over the
-anchor's own field.  The degree-a strand of the transpose of D maps g in
+anchor's own field; over Q it ranks the strands mod a prime, which can only
+lower their rank.  The degree-a strand of the transpose of D maps g in
 S_(a-1) (x) k^N to h = D^T g in S_a (x) k^k; if it is onto, no point over the
 algebraic closure fails.  For suppose D(v) lam = 0 with v != 0.  Every h in
 the image has sum_i h_i(v) lam_i = g(v) . D(v) lam = 0, and the image holds
@@ -37,7 +38,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -45,13 +46,14 @@ from . import modp
 from .anchor import AnchorProblem
 from .emod import GradedEModule
 from .extalg import generator_action
-from .fields import PrimeField
-from .matrix import DenseMatrix, ShapeError
+from .fields import GF, PrimeField
+from .matrix import DenseMatrix, ShapeError, Subspace
 
 
 POINT_BUDGET = 2_000_000  # most points a random scan may test
 HEIGHT = 9  # a random point over Q has coordinates in [-HEIGHT, HEIGHT]
 CERTIFICATE_CELLS = 2_000_000  # largest strand an exhaustive scan ranks
+CERTIFICATE_PRIME = 1_048_573  # the largest prime below modp.PRIME_BOUND
 
 
 class PointBudgetError(ValueError):
@@ -153,11 +155,11 @@ def evaluate_fiber(D: MatrixOfLinearForms, v) -> DenseMatrix:
     coords = [f(x) for x in v]
     if len(coords) != D.nvars:
         raise ShapeError(f"point has {len(coords)} coordinates, expected {D.nvars}")
-    if all(f.is_zero(x) for x in coords):
+    if not any(coords):
         raise ValueError("the zero vector is not a projective point")
     out = DenseMatrix.zeros(f, D.nrows, D.ncols)
     for c, s in zip(coords, D.slices):
-        if not f.is_zero(c):
+        if c:
             out = out + s.scale(c)
     return out
 
@@ -331,6 +333,21 @@ def strand_shapes(n: int, N: int, k: int):
         yield a, rows, cols
 
 
+def _certificate_anchor(anchor: AnchorProblem) -> AnchorProblem | None:
+    """The anchor whose strands certify ``anchor``: itself over F_q; over Q its
+    basis rows, each cleared of denominators, mod ``CERTIFICATE_PRIME``, or
+    None if they lose rank there.  Row scaling leaves L as it is, and reducing
+    an integer matrix mod p cannot raise its rank: onto mod p is onto over Q."""
+    if isinstance(anchor.field, PrimeField):
+        return anchor
+    rows = [[x * lcm(*(y.denominator for y in row)) for x in row]
+            for row in anchor.subspace.basis.rows()]
+    basis = DenseMatrix(GF(CERTIFICATE_PRIME), rows, anchor.u * anchor.w)
+    if basis.rank() < anchor.d:
+        return None
+    return AnchorProblem(anchor.u, anchor.w, Subspace(basis))
+
+
 def _strand_certificate(D: MatrixOfLinearForms):
     """``(a, rows, cols)`` for the first degree a whose strand of the
     transposed forms, S_(a-1) (x) k^N -> S_a (x) k^k for the N x k matrix
@@ -353,11 +370,12 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
     ``free_truncated(anchor.u, l, n)`` by L is not locally free.
 
     ``exhaustive`` covers every point over the algebraic closure of the
-    anchor's field, F_q or Q, by ranking the strands of ``_strand_certificate``.
-    One that is onto proves that no point fails: a kernel vector lam of D(v)
-    pairs to 0 with every h = D^T g evaluated at v, so with every
-    x^alpha e_i, which forces lam = 0.  The report records the strand in
-    ``certificate``, and over F_q counts the points of P^n(F_q) as checked.
+    anchor's field, F_q or Q, by ranking the strands of ``_strand_certificate``
+    (of ``_certificate_anchor``).  One that is onto proves that no point
+    fails: a kernel vector lam of D(v) pairs to 0 with every h = D^T g
+    evaluated at v, so with every x^alpha e_i, which forces lam = 0.  The
+    report records the strand in ``certificate``, and over F_q counts the
+    points of P^n(F_q) as checked.
     This is sound at every degree, and complete only for large degrees, where
     a faithful anchor's strands are all onto; without an onto strand the scan
     is not ok, and lists no failure.
@@ -369,11 +387,13 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
     """
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    D = _anchor_restriction(anchor, n, l)
     f, d = anchor.field, anchor.d
     if mode == "exhaustive":
         count = projective_point_count(f.p, n) if isinstance(f, PrimeField) else None
-        return FaithfulnessReport(mode, repr(f), count, (), None, _strand_certificate(D))
+        L = _certificate_anchor(anchor)
+        cert = None if L is None else _strand_certificate(_anchor_restriction(L, n, l))
+        return FaithfulnessReport(mode, repr(f), count, (), None, cert)
+    D = _anchor_restriction(anchor, n, l)
     count = scan_point_count(f, n, samples)
     if isinstance(f, PrimeField):
         forms = np.stack([s.to_numpy() for s in D.slices])

@@ -1,10 +1,12 @@
 """Exact scalar domains: arbitrary-precision rationals and prime fields.
 
 Field elements are plain Python objects (``int`` for F_p, ``Fraction`` for Q)
-and all arithmetic goes through the field object, so matrices can stay
-field-generic.  Prime-field elements are canonical representatives in
-``[0, p)``; rationals are always in lowest terms with positive denominator
-(guaranteed by ``Fraction``).
+and the field object only coerces into them: arithmetic is Python's, on
+scalars, or numpy's, on the arrays of ``DenseMatrix``, reduced mod p there.
+Prime-field elements are canonical representatives in ``[0, p)``; rationals
+are always in lowest terms with positive denominator (guaranteed by
+``Fraction``).  Coercing ``Fraction(1, a)`` gives the inverse of a nonzero a
+in either field.
 """
 
 from __future__ import annotations
@@ -17,6 +19,14 @@ from .modp import PRIME_BOUND
 
 class FieldError(ValueError):
     """Raised for invalid field construction or coercion."""
+
+
+def _fraction(text: str, field) -> Fraction:
+    """The rational number ``text`` spells, or FieldError if none."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FieldError(f"{text!r} is not a number of {field!r}") from exc
 
 
 def _is_prime(p: int) -> bool:
@@ -60,9 +70,7 @@ class PrimeField:
                 raise FieldError(f"denominator of {x} is divisible by {self.p}")
             return x.numerator * pow(den, self.p - 2, self.p) % self.p
         if isinstance(x, str):
-            if "/" in x:
-                return self(Fraction(x))
-            return int(x) % self.p
+            return self(_fraction(x, self))
         raise FieldError(f"cannot coerce {x!r} into F_{self.p}")
 
     @property
@@ -76,31 +84,6 @@ class PrimeField:
     @property
     def characteristic(self) -> int:
         return self.p
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
     def random_element(self, rng):
         return rng.randrange(self.p)
@@ -129,7 +112,7 @@ class RationalField:
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            return _fraction(x, self)
         raise FieldError(f"cannot coerce {x!r} into Q")
 
     @property
@@ -143,29 +126,6 @@ class RationalField:
     @property
     def characteristic(self) -> int:
         return 0
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return a / b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def random_element(self, rng):
         # Small integers keep coefficient growth tame in randomized tests.

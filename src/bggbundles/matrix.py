@@ -8,17 +8,17 @@ construction, so values can be shared freely across threads and
 ``to_numpy`` hands out the array itself.  The accessors (``m[i, j]``,
 ``row``, ``rows``, ``to_lists``) return Python ``int``/``Fraction`` scalars.
 
-Elimination strategy follows the scalar domain: fraction-free (Bareiss)
-elimination over Q for ranks, plain elimination over F_p through
-:mod:`bggbundles.modp`.  Pivoting is always "first nonzero in column order"
-so results are reproducible.
+Elimination runs through one Gauss-Jordan loop, ``modp.echelon``: the
+F_p rank and every RREF, over both fields, call it.  The one rank over Q is
+fraction-free (Bareiss) elimination on rows cleared of denominators, which
+keeps the many tiny ranks of the rational random scan cheap.  Pivoting is
+always "first nonzero in column order" so results are reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
 
 import numpy as np
 
@@ -233,13 +233,12 @@ class DenseMatrix:
         Zero rows are dropped, so ``R`` has exactly ``rank`` rows.
         """
         f = self.field
-        if self.nrows == 0 or self.ncols == 0:
-            return DenseMatrix.zeros(f, 0, self.ncols), ()
         if isinstance(f, PrimeField):
             arr, piv = modp.rref(self._a, f.p)
-            return DenseMatrix._wrap(f, arr[: len(piv)]), tuple(piv)
-        rows, piv = _rref_fraction(self._a.tolist())
-        return DenseMatrix(f, rows, self.ncols), tuple(piv)
+        else:
+            arr = self._a.copy()
+            piv = modp.echelon(arr, None, full=True)
+        return DenseMatrix._wrap(f, arr[: len(piv)]), tuple(piv)
 
     def free_column_kernel(self):
         """Right-kernel vectors read off rref(self), one per non-pivot column
@@ -262,11 +261,7 @@ class DenseMatrix:
         return kerR
 
     def solve_right(self, B):
-        """Some ``X`` with ``self @ X = B``, or ``None`` if inconsistent.
-
-        The returned object carries the particular solution together with the
-        kernel basis of ``self`` so callers can enumerate all solutions.
-        """
+        """Some ``X`` with ``self @ X = B``, or ``None`` if inconsistent."""
         self._check(B)
         if B.nrows != self.nrows:
             raise ShapeError("right-hand side has wrong height")
@@ -275,37 +270,7 @@ class DenseMatrix:
             return None
         X = zeros_array(self.field, (self.ncols, B.ncols))
         X[list(piv)] = R._a[:, self.ncols:]
-        return Solution(DenseMatrix._wrap(self.field, X), self.kernel_basis())
-
-
-class Solution(NamedTuple):
-    particular: DenseMatrix
-    kernel: DenseMatrix
-
-
-def _rref_fraction(rows):
-    """Generic exact rref on lists of Fractions; returns (rows, pivots)."""
-    a = [list(r) for r in rows]
-    nrows = len(a)
-    ncols = len(a[0])
-    piv = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        sel = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv.append(c)
-        r += 1
-    return a[: len(piv)], piv
+        return DenseMatrix._wrap(self.field, X)
 
 
 def _rank_bareiss(rows) -> int:

@@ -1,17 +1,22 @@
 """numpy kernels for exact dense linear algebra over F_p.
 
-All arrays are ``int64`` with entries reduced into ``[0, p)``.  The kernels
-are exact only for p < PRIME_BOUND = 2**20.  The largest intermediate is the
-point scans' fiber evaluation, a sum of n+1 products of two residues, at most
-(n+1)(p-1)**2 < (n+1) * 2**40, which stays below 2**63 for any n+1 < 2**23;
-the elimination steps need only (p-1)**2 + p.  The bound also caps the
-inverse table a scan allocates at 8 MiB.  ``fields.PrimeField`` refuses
-larger primes and ``inverse_table`` raises on them.  A ``DenseMatrix``
-product sums k products of residues, at most k(p-1)**2, so it is exact only
-while k(p-1)**2 < 2**63 (k < 2**23 at any p below the bound); beyond that
-``DenseMatrix.__matmul__`` raises ``OverflowError`` instead of wrapping.
-The batch kernel reduces many small matrices at once; it is what makes
-exhaustive point scans over P^n(F_q) cheap.
+Over F_p all arrays are ``int64`` with entries reduced into ``[0, p)``.  The
+kernels are exact only for p < PRIME_BOUND = 2**20.  The largest intermediate
+is the random scan's fiber evaluation, a sum of n+1 products of two residues,
+at most (n+1)(p-1)**2 < (n+1) * 2**40, which stays below 2**63 for any
+n+1 < 2**23; the elimination steps need only (p-1)**2 + p.  The bound also
+caps the inverse table a scan allocates at 8 MiB.  ``fields.PrimeField``
+refuses larger primes and ``inverse_table`` raises on them.  A
+``DenseMatrix`` product sums k products of residues, at most k(p-1)**2, so it
+is exact only while k(p-1)**2 < 2**63 (k < 2**23 at any p below the bound);
+beyond that ``DenseMatrix.__matmul__`` raises ``OverflowError`` instead of
+wrapping.
+
+``echelon`` is the package's one Gauss-Jordan loop: ``rank``, ``rref`` and
+``DenseMatrix.rref`` over Q (``p=None``) call it.  The others are
+``matrix._rank_bareiss`` and ``batch_rank``, which ranks many small matrices
+at once and serves only the random scan; the enumeration of P^n(F_q) it once
+made cheap lives in ``tests/scan_oracle.py``.
 """
 
 from __future__ import annotations
@@ -53,39 +58,19 @@ def reduced(a, p: int) -> np.ndarray:
     return a
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    """Rank of ``a`` over F_p.  ``a`` is copied; elimination below pivots only."""
-    a = reduced(a, p)
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = a[r, c:] * inv % p
-        factors = a[r + 1 :, c]
-        nzf = np.nonzero(factors)[0]
-        if nzf.size:
-            rows_idx = r + 1 + nzf
-            a[rows_idx, c:] = (a[rows_idx, c:] - factors[nzf, None] * a[r, c:]) % p
-        r += 1
-    return r
+def echelon(a: np.ndarray, p: int | None, full: bool = False) -> list:
+    """Row-reduce ``a`` in place by Gauss-Jordan elimination; return the pivot
+    columns.
 
-
-def rref(a: np.ndarray, p: int):
-    """Reduced row echelon form over F_p.
-
-    Returns ``(R, pivots)`` where zero rows are kept (same shape as input).
-    Pivot choice is the first nonzero entry in column order, so the output is
-    deterministic.
+    Over F_p ``a`` is ``int64`` with entries in ``[0, p)``; with ``p=None`` it
+    is an ``object`` array of ``Fraction``s over Q.  Each pivot is the first
+    nonzero entry of its column at or below the current row, so the result
+    is deterministic.  The pivot row is scaled to 1 and the pivot column
+    cleared in the rows below it, which leaves a row echelon form, or with
+    ``full`` in every other row, which leaves the reduced row echelon form.
+    Entries left of column c are zero in the pivot row at column c, so only
+    columns ``c:`` are touched.
     """
-    a = reduced(a, p)
     rows, cols = a.shape
     pivots = []
     r = 0
@@ -98,15 +83,36 @@ def rref(a: np.ndarray, p: int):
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
+        if p is None:
+            a[r, c:] = a[r, c:] / a[r, c]
+        else:
+            a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        if full:
+            others = np.nonzero(a[:, c])[0]
+            others = others[others != r]
+        else:
+            others = r + 1 + np.nonzero(a[r + 1:, c])[0]
         if others.size:
-            a[others] = (a[others] - a[others, c][:, None] * a[r][None, :]) % p
+            update = a[others, c:] - a[others, c, None] * a[r, c:]
+            a[others, c:] = update if p is None else np.remainder(update, p, out=update)
+            del update  # freed before the next pivot's temporaries are made
         pivots.append(c)
         r += 1
-    return a, pivots
+    return pivots
+
+
+def rank(a: np.ndarray, p: int) -> int:
+    """Rank of ``a`` over F_p.  ``a`` is copied; elimination below pivots only."""
+    return len(echelon(reduced(a, p), p))
+
+
+def rref(a: np.ndarray, p: int):
+    """Reduced row echelon form over F_p.
+
+    Returns ``(R, pivots)`` where zero rows are kept (same shape as input).
+    """
+    a = reduced(a, p)
+    return a, echelon(a, p, full=True)
 
 
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:

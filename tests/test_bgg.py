@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from math import comb, gcd
 
 import numpy as np
@@ -14,6 +15,9 @@ from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, LinearComplex,
                         projective_point_count, quotient_top, sample_anchoring,
                         tensor_to_subspace)
 import bggbundles.bgg as bgg
+import bggbundles.matrix as matrix
+from bggbundles import modp
+from bggbundles.fields import _is_prime
 from bggbundles.bgg import (CERTIFICATE_CELLS, POINT_BUDGET, _anchor_restriction,
                             _random_point_chunks, _rational_points, _strand_certificate,
                             rational_point_count)
@@ -179,16 +183,38 @@ def test_exhaustive_scan_requires_prime_field():
 def test_exhaustive_scan_certifies_over_the_rationals(monkeypatch):
     assert faithfulness_scan(zero_anchor(QQ, 1, 3, 1), "exhaustive", n=3,
                              l=1).certificate == (0, 0, 0)
-    # Exact ranks over Q: the strands of the full cap would take a minute.
-    with monkeypatch.context() as mp:
-        mp.setattr(bgg, "CERTIFICATE_CELLS", 10_000)
-        rep = faithfulness_scan(e0_anchor(QQ), "exhaustive", n=3, l=1)
-    assert not rep.ok and rep.points_checked is None
-    # The rank-5 shape's anchor over Q has the strand of its F_32003 draw.
     p, d = choose_parameters(3, 2, 5)
-    rep = faithfulness_scan(sample_anchoring(QQ, p, 6, d, seed=3), "exhaustive", n=3, l=2)
+    e0, L = e0_anchor(QQ), sample_anchoring(QQ, p, 6, d, seed=3)
+    # The strands are ranked mod CERTIFICATE_PRIME, never by an exact Q rank:
+    # over Q the e0 anchor's strands up to the full cap would take minutes.
+    with monkeypatch.context() as mp:
+        mp.setattr(matrix, "_rank_bareiss", _no_rational_rank)
+        rep = faithfulness_scan(e0, "exhaustive", n=3, l=1)
+        assert not rep.ok and rep.points_checked is None and rep.certificate is None
+        # The rank-5 shape's anchor over Q has the strand of its F_32003 draw.
+        rep = faithfulness_scan(L, "exhaustive", n=3, l=2)
     assert rep.ok and rep.certificate == (1, 4, 8) and rep.points_checked is None
     assert rep.field_desc == repr(QQ)
+
+
+def _no_rational_rank(rows):
+    raise AssertionError("an exact rank over Q")
+
+
+def test_rational_certificate_clears_rows_and_refuses_rank_loss():
+    q = bgg.CERTIFICATE_PRIME
+    assert q == max(x for x in range(modp.PRIME_BOUND - 100, modp.PRIME_BOUND)
+                    if _is_prime(x))
+    # Each row is multiplied by the lcm of its denominators, then reduced mod q.
+    L = AnchorProblem(1, 4, Subspace(DenseMatrix(QQ, [[Fraction(2, 3), Fraction(1, 6), 0, 0],
+                                                     [0, 0, Fraction(5, 7), 1]], 4)))
+    assert bgg._certificate_anchor(L).subspace.basis.to_lists() == [[4, 1, 0, 0],
+                                                                     [0, 0, 5, 7]]
+    # Independent over Q, equal mod q: not certified, and no exception.
+    L = AnchorProblem(1, 4, Subspace(DenseMatrix(QQ, [[1, 0, 0, 0], [1, q, 0, 0]], 4)))
+    assert bgg._certificate_anchor(L) is None
+    rep = faithfulness_scan(L, "exhaustive", n=3, l=1)
+    assert not rep.ok and rep.certificate is None
 
 
 def test_scan_refuses_unknown_mode_shape_and_sample_counts():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bggbundles import (GF, QQ, DenseMatrix, FieldError, MalformedSubspaceError,
-                        ParameterError, ShapeError, Subspace, modp)
+                        ParameterError, PrimeField, ShapeError, Subspace, modp)
 from bggbundles.fields import _is_prime
 from bggbundles.pipeline import parse_field
 
@@ -87,7 +87,7 @@ def test_rref_idempotent_suite(field):
         for t, c in enumerate(piv):
             col = [R[i, c] for i in range(R.nrows)]
             assert col[t] == field.one
-            assert all(field.is_zero(x) for i, x in enumerate(col) if i != t)
+            assert not any(x for i, x in enumerate(col) if i != t)
 
 
 def test_rank_equals_transpose_rank():
@@ -101,13 +101,15 @@ def test_rank_equals_transpose_rank():
 def test_solve_right_roundtrip():
     a = DenseMatrix(QQ, [[1, 2], [2, 4]])
     b = DenseMatrix(QQ, [[1], [2]])
-    sol = a.solve_right(b)
-    assert sol is not None
-    assert a @ sol.particular == b
+    x = a.solve_right(b)
+    assert x is not None
+    assert a @ x == b
     # Every kernel shift is also a solution.
-    for i in range(sol.kernel.nrows):
-        shift = DenseMatrix(QQ, [[x] for x in sol.kernel.row(i)])
-        assert a @ (sol.particular + shift) == b
+    ker = a.kernel_basis()
+    assert ker.nrows == 1
+    for i in range(ker.nrows):
+        shift = DenseMatrix(QQ, [[v] for v in ker.row(i)])
+        assert a @ (x + shift) == b
 
 
 def test_solve_right_inconsistent():
@@ -124,7 +126,7 @@ def test_solve_right_random_roundtrip():
         x = random_matrix(field, rng, a.ncols, 2)
         b = a @ x
         sol = a.solve_right(b)
-        assert sol is not None and a @ sol.particular == b
+        assert sol is not None and a @ sol == b
 
 
 def test_matmul_numpy_path_matches_generic():
@@ -269,21 +271,22 @@ def test_numpy_ranks_match_fraction_ranks_at_the_largest_prime():
 
 
 def _ref_rref(field, rows, ncols):
-    """Gauss-Jordan with field scalars, first nonzero pivot in column order."""
+    """Gauss-Jordan on Python scalars, each result coerced into ``field``;
+    the first nonzero pivot in column order."""
     a = [list(r) for r in rows]
     piv = []
     for c in range(ncols):
-        sel = next((i for i in range(len(piv), len(a)) if not field.is_zero(a[i][c])), None)
+        sel = next((i for i in range(len(piv), len(a)) if a[i][c]), None)
         if sel is None:
             continue
         r = len(piv)
         a[r], a[sel] = a[sel], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(x, inv) for x in a[r]]
+        inv = field(Fraction(1, a[r][c]))
+        a[r] = [field(x * inv) for x in a[r]]
         for i in range(len(a)):
-            if i != r and not field.is_zero(a[i][c]):
+            if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
+                a[i] = [field(x - f * y) for x, y in zip(a[i], a[r])]
         piv.append(c)
     return a[: len(piv)], piv
 
@@ -292,58 +295,85 @@ def _entries(m):
     return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7), F], ids=["QQ", "F7", "F32003"])
+def _low_rank_matrix(field, rng):
+    """Up to 12 x 12, a product through at most min(rows, cols) dimensions,
+    with some rows and columns zeroed."""
+    nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+    k = rng.randint(0, min(nr, nc))
+    A = _entries(random_matrix(field, rng, nr, k) @ random_matrix(field, rng, k, nc))
+    for i in rng.sample(range(nr), rng.randint(0, nr // 3)):
+        A[i] = [field.zero] * nc
+    for j in rng.sample(range(nc), rng.randint(0, nc // 3)):
+        for row in A:
+            row[j] = field.zero
+    return DenseMatrix(field, A, nc)
+
+
+def _assert_elimination_matches_reference(field, rng, a):
+    A, k = _entries(a), a.ncols
+    R, piv = _ref_rref(field, A, k)
+    assert a.rank() == len(piv)
+    got_R, got_piv = a.rref()
+    assert (_entries(got_R), list(got_piv)) == (R, piv)
+    if isinstance(field, PrimeField):
+        assert modp.rank(a.to_numpy(), field.p) == len(modp.rref(a.to_numpy(), field.p)[1])
+    ker = a.free_column_kernel()
+    free = [j for j in range(k) if j not in piv]
+    want = []
+    for j in free:
+        v = [field.zero] * k
+        v[j] = field.one
+        for t, p in enumerate(piv):
+            v[p] = field(-R[t][j])
+        want.append(v)
+    assert _entries(ker) == want and ker.shape == (len(free), k)
+    c = rng.randint(1, 3)
+    rhs = random_matrix(field, rng, a.nrows, c)
+    aug = [x + y for x, y in zip(A, _entries(rhs))]
+    sol = a.solve_right(rhs)
+    assert (sol is not None) == (len(_ref_rref(field, aug, k + c)[1]) == len(piv))
+    if sol is not None:
+        assert a @ sol == rhs
+    reachable = a @ random_matrix(field, rng, k, c)
+    assert a @ a.solve_right(reachable) == reachable
+    return piv
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7), F, GF(LARGEST_PRIME)],
+                         ids=["QQ", "F2", "F7", "F32003", "F1048573"])
 def test_dense_matrix_matches_plain_python_references(field):
     rng = random.Random(2718)
-    add, mul, sub = field.add, field.mul, field.sub
     for case in range(150):
         r, k, c = (rng.randint(0, 4) for _ in range(3))
         a = random_matrix(field, rng, r, k)
         b = random_matrix(field, rng, k, c)
         a2 = random_matrix(field, rng, r, k)
         A, B, A2 = _entries(a), _entries(b), _entries(a2)
-        z = field.zero
-        assert _entries(a @ b) == [[sum((mul(A[i][t], B[t][j]) for t in range(k)), z)
-                                    if field is QQ else
-                                    sum(A[i][t] * B[t][j] for t in range(k)) % field.p
+        assert _entries(a @ b) == [[field(sum((A[i][t] * B[t][j] for t in range(k)), 0))
                                     for j in range(c)] for i in range(r)]
-        assert _entries(a.kron(b)) == [[mul(A[i][j], B[s][t]) for j in range(k)
+        assert _entries(a.kron(b)) == [[field(A[i][j] * B[s][t]) for j in range(k)
                                         for t in range(c)] for i in range(r) for s in range(k)]
         assert _entries(DenseMatrix.hstack([a, a2])) == [x + y for x, y in zip(A, A2)]
         assert _entries(DenseMatrix.vstack([a, a2])) == A + A2
         assert _entries(a.transpose()) == [[A[i][j] for i in range(r)] for j in range(k)]
         assert a.transpose().shape == (k, r)
-        assert _entries(a + a2) == [[add(x, y) for x, y in zip(u, v)] for u, v in zip(A, A2)]
-        assert _entries(a - a2) == [[sub(x, y) for x, y in zip(u, v)] for u, v in zip(A, A2)]
+        assert _entries(a + a2) == [[field(x + y) for x, y in zip(u, v)] for u, v in zip(A, A2)]
+        assert _entries(a - a2) == [[field(x - y) for x, y in zip(u, v)] for u, v in zip(A, A2)]
         s = field.random_element(rng)
-        assert _entries(a.scale(s)) == [[mul(s, x) for x in u] for u in A]
-        assert (a - a).is_zero() and a.is_zero() == all(field.is_zero(x) for u in A for x in u)
+        assert _entries(a.scale(s)) == [[field(s * x) for x in u] for u in A]
+        assert (a - a).is_zero() and a.is_zero() == (not any(x for u in A for x in u))
         assert DenseMatrix.from_numpy(field, a.to_numpy()) == a
-        if r == 0 or k == 0:
-            continue
-        R, piv = _ref_rref(field, A, k)
-        assert a.rank() == len(piv)
-        got_R, got_piv = a.rref()
-        assert (_entries(got_R), list(got_piv)) == (R, piv)
-        ker = a.free_column_kernel()
-        free = [j for j in range(k) if j not in piv]
-        want = []
-        for j in free:
-            v = [z] * k
-            v[j] = field.one
-            for t, p in enumerate(piv):
-                v[p] = field.neg(R[t][j])
-            want.append(v)
-        assert _entries(ker) == want and ker.shape == (len(free), k)
-        if c:
-            rhs = random_matrix(field, rng, r, c)
-            aug = [x + y for x, y in zip(A, _entries(rhs))]
-            sol = a.solve_right(rhs)
-            assert (sol is not None) == (len(_ref_rref(field, aug, k + c)[1]) == len(piv))
-            if sol is not None:
-                assert a @ sol.particular == rhs
-            reachable = a @ b
-            assert a @ a.solve_right(reachable).particular == reachable
+        if r and k:
+            _assert_elimination_matches_reference(field, rng, a)
+    # Low rank up to 12 x 12, zero rows and columns, and wide matrices whose
+    # pivots run out of rows before the last column.
+    stopped_early = 0
+    for case in range(60):
+        a = (random_matrix(field, rng, rng.randint(1, 6), 12) if case % 3 == 0
+             else _low_rank_matrix(field, rng))
+        piv = _assert_elimination_matches_reference(field, rng, a)
+        stopped_early += len(piv) == a.nrows and piv[-1] < a.ncols - 1
+    assert stopped_early >= 3
 
 
 @pytest.mark.parametrize("field", [QQ, F], ids=["QQ", "F32003"])

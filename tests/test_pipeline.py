@@ -670,6 +670,26 @@ def test_cli_cohomology_refuses_a_malformed_report(fast_report, tmp_path, capsys
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("entry", ["1/0", "one", ""])
+@pytest.mark.parametrize("field", ["fp", "qq"])
+def test_malformed_anchor_entry_is_refused_cleanly(fast_report, qq_report, tmp_path,
+                                                   capsys, field, entry):
+    obj = json.loads(json.dumps(fast_report if field == "fp" else qq_report))
+    obj["anchor"]["basis"]["entries"][0][0] = entry
+    out = tmp_path / "rep.json"
+    out.write_text(json.dumps(obj))
+    assert cli_main(["cohomology", "--in", str(out), "--t-lo", "-6", "--t-hi", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"invalid parameters: {entry!r} is not a number of "
+                            f"{'GF(32003)' if field == 'fp' else 'QQ'}\n")
+    verdict = verify(obj)
+    assert [(name, ok) for name, ok, _ in verdict.checks] == [("report", False)]
+    assert verdict.checks[0][2].startswith("FieldError: ")
+    assert cli_main(["verify", "--in", str(out)]) == 1
+    capsys.readouterr()
+
+
 def test_cli_verify_fails_on_mutation(tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert cli_main(["construct", "--n", "3", "--l", "1", "--r", "3",

@@ -86,10 +86,10 @@ def _strand_map_reference(D, d):
             for r in range(D.nrows):
                 srow = s.row(r)
                 for c in range(D.ncols):
-                    if not f.is_zero(srow[c]):
+                    if srow[c]:
                         key = (ti * D.nrows + r, mi * D.ncols + c)
-                        out[key] = f.add(out.get(key, f.zero), srow[c])
-    return {k: x for k, x in out.items() if not f.is_zero(x)}
+                        out[key] = f(out.get(key, f.zero) + srow[c])
+    return {k: x for k, x in out.items() if x}
 
 
 def _assert_strand_matches_reference(D, d):
