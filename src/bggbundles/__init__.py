@@ -3,8 +3,8 @@
 Construct bundles of prescribed rank and homological dimension as cokernels
 of linear complexes attached to quotients of truncated free modules over the
 exterior algebra, and verify every claimed property with exact linear
-algebra: faithfulness by a strand certificate of the reported anchor over its
-own field (no other anchor is drawn) beside a random point scan, simplicity
+algebra: faithfulness by a strand certificate of the reported anchor beside
+a random point scan, both at its prime (over Q, mod one prime), simplicity
 by endomorphism-space dimension, rank by Euler characteristics, homological
 dimension by certified cohomology vanishing.
 """
@@ -23,7 +23,7 @@ from .anchor import (AnchoringSearchError, AnchorProblem, AnchorVerdict,
                      general_position_range, is_anchoring, pair_solution_dim,
                      sample_anchoring, slices_from_subspace, tensor_to_subspace)
 from .bgg import (FaithfulnessReport, LinearComplex, MatrixOfLinearForms,
-                  PointBudgetError, bgg_complex, evaluate_fiber, faithfulness_scan,
+                  PointBudgetError, bgg_complex, faithfulness_scan,
                   projective_point_count)
 from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable,
                        HdCertificate, certify_hd, cohomology_table, euler_line,
@@ -45,7 +45,7 @@ __all__ = [
     "pair_solution_dim", "sample_anchoring", "slices_from_subspace",
     "tensor_to_subspace",
     "FaithfulnessReport", "LinearComplex", "MatrixOfLinearForms",
-    "PointBudgetError", "bgg_complex", "evaluate_fiber", "faithfulness_scan",
+    "PointBudgetError", "bgg_complex", "faithfulness_scan",
     "projective_point_count",
     "CertificationError", "CohomologyCalculator", "CohomologyTable",
     "HdCertificate", "certify_hd", "cohomology_table", "euler_line",

@@ -17,9 +17,12 @@ quotient by L loses dim(L n ker(v-wedge)) of its rank.  ``faithfulness_scan``
 therefore takes the anchor L, not a complex, and tests this condition on the
 N x k matrix of linear forms D = v-wedge|_L (N = p*C(n+1, l+1), k = dim L).
 
-The exhaustive scan decides the condition at every point at once, over the
-anchor's own field; over Q it ranks the strands mod a prime, which can only
-lower their rank.  The degree-a strand of the transpose of D maps g in
+Both scans run at a prime: the anchor's own, or over Q ``CERTIFICATE_PRIME``,
+mod which ``_certificate_anchor`` reduces the basis rows cleared of their
+denominators.  That can only lower ranks, so a rational point where L fails
+reduces to one where the reduction fails; a basis that loses rank mod p is
+neither sampled nor certified.  The exhaustive scan decides the condition at
+every point at once.  The degree-a strand of the transpose of D maps g in
 S_(a-1) (x) k^N to h = D^T g in S_a (x) k^k; if it is onto, no point over the
 algebraic closure fails.  For suppose D(v) lam = 0 with v != 0.  Every h in
 the image has sum_i h_i(v) lam_i = g(v) . D(v) lam = 0, and the image holds
@@ -36,9 +39,8 @@ so it proves nothing about the closure; it is kept as a test oracle.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 import numpy as np
 
@@ -51,7 +53,6 @@ from .matrix import DenseMatrix, ShapeError, Subspace
 
 
 POINT_BUDGET = 2_000_000  # most points a random scan may test
-HEIGHT = 9  # a random point over Q has coordinates in [-HEIGHT, HEIGHT]
 CERTIFICATE_CELLS = 2_000_000  # largest strand an exhaustive scan ranks
 CERTIFICATE_PRIME = 1_048_573  # the largest prime below modp.PRIME_BOUND
 
@@ -136,9 +137,10 @@ class FaithfulnessReport:
 
     @property
     def ok(self) -> bool:
-        """No failing point, and an exhaustive scan's every point certified."""
-        return not self.failures and (self.mode != "exhaustive"
-                                      or self.certificate is not None)
+        """No failing point, and a certificate or, for a random scan, a point."""
+        covered = (self.certificate is not None if self.mode == "exhaustive"
+                   else self.points_checked > 0)
+        return covered and not self.failures
 
 
 def bgg_complex(P: GradedEModule) -> LinearComplex:
@@ -149,47 +151,25 @@ def bgg_complex(P: GradedEModule) -> LinearComplex:
     return LinearComplex(P.n, terms, diffs)
 
 
-def evaluate_fiber(D: MatrixOfLinearForms, v) -> DenseMatrix:
-    """The fiber matrix sum_j v_j * slice_j at a (nonzero) point."""
-    f = D.field
-    coords = [f(x) for x in v]
-    if len(coords) != D.nvars:
-        raise ShapeError(f"point has {len(coords)} coordinates, expected {D.nvars}")
-    if not any(coords):
-        raise ValueError("the zero vector is not a projective point")
-    out = DenseMatrix.zeros(f, D.nrows, D.ncols)
-    for c, s in zip(coords, D.slices):
-        if c:
-            out = out + s.scale(c)
-    return out
-
-
 def projective_point_count(q: int, n: int) -> int:
     return (q ** (n + 1) - 1) // (q - 1)
 
 
-def rational_point_count(n: int, height: int = HEIGHT) -> int:
-    """The points of P^n(Q) with an integer representative in [-height, height]^(n+1).
-    Each has two primitive ones, +-v, and a nonzero vector of the box is d times
-    a primitive one of the box of height // d: Moebius inversion over d = gcd."""
-    return ((2 * height + 1) ** (n + 1) - 1 - 2 * sum(
-        rational_point_count(n, height // d) for d in range(2, height + 1))) // 2
+def scan_prime(field) -> int:
+    return field.p if isinstance(field, PrimeField) else CERTIFICATE_PRIME
 
 
-def scan_point_count(field, n: int, samples: int) -> int:
-    """The points a random scan of P^n over ``field`` tests, ``samples``
-    distinct ones.  Raises ValueError unless that is at least one, within
-    budget and no more than exist."""
+def scan_point_count(q: int, n: int, samples: int) -> int:
+    """The points a random scan of P^n(F_q) tests, ``samples`` distinct ones.
+    Raises ValueError unless that is at least one, within budget and no more
+    than exist."""
     if samples < 1:
         raise ValueError(f"{samples} random samples: a scan needs at least one sample")
     if samples > POINT_BUDGET:
         raise PointBudgetError(f"{samples} samples exceed the point budget {POINT_BUDGET}")
-    if isinstance(field, PrimeField):
-        count, where = projective_point_count(field.p, n), f"P^{n}(F_{field.p})"
-    else:
-        count, where = rational_point_count(n), f"P^{n} in [-{HEIGHT}, {HEIGHT}]^{n + 1}"
+    count = projective_point_count(q, n)
     if samples > count:
-        raise ValueError(f"{samples} random samples exceed the {count} points of {where}")
+        raise ValueError(f"{samples} random samples exceed the {count} points of P^{n}(F_{q})")
     return samples
 
 
@@ -279,22 +259,6 @@ def _random_point_chunks(q: int, n: int, samples: int, seed: int,
                 return
 
 
-def _rational_points(n: int, samples: int, seed: int):
-    """``samples`` distinct seeded points of P^n over Q, the points of a random
-    scan: nonzero integer vectors with entries in [-HEIGHT, HEIGHT], divided
-    by their gcd and signed so that the first nonzero entry is positive."""
-    rng = random.Random(seed)
-    seen = set()
-    while len(seen) < samples:
-        v = [rng.randint(-HEIGHT, HEIGHT) for _ in range(n + 1)]
-        if any(v):
-            g = gcd(*v) if next(filter(None, v)) > 0 else -gcd(*v)
-            v = tuple(x // g for x in v)
-            if v not in seen:
-                seen.add(v)
-                yield v
-
-
 def _rank_deficient(pts, forms, q: int, d: int):
     """Indices of the points whose fiber of ``forms`` has rank below d.  The
     fibers and ranks die on return, so a scan holds one chunk's at a time."""
@@ -370,16 +334,13 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
     ``free_truncated(anchor.u, l, n)`` by L is not locally free.
 
     ``exhaustive`` covers every point over the algebraic closure of the
-    anchor's field, F_q or Q, by ranking the strands of ``_strand_certificate``
-    (of ``_certificate_anchor``).  One that is onto proves that no point
-    fails: a kernel vector lam of D(v) pairs to 0 with every h = D^T g
-    evaluated at v, so with every x^alpha e_i, which forces lam = 0.  The
-    report records the strand in ``certificate``, and over F_q counts the
-    points of P^n(F_q) as checked.
-    This is sound at every degree, and complete only for large degrees, where
-    a faithful anchor's strands are all onto; without an onto strand the scan
+    anchor's field, F_q or Q, by the first onto strand of
+    ``_strand_certificate`` (of ``_certificate_anchor``), recorded in
+    ``certificate``; over F_q it counts the points of P^n(F_q) as checked.
+    The module docstring proves this sound.  Without an onto strand the scan
     is not ok, and lists no failure.
-    ``random`` samples ``samples`` distinct seeded points; ``scan_point_count``
+    ``random`` samples ``samples`` distinct seeded points of P^n(F_q), q =
+    ``scan_prime``, or none if a Q basis loses rank mod q; ``scan_point_count``
     refuses counts beyond the points or the budget.  A failure is recorded as
     (enumeration index, point, l - 1), the degree at which the quotient's
     fiber sequence is not exact, and the failures are ordered by index
@@ -387,25 +348,23 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
     """
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    f, d = anchor.field, anchor.d
+    L = _certificate_anchor(anchor)
+    D = None if L is None else _anchor_restriction(L, n, l)
     if mode == "exhaustive":
+        f = anchor.field
         count = projective_point_count(f.p, n) if isinstance(f, PrimeField) else None
-        L = _certificate_anchor(anchor)
-        cert = None if L is None else _strand_certificate(_anchor_restriction(L, n, l))
+        cert = None if D is None else _strand_certificate(D)
         return FaithfulnessReport(mode, repr(f), count, (), None, cert)
-    D = _anchor_restriction(anchor, n, l)
-    count = scan_point_count(f, n, samples)
-    if isinstance(f, PrimeField):
-        forms = np.stack([s.to_numpy() for s in D.slices])
-        failures = []
-        base = 0
-        for pts in _random_point_chunks(f.p, n, samples, seed, chunk):
-            failures += [(base + int(t), tuple(int(x) for x in pts[t]), l - 1)
-                         for t in _rank_deficient(pts, forms, f.p, d)]
-            base += pts.shape[0]
-        assert base == count
-    else:
-        # Rational fallback: one exact rank per random integer point.
-        failures = [(i, v, l - 1) for i, v in enumerate(_rational_points(n, samples, seed))
-                    if evaluate_fiber(D, v).rank() < d]
-    return FaithfulnessReport(mode, repr(f), count, tuple(failures), seed)
+    q = scan_prime(anchor.field)
+    count = scan_point_count(q, n, samples)
+    if D is None:
+        return FaithfulnessReport(mode, repr(GF(q)), 0, (), seed)
+    forms = np.stack([s.to_numpy() for s in D.slices])
+    failures = []
+    base = 0
+    for pts in _random_point_chunks(q, n, samples, seed, chunk):
+        failures += [(base + int(t), tuple(int(x) for x in pts[t]), l - 1)
+                     for t in _rank_deficient(pts, forms, q, anchor.d)]
+        base += pts.shape[0]
+    assert base == count
+    return FaithfulnessReport(mode, repr(GF(q)), count, tuple(failures), seed)

@@ -5,12 +5,12 @@ Given n >= 3, a target homological dimension l in [1, n-1] and a rank
 r >= n, the pipeline picks the smallest admissible multiplicity p, quotients
 the truncated free module by an anchoring subspace of the top piece, and
 verifies everything it claims: faithfulness (a scan of ``RANDOM_SAMPLES``
-random points of P^n over the working field, or all of them if there are
-fewer, plus a strand certificate of the reported anchor L over its own
-field, which proves the condition at every point over the algebraic
-closure; no other anchor is drawn), simplicity (endomorphism dimension 1),
-rank and certified homological dimension.  The whole record is serialized
-into a self-contained JSON report.
+random points of P^n(F_q), or all of them if there are fewer, plus a strand
+certificate of the reported anchor L, which proves the condition at every
+point over the algebraic closure; q is the working prime, or over Q
+``bgg.CERTIFICATE_PRIME``, and no other anchor is drawn), simplicity
+(endomorphism dimension 1), rank and certified homological dimension.  The
+whole record is serialized into a self-contained JSON report.
 
 The one random choice is the anchor, drawn by ``sample_anchoring`` at the
 seed ``params.seed + attempts - 1``; the retry budget, the point budget, the
@@ -42,14 +42,14 @@ from . import __version__, bgg
 from .anchor import (AnchoringSearchError, AnchorProblem, general_position_range,
                      is_anchoring, sample_anchoring)
 from .bgg import (FaithfulnessReport, LinearComplex, bgg_complex, faithfulness_scan,
-                  projective_point_count, rational_point_count)
+                  projective_point_count, scan_prime)
 from .emod import GradedEModule, chi, free_truncated, hom_space_dim, quotient_map, quotient_top
-from .fields import GF, QQ, FieldError, PrimeField, RationalField
+from .fields import GF, QQ, FieldError, RationalField
 from .matrix import DenseMatrix, Subspace
 from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable,
                        HdCertificate, certify_hd, cohomology_table)
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 RETRY_BUDGET = 32  # attempts, each at the next seed, before construct gives up
 RANDOM_SAMPLES = 10_000  # points of a random scan, unless P^n has fewer
 
@@ -236,11 +236,11 @@ def _check_rank(inst):
 
 
 def _check_random_faithfulness(inst):
-    params, f = inst.params, inst.L.field
-    points = (projective_point_count(f.p, params.n) if isinstance(f, PrimeField)
-              else rational_point_count(params.n))
-    rnd = faithfulness_scan(inst.L, "random", n=params.n, l=params.l,
-                            samples=min(RANDOM_SAMPLES, points), seed=inst.seed)
+    n, q = inst.params.n, scan_prime(inst.L.field)
+    rnd = faithfulness_scan(inst.L, "random", n=n, l=inst.params.l, seed=inst.seed,
+                            samples=min(RANDOM_SAMPLES, projective_point_count(q, n)))
+    if not rnd.points_checked:
+        return False, f"the basis of L loses rank mod {q}: no point is drawn", (rnd,)
     return rnd.ok, f"{rnd.points_checked} points, {len(rnd.failures)} failures", (rnd,)
 
 

@@ -4,19 +4,22 @@
 by a strand certificate of the anchor L, and samples random points.
 ``enumerated_scan`` instead tests that condition at each point of
 P^n(F_q), one rank per point, which is what names the failing points.
-``full_complex_scan`` ranks every differential of a complex at every point
-and checks exactness below the top degree, which is the definition of local
-freeness the anchored condition replaces.  Both walk the same point streams
-as the scans of the package, so on the complex of the quotient by L the
-reports must be equal.
+``full_complex_scan`` ranks every differential of a complex over F_q at
+every point and checks exactness below the top degree, which is the
+definition of local freeness the anchored condition replaces.  Both walk the
+same point streams as the scans of the package, so on the complex of the
+quotient by L the reports must be equal; over Q that is the quotient by the
+anchor's reduction mod ``CERTIFICATE_PRIME``, which the random scan samples.
+``exact_at_point`` checks one point exactly over either field, with one
+``evaluate_fiber`` rank per differential.
 """
 
 import numpy as np
 
-from bggbundles import FaithfulnessReport, PointBudgetError, PrimeField, evaluate_fiber, modp
+from bggbundles import (DenseMatrix, FaithfulnessReport, PointBudgetError, PrimeField,
+                        ShapeError, modp)
 from bggbundles.bgg import (POINT_BUDGET, _anchor_restriction, _normalized_point_chunks,
-                            _random_point_chunks, _rank_deficient, _rational_points,
-                            projective_point_count)
+                            _random_point_chunks, _rank_deficient, projective_point_count)
 
 
 def enumerated_count(field, n):
@@ -46,6 +49,22 @@ def enumerated_scan(anchor, *, n, l, chunk=1 << 16) -> FaithfulnessReport:
     return FaithfulnessReport("enumerated", repr(f), count, tuple(failures))
 
 
+def evaluate_fiber(D, v) -> DenseMatrix:
+    """The fiber matrix sum_j v_j * slice_j of a matrix of linear forms at a
+    (nonzero) point."""
+    f = D.field
+    coords = [f(x) for x in v]
+    if len(coords) != D.nvars:
+        raise ShapeError(f"point has {len(coords)} coordinates, expected {D.nvars}")
+    if not any(coords):
+        raise ValueError("the zero vector is not a projective point")
+    out = DenseMatrix.zeros(f, D.nrows, D.ncols)
+    for c, s in zip(coords, D.slices):
+        if c:
+            out = out + s.scale(c)
+    return out
+
+
 def exact_at_point(C, v) -> int:
     """First degree below the top where the fiber sequence at ``v`` is not
     exact, or -1 when it is exact at every such degree.
@@ -67,16 +86,9 @@ def full_complex_scan(C, mode="enumerated", *, samples=10000, seed=0,
                       chunk=1 << 16) -> FaithfulnessReport:
     """The scan of a complex with one batched rank per differential, recording
     each failing point with the first degree where exactness fails:
-    ``enumerated`` over every point of P^n(F_q), or ``random``."""
+    ``enumerated`` over every point of P^n(F_q), or ``random``, for a
+    complex over F_q."""
     f, n = C.diffs[0].field, C.n
-    if not isinstance(f, PrimeField):
-        assert mode == "random", "an enumeration needs a prime field"
-        failures = []
-        for i, v in enumerate(_rational_points(n, samples, seed)):
-            degree = exact_at_point(C, v)
-            if degree >= 0:
-                failures.append((i, v, degree))
-        return FaithfulnessReport(mode, repr(f), samples, tuple(failures), seed)
     q = f.p
     if mode == "enumerated":
         chunks, count, seed = _normalized_point_chunks(q, n, chunk), enumerated_count(f, n), None

@@ -3,26 +3,25 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 import numpy as np
 import pytest
 
-from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, LinearComplex,
-                        MatrixOfLinearForms, PointBudgetError, ShapeError, Subspace,
-                        anchoring_tensor, bgg_complex, choose_parameters,
-                        evaluate_fiber, faithfulness_scan, free_truncated,
-                        projective_point_count, quotient_top, sample_anchoring,
-                        tensor_to_subspace)
+from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, FaithfulnessReport,
+                        LinearComplex, MatrixOfLinearForms, PointBudgetError, ShapeError,
+                        Subspace, anchoring_tensor, bgg_complex, choose_parameters,
+                        faithfulness_scan, free_truncated, projective_point_count,
+                        quotient_top, sample_anchoring, tensor_to_subspace)
 import bggbundles.bgg as bgg
 import bggbundles.matrix as matrix
 from bggbundles import modp
 from bggbundles.fields import _is_prime
-from bggbundles.bgg import (CERTIFICATE_CELLS, POINT_BUDGET, _anchor_restriction,
-                            _random_point_chunks, _rational_points, _strand_certificate,
-                            rational_point_count)
+from bggbundles.bgg import (CERTIFICATE_CELLS, CERTIFICATE_PRIME, POINT_BUDGET,
+                            _anchor_restriction, _certificate_anchor, _random_point_chunks,
+                            _strand_certificate)
 from bggbundles.sheafcoh import _transpose_forms, strand_map
-from scan_oracle import enumerated_scan, exact_at_point, full_complex_scan
+from scan_oracle import enumerated_scan, evaluate_fiber, exact_at_point, full_complex_scan
 
 F = GF(32003)
 
@@ -36,6 +35,13 @@ def zero_anchor(field, u, n, l):
 def e0_anchor(field):
     """L = e_0 (x) wedge^1 in P^3, which meets ker(v-wedge) only at v = e_0."""
     return AnchorProblem(1, 4, Subspace(DenseMatrix(field, [[1, 0, 0, 0]], 4)))
+
+
+def rank_loss_anchor():
+    """A Q anchor in wedge^1 of Q^4 whose two basis rows, independent over Q,
+    are equal mod ``CERTIFICATE_PRIME``."""
+    rows = [[1, 0, 0, 0], [1, CERTIFICATE_PRIME, 0, 0]]
+    return AnchorProblem(1, 4, Subspace(DenseMatrix(QQ, rows, 4)))
 
 
 def test_bgg_complex_terms():
@@ -193,8 +199,11 @@ def test_exhaustive_scan_certifies_over_the_rationals(monkeypatch):
         assert not rep.ok and rep.points_checked is None and rep.certificate is None
         # The rank-5 shape's anchor over Q has the strand of its F_32003 draw.
         rep = faithfulness_scan(L, "exhaustive", n=3, l=2)
+        # The random scan samples the same reduction, with no Q rank either.
+        rnd = faithfulness_scan(L, "random", n=3, l=2, samples=2000, seed=3)
     assert rep.ok and rep.certificate == (1, 4, 8) and rep.points_checked is None
     assert rep.field_desc == repr(QQ)
+    assert rnd.ok and rnd.points_checked == 2000 and rnd.field_desc == "GF(1048573)"
 
 
 def _no_rational_rank(rows):
@@ -211,7 +220,7 @@ def test_rational_certificate_clears_rows_and_refuses_rank_loss():
     assert bgg._certificate_anchor(L).subspace.basis.to_lists() == [[4, 1, 0, 0],
                                                                      [0, 0, 5, 7]]
     # Independent over Q, equal mod q: not certified, and no exception.
-    L = AnchorProblem(1, 4, Subspace(DenseMatrix(QQ, [[1, 0, 0, 0], [1, q, 0, 0]], 4)))
+    L = rank_loss_anchor()
     assert bgg._certificate_anchor(L) is None
     rep = faithfulness_scan(L, "exhaustive", n=3, l=1)
     assert not rep.ok and rep.certificate is None
@@ -279,22 +288,30 @@ def test_random_scan_in_pieces_gives_the_same_report():
         assert not rep.ok  # the bad point e_0 is drawn
 
 
-def test_random_scan_rational():
-    rep = faithfulness_scan(zero_anchor(QQ, 1, 3, 2), "random", n=3, l=2, samples=50,
-                            seed=2)
-    assert rep.ok and rep.points_checked == 50
-
-
-def test_rational_points_are_distinct_projective_points():
-    # The box [-9, 9]^2 holds 360 nonzero vectors but 112 points of P^1; a
-    # scan draws each point once, as its primitive vector with a positive lead.
-    count = rational_point_count(1)
-    pts = list(_rational_points(1, count, 0))
-    assert len(set(pts)) == count == 112
-    assert all(gcd(*v) == 1 and next(filter(None, v)) > 0 for v in pts)
-    assert rational_point_count(3) == 60640
-    with pytest.raises(ValueError, match="exceed the 60640 points"):
-        faithfulness_scan(zero_anchor(QQ, 1, 3, 2), "random", n=3, l=2, samples=60641)
+def test_random_scan_rational_samples_the_reduction():
+    # Over Q the scan samples the points of P^n(F_q) at CERTIFICATE_PRIME for
+    # the anchor's reduction there: the same report, seed and count.
+    p, d = choose_parameters(3, 2, 5)
+    cases = [(zero_anchor(QQ, 1, 3, 2), 2), (e0_anchor(QQ), 1),
+             (sample_anchoring(QQ, p, 6, d, seed=3), 2),
+             (AnchorProblem(1, 6, Subspace(DenseMatrix(QQ, [[Fraction(1, 2), 0, 0, 0, 0, 3],
+                                                            [0, 1, Fraction(-2, 7), 0, 0, 0]],
+                                                       6))), 2)]
+    for L, l in cases:
+        # Rows scaled by 1/10^7 span the same L, so they scan the same.
+        scaled = AnchorProblem(L.u, L.w, Subspace(L.subspace.basis.scale(Fraction(1, 10**7))))
+        for seed in (2, 5):
+            rep = faithfulness_scan(L, "random", n=3, l=l, samples=300, seed=seed)
+            assert rep == faithfulness_scan(_certificate_anchor(L), "random", n=3, l=l,
+                                            samples=300, seed=seed)
+            assert rep == faithfulness_scan(scaled, "random", n=3, l=l, samples=300, seed=seed)
+            assert rep.ok and rep.points_checked == 300 and rep.field_desc == "GF(1048573)"
+    # A basis that loses rank mod q draws no point: not ok, and no exception.
+    rep = faithfulness_scan(rank_loss_anchor(), "random", n=3, l=1, samples=300, seed=2)
+    assert rep == FaithfulnessReport("random", "GF(1048573)", 0, (), 2) and not rep.ok
+    # The sample count is still checked where no point is drawn.
+    with pytest.raises(ValueError, match="at least one sample"):
+        faithfulness_scan(rank_loss_anchor(), "random", n=3, l=1, samples=0)
 
 
 def test_random_scan_budget():
@@ -394,15 +411,24 @@ def test_anchored_scan_matches_full_complex_scan():
 
 
 def test_anchored_scan_rational_and_shape_checks():
-    P = free_truncated(2, 2, 3, QQ)
+    # Over Q the anchored scan equals the full-complex scan of the quotient by
+    # the anchor's reduction over F_q, q = CERTIFICATE_PRIME.
+    Fq = GF(CERTIFICATE_PRIME)
     rows = [[0] * 12]
     rows[0][0] = 1  # e_0 (x) (e_0 ^ e_1), killed by v-wedge for v in span(e_0, e_1)
     L = AnchorProblem(2, 6, Subspace(DenseMatrix(QQ, rows, 12)))
-    C = bgg_complex(quotient_top(P, L.subspace))
-    for seed in (1, 2):
-        full = full_complex_scan(C, "random", samples=100, seed=seed)
-        assert not full.ok  # these seeds draw a point of span(e_0, e_1)
-        assert faithfulness_scan(L, "random", n=3, l=2, samples=100, seed=seed) == full
+    # e_0 (x) wedge^2 holds e_0 (x) ker(v-wedge) at every point.
+    every = AnchorProblem(2, 6, Subspace(DenseMatrix(QQ, [[Fraction(1, k + 1) * (i == k)
+                                                           for i in range(12)]
+                                                          for k in range(6)], 12)))
+    for anchor, fails in ((L, False), (every, True)):
+        R = _certificate_anchor(anchor)
+        C = bgg_complex(quotient_top(free_truncated(2, 2, 3, Fq), R.subspace))
+        for seed in (1, 2):
+            full = full_complex_scan(C, "random", samples=100, seed=seed)
+            assert faithfulness_scan(anchor, "random", n=3, l=2, samples=100,
+                                     seed=seed) == full
+            assert len(full.failures) == (100 if fails else 0)
     # An anchor that does not lie in U (x) wedge^l is refused.
     with pytest.raises(ShapeError, match="does not lie in"):
         faithfulness_scan(L, "random", n=3, l=1, samples=10)

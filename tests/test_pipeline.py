@@ -6,7 +6,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from bggbundles import (GF, ConstructionParams, ParameterError, cas_script,
+from bggbundles import (GF, QQ, ConstructionParams, ParameterError, cas_script,
                         choose_parameters, construct, faithfulness_scan, free_truncated,
                         projective_point_count, report_to_json, report_to_json_str,
                         verify)
@@ -101,10 +101,45 @@ def test_construct_over_rationals(qq_report):
 def test_rational_report_certifies_its_own_anchor(qq_report):
     block = qq_report["exhaustive"]
     assert block["field"] == "qq" and block["scan"]["field"] == "QQ"
+    # The random scan names the prime it sampled the anchor's reduction at.
+    assert qq_report["random_scan"]["field"] == "GF(1048573)"
     assert block["scan"]["certificate"] == [1, 4, 8]
     assert block["scan"]["points_checked"] is None
     detail = {name: text for name, _, text in verify(qq_report).checks}
     assert detail["exhaustive_faithfulness"] == "certified by the degree-1 strand (4x8) over QQ"
+
+
+def _rank_loss_rows(qq_report):
+    """The QQ report's integral anchor rows times CERTIFICATE_PRIME: the same
+    L over Q, with a basis that vanishes mod the prime."""
+    return [[bgg.CERTIFICATE_PRIME * int(x) for x in row]
+            for row in qq_report["anchor"]["basis"]["entries"]]
+
+
+def test_rank_loss_anchor_fails_both_faithfulness_checks(qq_report, monkeypatch):
+    forged = with_replaced_anchor(qq_report, _rank_loss_rows(qq_report))
+    failed = verify(forged).failed()
+    assert [name for name, _ in failed] == ["random_faithfulness",
+                                            "exhaustive_faithfulness"]
+    assert failed[0][1].startswith("the basis of L loses rank mod 1048573: "
+                                   "no point is drawn")
+    # construct takes such a draw for a genericity failure, and retries.
+    lossy, real, drawn = pl._anchor_from_json(QQ, forged["anchor"]), pl._build, []
+
+    def build(field, params, seed):
+        drawn.append(seed)
+        return lossy if len(drawn) == 1 else real(field, params, seed)
+
+    monkeypatch.setattr(pl, "_build", build)
+    params = ConstructionParams(3, 2, 5, field_spec="qq", seed=3)
+    rep = construct(params)
+    assert rep.attempts == 2 and drawn == [3, 4] and rep.random_scan.ok
+    monkeypatch.setattr(pl, "RETRY_BUDGET", 1)
+    drawn.clear()
+    with pytest.raises(pl.RetryBudgetError) as exc:
+        construct(params)
+    assert exc.value.diagnostics == [
+        (0, "random_faithfulness: the basis of L loses rank mod 1048573: no point is drawn")]
 
 
 def test_report_roundtrip_verify():
@@ -162,15 +197,19 @@ def test_report_conventions_block():
     obj = report_to_json(construct(ConstructionParams(3, 1, 3, seed=0)))
     conv = obj["conventions"]
     assert "monomial_order" in conv and "tensor_flattening" in conv
-    assert obj["schema"] == 6
+    assert obj["schema"] == 7
     # Matrix entries serialize as strings.
     entry = obj["module"]["actions"][0][0]["entries"][0][0]
     assert isinstance(entry, str)
 
 
-def test_verify_rejects_unknown_schema():
+def test_verify_rejects_unknown_schema(fast_report):
     verdict = verify({"schema": 99})
     assert not verdict.ok
+    # A schema-6 report, whose QQ random scan ranked points over Q, is refused.
+    obj = json.loads(json.dumps(fast_report))
+    obj["schema"] = 6
+    assert verify(obj).failed() == [("schema", "unsupported schema 6")]
 
 
 @pytest.mark.parametrize("report", [[], "x", None])
@@ -268,7 +307,8 @@ def _samples_over_budget(obj):
 
 
 def _qq_samples_1200001(obj):
-    # Over Q, about 7.6 minutes of exact ranks had verify scanned them.
+    # About 7.6 minutes of exact ranks, when verify ranked a Q scan's points
+    # over Q.
     _policy(obj)["random_samples"] = 1_200_001
 
 
@@ -293,7 +333,7 @@ def test_forged_policy_is_refused_within_a_second(fast_report, qq_report, monkey
         raise AssertionError("a refused report reached a scan or a table")
 
     for module, name in [(bgg, "_normalized_point_chunks"), (bgg, "_random_point_chunks"),
-                         (bgg, "_rational_points"), (pl, "cohomology_table")]:
+                         (pl, "cohomology_table")]:
         monkeypatch.setattr(module, name, slow_path)
     check = {name: check for name, _, _, check in pl.CHECKS}.get(owner)  # None: report
     t0 = time.perf_counter()
