@@ -132,12 +132,10 @@ def is_anchoring(P: AnchorProblem) -> AnchorVerdict:
 
 
 def commutant_dim(field, mats) -> int:
-    """Dimension of {C : C M = M C for every M in mats} (all s x s)."""
+    """Dimension of {C : C M = M C for every M in mats} (all s x s): the pairs
+    (A, C) with A V = V C for V in (I, *mats), where V = I forces A = C."""
     s = mats[0].nrows
-    eye = DenseMatrix.identity(field, s)
-    rows = [DenseMatrix.hstack([eye.kron(m.transpose()) - m.kron(eye)]) for m in mats]
-    system = DenseMatrix.vstack(rows)
-    return s * s - system.rank()
+    return pair_solution_dim(SliceTensor(s, s, (DenseMatrix.identity(field, s), *mats)))
 
 
 def burnside_pair(field, s: int, seed: int = 0, max_attempts: int = 32):

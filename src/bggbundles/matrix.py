@@ -195,9 +195,6 @@ class DenseMatrix:
     def __neg__(self):
         return self._new(-self._a)
 
-    def scale(self, c):
-        return self._new(self._a * self.field(c))
-
     def __matmul__(self, other):
         self._check(other)
         if self.ncols != other.nrows:

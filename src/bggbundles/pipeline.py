@@ -16,7 +16,7 @@ The one random choice is the anchor, drawn by ``sample_anchoring`` at the
 seed ``params.seed + attempts - 1``; the retry budget, the point budget, the
 cohomology window, the random scan's size and the certificate's cell cap are
 constants, not settings.  ``construct`` refuses a case none of whose strands
-fits that cap before building.  ``construct`` and ``verify`` run one list of nine
+fits that cap before building.  ``construct`` and ``verify`` run one list of eight
 checks, ``CHECKS``.  A check takes an :class:`Instance` and returns
 ``(ok, detail, values)``, the values of the report sections its ``CHECKS``
 row names.  The instance's inputs are the parameters, the anchor L and the
@@ -40,7 +40,7 @@ from operator import getitem
 
 from . import __version__, bgg
 from .anchor import (AnchoringSearchError, AnchorProblem, general_position_range,
-                     is_anchoring, sample_anchoring)
+                     sample_anchoring)
 from .bgg import (FaithfulnessReport, LinearComplex, bgg_complex, faithfulness_scan,
                   projective_point_count, scan_prime)
 from .emod import GradedEModule, chi, free_truncated, hom_space_dim, quotient_map, quotient_top
@@ -49,7 +49,7 @@ from .matrix import DenseMatrix, Subspace
 from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable,
                        HdCertificate, certify_hd, cohomology_table)
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 RETRY_BUDGET = 32  # attempts, each at the next seed, before construct gives up
 RANDOM_SAMPLES = 10_000  # points of a random scan, unless P^n has fewer
 
@@ -155,10 +155,11 @@ def choose_parameters(n: int, l: int, r: int, multiplicity: int | None = None):
 
 
 def _build(field, params: ConstructionParams, seed: int) -> AnchorProblem:
-    """The anchor L over ``field`` that ``sample_anchoring`` draws at ``seed``."""
+    """The anchor L over ``field`` that ``sample_anchoring`` draws at ``seed``, in
+    one candidate: ``construct`` retries one that does not anchor."""
     n, l = params.n, params.l
     p, dim_l = choose_parameters(n, l, params.r, params.multiplicity)
-    return sample_anchoring(field, p, comb(n + 1, l), dim_l, seed=seed, max_attempts=8)
+    return sample_anchoring(field, p, comb(n + 1, l), dim_l, seed=seed, max_attempts=1)
 
 
 def _rebuild(params: ConstructionParams, L: AnchorProblem) -> GradedEModule:
@@ -192,11 +193,6 @@ class Instance:
         return bgg_complex(self.M)
 
 
-def _needs_anchoring(L: AnchorProblem) -> bool:
-    """Only a nontrivial quotient at multiplicity > 1 must anchor to be simple."""
-    return L.u > 1 and L.d >= 1
-
-
 def _check_parameters(inst):
     n, l = inst.params.n, inst.params.l
     p, dim_l = choose_parameters(n, l, inst.params.r, inst.params.multiplicity)
@@ -210,12 +206,6 @@ def _check_exterior_relations(inst):
     return True, "exterior relations hold", ()
 
 
-def _check_anchoring(inst):
-    verdict = is_anchoring(inst.L)
-    return (verdict.anchors or not _needs_anchoring(inst.L),
-            f"solution dimension {verdict.solution_dim}", (verdict.solution_dim,))
-
-
 def _check_module_rebuild(inst):
     L = inst.L
     return (True, "module is the free-module quotient by L",
@@ -224,9 +214,6 @@ def _check_module_rebuild(inst):
 
 def _check_hom_dimension(inst):
     hom = hom_space_dim(inst.M)
-    if hom != 1 and _needs_anchoring(inst.L) and is_anchoring(inst.L).anchors:
-        raise RuntimeError("anchoring verdict and endomorphism computation disagree: "
-                           f"L anchors but Hom has dimension {hom}")
     return hom == 1, f"Hom dimension {hom}", (hom,)
 
 
@@ -247,12 +234,15 @@ def _check_random_faithfulness(inst):
 def _check_exhaustive_faithfulness(inst):
     L = inst.L
     scan = faithfulness_scan(L, "exhaustive", n=inst.params.n, l=inst.params.l)
-    if scan.certificate is None:
-        detail = f"no strand of at most {bgg.CERTIFICATE_CELLS} cells is onto"
-    else:
+    if scan.certificate is not None:
         a, rows, cols = scan.certificate
-        detail = f"certified by the degree-{a} strand ({rows}x{cols})"
-    return scan.ok, f"{detail} over {scan.field_desc}", (field_spec(L.field), scan)
+        detail = f"certified by the degree-{a} strand ({rows}x{cols}) over {scan.field_desc}"
+    elif bgg._certificate_anchor(L) is None:
+        detail = f"the basis of L loses rank mod {bgg.CERTIFICATE_PRIME}: no strand is ranked"
+    else:
+        detail = (f"no strand of at most {bgg.CERTIFICATE_CELLS} cells is onto "
+                  f"over {scan.field_desc}")
+    return scan.ok, detail, (field_spec(L.field), scan)
 
 
 def _check_cohomology(inst):
@@ -269,7 +259,6 @@ CHECKS = (
     ("parameters", "build", ("conventions", "multiplicity", "anchor_dim"),
      _check_parameters),
     ("exterior_relations", "build", (), _check_exterior_relations),
-    ("anchoring", "simplicity", ("anchor_solution_dim",), _check_anchoring),
     ("module_rebuild", "build", ("module", "quotient_basis"), _check_module_rebuild),
     ("hom_dimension", "simplicity", ("hom_dim",), _check_hom_dimension),
     ("rank", "simplicity", ("chi", "rank"), _check_rank),
@@ -302,7 +291,6 @@ class BundleReport:
     module = _section("module")
     multiplicity = _section("multiplicity")
     anchor_dim = _section("anchor_dim")
-    anchor_solution_dim = _section("anchor_solution_dim")
     hom_dim = _section("hom_dim")
     rank = _section("rank")
     chi = _section("chi")

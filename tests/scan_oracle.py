@@ -61,7 +61,7 @@ def evaluate_fiber(D, v) -> DenseMatrix:
     out = DenseMatrix.zeros(f, D.nrows, D.ncols)
     for c, s in zip(coords, D.slices):
         if c:
-            out = out + s.scale(c)
+            out = out + DenseMatrix(f, [[c]], 1).kron(s)
     return out
 
 

@@ -67,6 +67,34 @@ def test_burnside_pair_larger_field():
     assert commutant_dim(F, [b1, b2]) == 1
 
 
+def _commuting_matrices_dim(field, mats):
+    """Reference: s^2 minus the rank of the stacked C M - M C = 0 system."""
+    s = mats[0].nrows
+    eye = DenseMatrix.identity(field, s)
+    system = DenseMatrix.vstack([eye.kron(m.transpose()) - m.kron(eye) for m in mats])
+    return s * s - system.rank()
+
+
+def test_commutant_dim_matches_the_commuting_system():
+    # Hand values: a lone diagonal with distinct entries commutes with the
+    # diagonals, a nilpotent Jordan block with its polynomials, I with all.
+    for s in (1, 2, 4):
+        diag = DenseMatrix(QQ, [[i + 1 if i == j else 0 for j in range(s)]
+                                for i in range(s)], s)
+        jordan = DenseMatrix(QQ, [[int(j == i + 1) for j in range(s)] for i in range(s)], s)
+        assert commutant_dim(QQ, [diag]) == commutant_dim(QQ, [jordan]) == s
+        assert commutant_dim(QQ, [DenseMatrix.identity(QQ, s)]) == s * s
+    rng = random.Random(5)
+    for field in (F, GF(7), QQ):
+        for s in (1, 2, 3):
+            for k in (1, 2):
+                mats = [DenseMatrix(field, [[field.random_element(rng) for _ in range(s)]
+                                            for _ in range(s)], s) for _ in range(k)]
+                assert commutant_dim(field, mats) == _commuting_matrices_dim(field, mats)
+            b1, b2 = burnside_pair(field, s, seed=s)
+            assert commutant_dim(field, [b1, b2]) == _commuting_matrices_dim(field, [b1, b2]) == 1
+
+
 def test_burnside_pair_field_too_small():
     with pytest.raises(ValueError):
         burnside_pair(GF(3), 4)

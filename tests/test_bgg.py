@@ -299,7 +299,8 @@ def test_random_scan_rational_samples_the_reduction():
                                                        6))), 2)]
     for L, l in cases:
         # Rows scaled by 1/10^7 span the same L, so they scan the same.
-        scaled = AnchorProblem(L.u, L.w, Subspace(L.subspace.basis.scale(Fraction(1, 10**7))))
+        shrink = DenseMatrix(QQ, [[Fraction(1, 10**7)]], 1)
+        scaled = AnchorProblem(L.u, L.w, Subspace(shrink.kron(L.subspace.basis)))
         for seed in (2, 5):
             rep = faithfulness_scan(L, "random", n=3, l=l, samples=300, seed=seed)
             assert rep == faithfulness_scan(_certificate_anchor(L), "random", n=3, l=l,

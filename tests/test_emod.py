@@ -9,9 +9,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from bggbundles import (GF, QQ, DenseMatrix, GradedEModule, ModuleInvariantError,
-                        Subspace, chi, free_truncated, hom_space_dim, quotient_top,
-                        sample_anchoring)
+from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, GradedEModule,
+                        ModuleInvariantError, Subspace, chi, free_truncated, hom_space_dim,
+                        is_anchoring, quotient_top, sample_anchoring)
 from bggbundles.matrix import zeros_array
 from bggbundles.pipeline import choose_parameters
 
@@ -227,6 +227,36 @@ def test_hom_dim_matches_stacked_system_on_the_grid():
             for r in range(n, n + 4):
                 M = _grid_quotient(n, l, r, F)
                 assert hom_space_dim(M) == _stacked_hom_space_dim(M) == 1, (n, l, r)
+
+
+def test_hom_dim_is_the_anchoring_solution_dim_on_the_grid():
+    # An endomorphism of M = P/L is phi_0 (x) 1 for a phi_0 in End(U) with
+    # (phi_0 (x) 1)(L) inside L, so dim Hom(M, M) is the solution dimension of
+    # the anchoring system, whether L anchors or not.  The anchors are random
+    # at the grid's dimension, or random inside one U-block, u_0 (x) W, which
+    # is fixed by every phi_0 that keeps the line of u_0.
+    rng = random.Random(3)
+    verdicts = []
+    for field in (F, GF(5), GF(3)):
+        for n in (3, 4):
+            for l in range(1, n):
+                for r in range(n, n + 4):
+                    p, d = choose_parameters(n, l, r)
+                    w = comb(n + 1, l)
+                    for width, k in ((p * w, d), (w, min(d, w))):
+                        basis = None
+                        while basis is None or basis.rank() < k:
+                            basis = DenseMatrix(field, [[field.random_element(rng)
+                                                         for _ in range(width)]
+                                                        + [0] * (p * w - width)
+                                                        for _ in range(k)], p * w)
+                        L = AnchorProblem(p, w, Subspace(basis))
+                        verdict = is_anchoring(L)
+                        M = quotient_top(free_truncated(p, l, n, field), L.subspace)
+                        assert hom_space_dim(M) == verdict.solution_dim, (field, n, l, r, k)
+                        assert width == p * w or not verdict.anchors
+                        verdicts.append(verdict.anchors)
+    assert len(verdicts) == 120 and sum(verdicts) > 60
 
 
 def test_hom_dim_matches_stacked_system_on_random_quotients():

@@ -151,7 +151,7 @@ def test_report_roundtrip_verify():
     assert "hom_dimension" in names and "exhaustive_faithfulness" in names
 
 
-def test_exhaustive_detail_says_how_the_verdict_was_reached(fast_report):
+def test_exhaustive_detail_says_how_the_verdict_was_reached(fast_report, qq_report):
     verdict = verify(fast_report)
     assert verdict.ok
     detail = {name: text for name, _, text in verdict.checks}["exhaustive_faithfulness"]
@@ -161,6 +161,13 @@ def test_exhaustive_detail_says_how_the_verdict_was_reached(fast_report):
         "scan": {"mode": "exhaustive", "field": "GF(32003)",
                  "points_checked": projective_point_count(32003, 3), "seed": None,
                  "failures": [], "certificate": [1, 4, 8]}}
+    # A Q basis that loses rank mod the prime has no strand ranked, and says so.
+    forged = with_replaced_anchor(qq_report, _rank_loss_rows(qq_report))
+    detail = {name: text for name, _, text in verify(forged).checks}
+    assert detail["random_faithfulness"].startswith("the basis of L loses rank mod "
+                                                    "1048573: no point is drawn;")
+    assert detail["exhaustive_faithfulness"].startswith("the basis of L loses rank mod "
+                                                        "1048573: no strand is ranked;")
 
 
 def test_uncertified_anchor_fails_its_check_and_is_retried(fast_report, monkeypatch):
@@ -197,7 +204,7 @@ def test_report_conventions_block():
     obj = report_to_json(construct(ConstructionParams(3, 1, 3, seed=0)))
     conv = obj["conventions"]
     assert "monomial_order" in conv and "tensor_flattening" in conv
-    assert obj["schema"] == 7
+    assert obj["schema"] == 8
     # Matrix entries serialize as strings.
     entry = obj["module"]["actions"][0][0]["entries"][0][0]
     assert isinstance(entry, str)
@@ -206,10 +213,10 @@ def test_report_conventions_block():
 def test_verify_rejects_unknown_schema(fast_report):
     verdict = verify({"schema": 99})
     assert not verdict.ok
-    # A schema-6 report, whose QQ random scan ranked points over Q, is refused.
+    # A schema-7 report, which recorded anchor_solution_dim, is refused.
     obj = json.loads(json.dumps(fast_report))
-    obj["schema"] = 6
-    assert verify(obj).failed() == [("schema", "unsupported schema 6")]
+    obj["schema"] = 7
+    assert verify(obj).failed() == [("schema", "unsupported schema 7")]
 
 
 @pytest.mark.parametrize("report", [[], "x", None])
@@ -244,8 +251,9 @@ def test_mutation_non_anchoring_subspace():
     verdict = verify(mutated)
     assert not verdict.ok
     failed = dict(verdict.failed())
+    # Hom dimension is the one verdict on simplicity.
     assert "hom_dimension" in failed
-    assert "anchoring" in failed
+    assert "anchoring" not in [name for name, _, _ in verdict.checks]
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +372,12 @@ def _forged_anchor_dim(obj):
     return ("anchor", "dim")
 
 
+# Schema 7 recorded the anchoring solution dimension beside hom_dim.
+def _anchor_solution_dim(obj):
+    obj["anchor_solution_dim"] = 1
+    return ("anchor_solution_dim",)
+
+
 # construct writes these as ints; true == 1 and 500.0 == 500 in Python.
 def _seed_true(obj):
     obj["params"]["seed"] = True
@@ -406,7 +420,8 @@ def _sibling_anchor_w4(obj):
 @pytest.mark.parametrize("forge", [_bogus_key, _stale_exhaustive_module,
                                    _stale_point_budget, _forged_anchor_dim,
                                    _seed_true, _samples_float, _sibling_anchor,
-                                   _sibling_anchor_header, _sibling_anchor_w4])
+                                   _sibling_anchor_header, _sibling_anchor_w4,
+                                   _anchor_solution_dim])
 def test_stray_key_fails_the_report(fast_report, tmp_path, capsys, forge):
     obj = json.loads(json.dumps(fast_report))
     key = ".".join(forge(obj))
@@ -534,10 +549,6 @@ def _forge_hom_dim(obj):
     obj["hom_dim"] = 2
 
 
-def _forge_anchor_solution_dim(obj):
-    obj["anchor_solution_dim"] = 0
-
-
 def _forge_rank(obj):
     obj["rank"] = 6
 
@@ -566,7 +577,6 @@ def _forge_conventions(obj):
     (_forge_table_window, "cohomology"),
     (_forge_hd, "cohomology"),
     (_forge_hom_dim, "hom_dimension"),
-    (_forge_anchor_solution_dim, "anchoring"),
     (_forge_rank, "rank"),
     (_forge_multiplicity, "parameters"),
     (_forge_conventions, "parameters"),
@@ -596,8 +606,7 @@ def test_construct_and_verify_walk_one_check_list(monkeypatch):
 
     monkeypatch.setattr(pl, "CHECKS", tuple((name, stage, keys, recording(name, check))
                                             for name, stage, keys, check in pl.CHECKS))
-    names = ["parameters", "exterior_relations", "anchoring", "module_rebuild",
-             "hom_dimension", "rank", "random_faithfulness",
+    names = ["parameters", "exterior_relations", "module_rebuild", "hom_dimension", "rank", "random_faithfulness",
              "exhaustive_faithfulness", "cohomology"]
     rep = construct(ConstructionParams(3, 2, 5, seed=42))
     assert rep.attempts == 1 and walked == names
@@ -621,42 +630,27 @@ def test_cas_script_contents():
     assert "assert(rank F == 5)" in script
 
 
-def test_loud_failure_on_verdict_disagreement(monkeypatch):
-    # If the endomorphism computation ever contradicts a positive anchoring
-    # verdict the pipeline must abort, not retry.
-    import bggbundles.pipeline as pl
-    monkeypatch.setattr(pl, "hom_space_dim", lambda P: 2)
-    with pytest.raises(RuntimeError, match="disagree"):
-        construct(ConstructionParams(3, 2, 5, seed=42))
-
-
 def test_retry_on_bad_genericity(monkeypatch):
-    # Force the first anchoring verdict to come back negative and confirm the
-    # reseeded second attempt succeeds.
-    import bggbundles.pipeline as pl
-    from bggbundles import AnchorVerdict
-    real = pl.is_anchoring
-    calls = {"n": 0}
+    # Force the first Hom dimension to come back 2 and confirm the reseeded
+    # second attempt succeeds.
+    real = pl.hom_space_dim
+    calls = []
 
-    def flaky(prob):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            return AnchorVerdict(False, 2)
-        return real(prob)
+    def flaky(M):
+        calls.append(M)
+        return 2 if len(calls) == 1 else real(M)
 
-    monkeypatch.setattr(pl, "is_anchoring", flaky)
+    monkeypatch.setattr(pl, "hom_space_dim", flaky)
     rep = construct(ConstructionParams(3, 2, 5, seed=42))
-    assert rep.attempts == 2 and rep.hom_dim == 1
+    assert rep.attempts == 2 and rep.hom_dim == 1 and len(calls) == 2
 
 
 def test_retry_budget_exhausted(monkeypatch):
-    import bggbundles.pipeline as pl
-    from bggbundles import AnchorVerdict
-    monkeypatch.setattr(pl, "is_anchoring", lambda prob: AnchorVerdict(False, 2))
+    monkeypatch.setattr(pl, "hom_space_dim", lambda M: 2)
     monkeypatch.setattr(pl, "RETRY_BUDGET", 3)
     with pytest.raises(pl.RetryBudgetError) as exc:
         construct(ConstructionParams(n=3, l=2, r=5, seed=0))
-    assert len(exc.value.diagnostics) == 3
+    assert exc.value.diagnostics == [(i, "hom_dimension: Hom dimension 2") for i in range(3)]
 
 
 def test_cli_construct_verify_cohomology(tmp_path, capsys):
