@@ -8,11 +8,13 @@ construction, so values can be shared freely across threads and
 ``to_numpy`` hands out the array itself.  The accessors (``m[i, j]``,
 ``row``, ``rows``, ``to_lists``) return Python ``int``/``Fraction`` scalars.
 
-Elimination runs through one Gauss-Jordan loop, ``modp.echelon``: the
-F_p rank and every RREF, over both fields, call it.  The one rank over Q is
-fraction-free (Bareiss) elimination on cleared rows: on a 2-core host the
-loop halved the Q cohomology of (4,3,7) (7.2 to 3.4 s) but slowed (4,3,4)'s
-(11.2 to 13.6 s).  Pivoting is always "first nonzero in column order" so
+Dense elimination runs through one Gauss-Jordan loop, ``modp.echelon``:
+the F_p rank and every RREF, over both fields, call it.  The rank over Q is
+fraction-free (Bareiss) elimination on cleared rows.  It serves only the Q
+ranks that are not cohomology strands: anchor and subspace bases and the
+anchoring system.  The strands of the cohomology tables never become a
+``DenseMatrix``; ``sheafcoh.strand_rank`` ranks them from their nonzeros by
+``modp.sparse_rank``.  Pivoting is always "first nonzero in column order" so
 results are reproducible.
 """
 

@@ -12,6 +12,7 @@ import pytest
 from bggbundles import (GF, QQ, DenseMatrix, FieldError, MalformedSubspaceError,
                         ParameterError, PrimeField, ShapeError, Subspace, modp)
 from bggbundles.fields import _is_prime
+from bggbundles.matrix import _rank_bareiss
 from bggbundles.pipeline import parse_field
 
 F = GF(32003)
@@ -265,6 +266,65 @@ def test_numpy_ranks_match_fraction_ranks_at_the_largest_prime():
         want.append(ref)
     assert list(modp.batch_rank(np.array(mats), p)) == want
     assert len(set(want)) > 3
+
+
+def _sparse_low_rank_triples(rng, p):
+    """A sparse product of rank at most k, as shuffled ``(row, col, value)``
+    triples, and its dense rows, over F_p or over Q (``p=None``).
+
+    Over F_p a value is any representative, negative or past p, and some are
+    0 mod p.  A value is sometimes split over two triples at one position.
+    Some rows are zeroed, and still listed with two triples that cancel or
+    are 0 mod p."""
+    nr, nc = rng.randint(1, 24), rng.randint(1, 24)
+    k = rng.randint(0, min(nr, nc))
+
+    def entry():
+        if rng.random() > 0.3:
+            return 0
+        x = rng.randint(-4, 4)
+        return x if p else Fraction(x, rng.randint(1, 3))
+
+    X = [[entry() for _ in range(k)] for _ in range(nr)]
+    Y = [[entry() for _ in range(nc)] for _ in range(k)]
+    dense = [[sum(X[i][t] * Y[t][j] for t in range(k)) for j in range(nc)]
+             for i in range(nr)]
+    triples = []
+    for i in rng.sample(range(nr), rng.randint(0, nr // 3)):
+        dense[i] = [0] * nc
+        a, j = rng.randint(1, 9), rng.randrange(nc)
+        triples += [(i, j, a), (i, j, -a)]
+    for i, row in enumerate(dense):
+        for j, v in enumerate(row):
+            if v == 0 and rng.random() > 0.05:
+                continue
+            v = v + p * rng.randint(-2, 2) if p else v
+            if rng.random() < 0.2 or (v == 0 and rng.random() < 0.5):
+                a = rng.randint(-9, 9)
+                triples += [(i, j, a), (i, j, v - a)]
+            else:
+                triples.append((i, j, v))
+    rng.shuffle(triples)
+    rows, cols, vals = zip(*triples) if triples else ((), (), ())
+    return (list(rows), list(cols), list(vals)), dense
+
+
+@pytest.mark.parametrize("p", [3, 5, 32003, LARGEST_PRIME, None],
+                         ids=["F3", "F5", "F32003", "F1048573", "QQ"])
+def test_sparse_rank_matches_the_dense_ranks(p):
+    rng = random.Random(p or 0)
+    ranks = []
+    for _ in range(150):
+        triples, dense = _sparse_low_rank_triples(rng, p)
+        want = (modp.rank(np.array(dense, dtype=np.int64), p) if p
+                else _rank_bareiss(dense))
+        assert modp.sparse_rank(*triples, p) == want, (triples, dense)
+        # numpy arrays give the same rank as lists.
+        assert modp.sparse_rank(*(np.array(x) for x in triples), p) == want
+        ranks.append(want)
+    assert len(set(ranks)) > 5
+    for empty in (([], [], []), (np.zeros(0, np.int64),) * 3):
+        assert modp.sparse_rank(*empty, p) == 0
 
 
 # -- DenseMatrix against plain-Python references -----------------------------

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from bggbundles import sheafcoh
+from bggbundles import modp, sheafcoh
 from bggbundles import (GF, QQ, CertificationError, CohomologyCalculator,
                         DenseMatrix, MatrixOfLinearForms, Subspace, bgg_complex,
                         certify_hd, cohomology_table, construct,
@@ -17,7 +17,7 @@ from bggbundles import (GF, QQ, CertificationError, CohomologyCalculator,
 from bggbundles.anchor import sample_anchoring
 from bggbundles.bgg import LinearComplex
 from bggbundles.pipeline import choose_parameters
-from bggbundles.sheafcoh import costrand_map
+from bggbundles.sheafcoh import costrand_map, strand_rank
 
 F = GF(32003)
 
@@ -102,6 +102,22 @@ def _assert_strand_matches_reference(D, d):
     return got
 
 
+def _recorded_strand_ranks(monkeypatch, run):
+    """Call ``run()`` and return the ``strand_rank`` calls it made, as
+    ``(D, d, rank)``."""
+    requested = []
+
+    def recording_strand_rank(D, d):
+        rank = strand_rank(D, d)
+        requested.append((D, d, rank))
+        return rank
+
+    monkeypatch.setattr(sheafcoh, "strand_rank", recording_strand_rank)
+    run()
+    monkeypatch.undo()
+    return requested
+
+
 @pytest.mark.parametrize("n,l,r,t_lo,t_hi", [(3, 2, 5, -14, 6), (4, 3, 7, -12, 2)])
 def test_strand_map_matches_entrywise_reference(monkeypatch, n, l, r, t_lo, t_hi):
     # The benchmark's table cases: every strand the calculator asks for, on
@@ -109,21 +125,31 @@ def test_strand_map_matches_entrywise_reference(monkeypatch, n, l, r, t_lo, t_hi
     p, dim_l = choose_parameters(n, l, r)
     L = sample_anchoring(F, p, comb(n + 1, l), dim_l, seed=42)
     C = bgg_complex(quotient_top(free_truncated(p, l, n, F), L.subspace))
-    requested = []
-
-    def recording_strand_map(D, d):
-        requested.append((D, d))
-        return strand_map(D, d)
-
-    monkeypatch.setattr(sheafcoh, "strand_map", recording_strand_map)
-    cohomology_table(C, t_lo, t_hi, CohomologyCalculator(C))
-    monkeypatch.undo()
+    requested = _recorded_strand_ranks(
+        monkeypatch, lambda: cohomology_table(C, t_lo, t_hi, CohomologyCalculator(C)))
     transposed = [sheafcoh._transpose_forms(D) for D in C.diffs]
-    forms = {(id(D), d) for D, d in requested if any(D is E for E in C.diffs)}
-    duals = {(id(D), d) for D, d in requested if any(D == E for E in transposed)}
+    forms = {(id(D), d) for D, d, _ in requested if any(D is E for E in C.diffs)}
+    duals = {(id(D), d) for D, d, _ in requested if any(D == E for E in transposed)}
     assert len(forms) + len(duals) == len(requested) > 20 and forms and duals
-    for D, d in requested:
-        _assert_strand_matches_reference(D, d)
+    for D, d, rank in requested:
+        # The sparse rank against the dense oracle, and the scattered
+        # entries against the entrywise reference.
+        assert rank == _assert_strand_matches_reference(D, d).rank(), d
+
+
+def test_sparse_rank_on_every_strand_of_the_construction_grid(monkeypatch):
+    # Every strand the cohomology check of construct ranks, for the 20 grid
+    # cases at seed 0, against the dense rank of the scattered strand.
+    def grid():
+        for n in (3, 4):
+            for l in range(1, n):
+                for r in range(n, n + 4):
+                    construct(ConstructionParams(n=n, l=l, r=r, seed=0))
+
+    requested = _recorded_strand_ranks(monkeypatch, grid)
+    assert len(requested) > 80
+    for D, d, rank in requested:
+        assert rank == modp.rank(strand_map(D, d).to_numpy(), D.field.p), d
 
 
 def test_strand_map_matches_entrywise_reference_over_qq():
@@ -135,6 +161,7 @@ def test_strand_map_matches_entrywise_reference_over_qq():
         for d in range(4):
             m = _assert_strand_matches_reference(D, d)
             assert all(type(x) is Fraction for x in m.to_numpy().ravel())
+            assert strand_rank(D, d) == m.rank()
 
 
 def test_costrand_composite_zero():
