@@ -13,9 +13,9 @@ the F_p rank and every RREF, over both fields, call it.  The rank over Q is
 fraction-free (Bareiss) elimination on cleared rows.  It serves only the Q
 ranks that are not cohomology strands: anchor and subspace bases and the
 anchoring system.  The strands of the cohomology tables never become a
-``DenseMatrix``; ``sheafcoh.strand_rank`` ranks them from their nonzeros by
-``modp.sparse_rank``.  Pivoting is always "first nonzero in column order" so
-results are reproducible.
+``DenseMatrix``; ``sheafcoh.bottom_strand_rank`` and ``top_strand_rank``
+rank them from their nonzeros by ``modp.sparse_rank``.  Pivoting is always
+"first nonzero in column order" so results are reproducible.
 """
 
 from __future__ import annotations

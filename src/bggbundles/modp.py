@@ -15,13 +15,17 @@ wrapping.
 The package has two elimination loops, each with its callers.  ``echelon``
 is the dense Gauss-Jordan loop on numpy rows: ``rank``, ``rref``,
 ``DenseMatrix.rref`` over Q (``p=None``) and the dense strand ranks of the
-faithfulness certificate call it.  ``sparse_rank`` reduces rows kept as
-``{col: value}`` dicts of Python scalars and ranks the strands of the
-cohomology tables.  Those strands are 0.1-0.4% nonzero with 3-6 nonzeros per
-row, so a dense loop spends its time on numpy call overhead per pivot, not
-on arithmetic; the certificate's strands are 4-80% nonzero and fill in, and
-there the dense loop is about ten times faster (0.13 against 1.55 s on the
-degree-4 certificate strand of (5,4,5), 630 x 672 and 4% nonzero).  The remaining kernels are
+faithfulness certificate call it.  ``sparse_rank`` ranks the strands of
+the cohomology tables from their ``(row, col, value)`` triples: one numpy
+pass groups them into rows, and a loop reduces the rows, in index order, as
+``{col: value}`` dicts of Python scalars.  Those strands are 0.1-0.4%
+nonzero with 3-6 nonzeros per row, so a dense loop spends its time on numpy
+call overhead per pivot, not on arithmetic; the certificate's strands are
+4-80% nonzero and fill in, and there the dense loop is about ten times
+faster (0.13 against 1.55 s on the degree-4 certificate strand of (5,4,5),
+630 x 672 and 4% nonzero).  ``sheafcoh`` picks the orientation of each
+strand it passes by the strand's row of the spectral sequence.  The
+remaining kernels are
 ``matrix._rank_bareiss`` and ``batch_rank``, which ranks many small matrices
 at once and serves only the random scan; the enumeration of P^n(F_q) it once
 made cheap lives in ``tests/scan_oracle.py``.
@@ -128,21 +132,45 @@ def sparse_rank(rows, cols, vals, p: int | None) -> int:
     """Rank of the matrix with entries ``vals`` at ``(rows, cols)``, over F_p,
     or over Q with ``p=None``.
 
-    Entries at a repeated position are summed.  Values may be any integers
-    (reduced mod p here) or, over Q, anything ``Fraction`` accepts.  Each row
-    is a ``{col: value}`` dict holding only nonzero values, taken in index
-    order and reduced against the pivot rows found so far, which are kept by
-    leading column and scaled to a leading 1 (stored without it).  A row that
-    reaches zero is dependent; otherwise it becomes a pivot row.
+    Entries at a repeated position are summed.  Values may be integers of any
+    size (reduced mod p here) or, over Q, also ``Fraction``s; unless they
+    come as an integer array they are kept as Python objects, so none is
+    rounded or wrapped.  One numpy pass groups the entries by row, sums
+    repeated positions, reduces them mod p and drops zeros.  The rows are
+    then taken in index order, each a ``{col: value}`` dict of Python
+    scalars, and reduced against the pivot rows found so far, which are kept
+    by leading (smallest) column and scaled to a leading 1 (stored without
+    it).  A row that reaches zero is dependent; otherwise it becomes a pivot
+    row.  The order sets the cost, not the rank, so the caller picks the
+    orientation it passes.
     """
-    table = {}
-    for i, j, v in zip(*(np.asarray(x).tolist() for x in (rows, cols, vals))):
-        row = table.setdefault(i, {})
-        row[j] = row.get(j, 0) + v
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if p is None or not isinstance(vals, np.ndarray) or vals.dtype.kind != "i":
+        vals = np.array(vals, dtype=object)
+    if p is not None:
+        vals = vals % p
+    if not vals.size:
+        return 0
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    new = np.empty(len(rows), dtype=bool)
+    new[0] = True
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(new)
+    vals = np.add.reduceat(vals, starts)
+    if p is not None:
+        vals %= p
+    nonzero = vals != 0
+    keep = starts[nonzero]
+    rows, cols, vals = rows[keep], cols[keep], vals[nonzero].tolist()
+    if p is None:
+        vals = [Fraction(v) for v in vals]
+    bounds = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist(), len(vals)]
+    cols = cols.tolist()
     pivots = {}
-    for i in sorted(table):
-        row = {j: Fraction(v) if p is None else v % p for j, v in table.pop(i).items()}
-        row = {j: v for j, v in row.items() if v}
+    for a, b in zip(bounds, bounds[1:]):
+        row = dict(zip(cols[a:b], vals[a:b]))
         while row:
             c = min(row)
             lead = row.pop(c)

@@ -132,11 +132,26 @@ def strand_map(D, d: int) -> DenseMatrix:
     return DenseMatrix.from_numpy(D.field, grid)
 
 
-def strand_rank(D, d: int) -> int:
-    """Rank of the degree-d strand, by ``modp.sparse_rank`` on its nonzeros."""
+def _prime(D) -> int | None:
     f = D.field
-    return modp.sparse_rank(*strand_entries(D, d),
-                            f.p if isinstance(f, PrimeField) else None)
+    return f.p if isinstance(f, PrimeField) else None
+
+
+def bottom_strand_rank(D, d: int) -> int:
+    """Rank of the degree-d strand of ``D``, as the H^0 row ranks it:
+    ``modp.sparse_rank`` on the strand's transpose with its columns reversed,
+    so each row is one source basis vector and pivots on its last nonzero
+    target position."""
+    rows, cols, vals = strand_entries(D, d)
+    height = len(monomials(D.nvars - 1, d + 1)) * D.nrows
+    return modp.sparse_rank(cols, height - 1 - rows, vals, _prime(D))
+
+
+def top_strand_rank(D, d: int) -> int:
+    """Rank of the degree-d strand of ``D``, as the H^n row ranks it (there
+    ``D`` is the slice-wise transpose of a differential): ``modp.sparse_rank``
+    on the strand itself, rows in index order."""
+    return modp.sparse_rank(*strand_entries(D, d), _prime(D))
 
 
 def _transpose_forms(D) -> MatrixOfLinearForms:
@@ -184,13 +199,23 @@ class CohomologyCalculator:
 
     Strand ranks are cached per (differential, degree); the cache is filled
     by pure computations and only ever read afterwards, so concurrent readers
-    are safe.  Each rank is ``strand_rank``, sparse elimination on the
-    strand's nonzeros, never a dense strand: the strands asked for here are
-    0.1-0.4% nonzero, 3-6 entries per row, and a dense loop spends its time
-    on numpy calls per pivot, not on arithmetic (the ``tables`` benchmark op
-    went from 1.17 to 0.25 s, median of 10 runs on a 2-core host).  The
-    denser, filling-in strands of ``bgg._strand_certificate`` stay with the
-    dense ``modp.echelon``.
+    are safe.  Each rank is sparse elimination on the strand's nonzeros,
+    never a dense strand: the strands asked for here are 0.1-0.4% nonzero,
+    3-6 entries per row, and a dense loop spends its time on numpy calls per
+    pivot, not on arithmetic (the ``tables`` benchmark op went from 1.17 to
+    0.25 s, median of 10 runs on a 2-core host).  The denser, filling-in
+    strands of ``bgg._strand_certificate`` stay with the dense
+    ``modp.echelon``.
+
+    The row fixes the orientation that ``modp.sparse_rank`` sees, since its
+    cost is the number of entry updates a reduced row takes from the pivot
+    rows.  The H^0 row (``bottom_strand_rank``) ranks each strand's
+    transpose with its columns reversed; in index order its strands send
+    their dependent rows through long chains of pivot rows, which cost
+    1.87 M updates against 0.13 M on the (5,4,5) table at seed 0, and
+    (6,5,7)'s cohomology check took 31 s against 0.5 s.  The H^n row (``top_strand_rank``) keeps
+    index order, which there is the cheaper one: 0.14 M updates against
+    0.36 M on the two tables of the ``tables`` benchmark.
     """
 
     def __init__(self, C: LinearComplex):
@@ -219,7 +244,7 @@ class CohomologyCalculator:
             return 0
         key = (i, d)
         if key not in self._strand_ranks:
-            self._strand_ranks[key] = strand_rank(self.C.diffs[i], d)
+            self._strand_ranks[key] = bottom_strand_rank(self.C.diffs[i], d)
         return self._strand_ranks[key]
 
     def _costrand_rank(self, i: int, m: int) -> int:
@@ -228,7 +253,7 @@ class CohomologyCalculator:
             return 0
         key = (i, m)
         if key not in self._costrand_ranks:
-            self._costrand_ranks[key] = strand_rank(self._diffs_t[i], m - 1)
+            self._costrand_ranks[key] = top_strand_rank(self._diffs_t[i], m - 1)
         return self._costrand_ranks[key]
 
     # -- second-page entries ---------------------------------------------------

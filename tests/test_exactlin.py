@@ -327,6 +327,47 @@ def test_sparse_rank_matches_the_dense_ranks(p):
         assert modp.sparse_rank(*empty, p) == 0
 
 
+
+@pytest.mark.parametrize("p", [3, 32003, LARGEST_PRIME], ids=["F3", "F32003", "F1048573"])
+def test_sparse_rank_sums_repeats_past_int64(p):
+    # Every entry is split into two values near +-2**70, whose sum is the
+    # entry mod p: an int64 cast overflows, and keeping one of the two
+    # values instead of their sum gives another matrix.
+    big = 1 << 70
+    rng = random.Random(p)
+    for _ in range(10):
+        dense = [[rng.randrange(p) for _ in range(6)] for _ in range(5)]
+        dense.append([(a + 2 * b) % p for a, b in zip(dense[0], dense[1])])
+        triples = []
+        for i, row in enumerate(dense):
+            for j, v in enumerate(row):
+                k = rng.choice((1, -1)) * big + rng.randint(-5, 5)
+                triples += [(i, j, k), (i, j, v - k + p * big)]
+        rng.shuffle(triples)
+        want = modp.rank(np.array(dense, dtype=np.int64), p)
+        assert modp.sparse_rank(*zip(*triples), p) == want <= 5
+    # A row listed only as repeats that cancel mod p is zero.
+    assert modp.sparse_rank([0, 0, 1], [0, 0, 1], [big + 1, p - big - 1, 1], p) == 1
+    # One list holding -1 and 2**63 + 1, which numpy alone would make float64:
+    # the determinant is -1, but rounded to floats the two rows are equal.
+    huge = (1 << 63) + 1
+    assert modp.sparse_rank([0, 0, 1, 1], [0, 1, 0, 1], [huge, -1, huge - 1, -1], p) == 2
+
+
+def test_sparse_rank_over_qq_is_exact():
+    big = 1 << 70
+    third = Fraction(1, 3)
+    # The determinant is -1; as float64 both rows would be [2**70, 2**70].
+    assert modp.sparse_rank([0, 0, 1, 1], [0, 1, 0, 1],
+                            [big, big + 1, big + 1, big + 2], None) == 2
+    # Proportional Fraction rows, one entry split over two repeats.
+    assert modp.sparse_rank([0, 0, 1, 1, 1], [0, 1, 0, 0, 1],
+                            [third, Fraction(1, 2), third, third, 1], None) == 1
+    # Repeats that cancel leave a zero row.
+    assert modp.sparse_rank([0, 0, 1], [0, 0, 1], [third, -third, 2], None) == 1
+    assert modp.sparse_rank(np.array([0, 0]), np.array([0, 0]),
+                            np.array([third, 2 * third]), None) == 1
+
 # -- DenseMatrix against plain-Python references -----------------------------
 
 

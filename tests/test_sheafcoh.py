@@ -17,7 +17,7 @@ from bggbundles import (GF, QQ, CertificationError, CohomologyCalculator,
 from bggbundles.anchor import sample_anchoring
 from bggbundles.bgg import LinearComplex
 from bggbundles.pipeline import choose_parameters
-from bggbundles.sheafcoh import costrand_map, strand_rank
+from bggbundles.sheafcoh import bottom_strand_rank, costrand_map, top_strand_rank
 
 F = GF(32003)
 
@@ -103,16 +103,17 @@ def _assert_strand_matches_reference(D, d):
 
 
 def _recorded_strand_ranks(monkeypatch, run):
-    """Call ``run()`` and return the ``strand_rank`` calls it made, as
-    ``(D, d, rank)``."""
+    """Call ``run()`` and return the strand ranks it asked for through the
+    two rows' entry points, ``bottom_strand_rank`` and ``top_strand_rank``,
+    as ``(D, d, rank)``."""
     requested = []
+    for name in ("bottom_strand_rank", "top_strand_rank"):
+        def recording(D, d, rank_of=getattr(sheafcoh, name)):
+            rank = rank_of(D, d)
+            requested.append((D, d, rank))
+            return rank
 
-    def recording_strand_rank(D, d):
-        rank = strand_rank(D, d)
-        requested.append((D, d, rank))
-        return rank
-
-    monkeypatch.setattr(sheafcoh, "strand_rank", recording_strand_rank)
+        monkeypatch.setattr(sheafcoh, name, recording)
     run()
     monkeypatch.undo()
     return requested
@@ -139,7 +140,8 @@ def test_strand_map_matches_entrywise_reference(monkeypatch, n, l, r, t_lo, t_hi
 
 def test_sparse_rank_on_every_strand_of_the_construction_grid(monkeypatch):
     # Every strand the cohomology check of construct ranks, for the 20 grid
-    # cases at seed 0, against the dense rank of the scattered strand.
+    # cases at seed 0: both orientations against the dense rank of the
+    # scattered strand.
     def grid():
         for n in (3, 4):
             for l in range(1, n):
@@ -149,7 +151,29 @@ def test_sparse_rank_on_every_strand_of_the_construction_grid(monkeypatch):
     requested = _recorded_strand_ranks(monkeypatch, grid)
     assert len(requested) > 80
     for D, d, rank in requested:
-        assert rank == modp.rank(strand_map(D, d).to_numpy(), D.field.p), d
+        want = modp.rank(strand_map(D, d).to_numpy(), D.field.p)
+        assert rank == bottom_strand_rank(D, d) == top_strand_rank(D, d) == want, d
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_both_orientations_on_the_n5_tables(monkeypatch, r):
+    # The (5,4,r) table at seed 0 over t in [-10, 0], the window of the
+    # cohomology check, where the index order fills in on the H^0 row.  The
+    # dense oracle ranks every strand of at most two million cells.  Only
+    # the largest strand of each table (3150 x 2240, or 3276 x 2240) is
+    # past that and takes seconds dense; there the orientations are checked
+    # against each other.
+    requested = _recorded_strand_ranks(
+        monkeypatch, lambda: construct(ConstructionParams(n=5, l=4, r=r, seed=0)))
+    assert len(requested) > 12
+    dense = 0
+    for D, d, rank in requested:
+        assert rank == bottom_strand_rank(D, d) == top_strand_rank(D, d), d
+        cells = len(monomials(5, d + 1)) * D.nrows * len(monomials(5, d)) * D.ncols
+        if cells <= 2_000_000:
+            assert rank == modp.rank(strand_map(D, d).to_numpy(), D.field.p), d
+            dense += 1
+    assert dense == len(requested) - 1
 
 
 def test_strand_map_matches_entrywise_reference_over_qq():
@@ -161,7 +185,7 @@ def test_strand_map_matches_entrywise_reference_over_qq():
         for d in range(4):
             m = _assert_strand_matches_reference(D, d)
             assert all(type(x) is Fraction for x in m.to_numpy().ravel())
-            assert strand_rank(D, d) == m.rank()
+            assert bottom_strand_rank(D, d) == top_strand_rank(D, d) == m.rank()
 
 
 def test_costrand_composite_zero():
