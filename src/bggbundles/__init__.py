@@ -5,8 +5,8 @@ of linear complexes attached to quotients of truncated free modules over the
 exterior algebra, and verify every claimed property with exact linear
 algebra: faithfulness by a strand certificate of the reported anchor beside
 a random point scan, both at its prime (over Q, mod one prime), simplicity
-by endomorphism-space dimension, rank by Euler characteristics, homological
-dimension by certified cohomology vanishing.
+by the endomorphism dimension of the anchoring system, rank by Euler
+characteristics, homological dimension by certified cohomology vanishing.
 """
 
 __version__ = "0.1.0"

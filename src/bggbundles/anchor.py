@@ -20,13 +20,14 @@ import numpy as np
 
 from .matrix import DenseMatrix, MalformedSubspaceError, ShapeError, Subspace
 
+SEARCH_BUDGET = 32  # candidates a randomized search draws before it gives up
+
 
 class AnchoringSearchError(RuntimeError):
-    """Raised when the randomized search exhausts its attempt budget."""
+    """Raised when the randomized search exhausts ``SEARCH_BUDGET``."""
 
-    def __init__(self, message, attempts, failures):
+    def __init__(self, message, failures):
         super().__init__(message)
-        self.attempts = attempts
         self.failures = failures
 
 
@@ -138,7 +139,7 @@ def commutant_dim(field, mats) -> int:
     return pair_solution_dim(SliceTensor(s, s, (DenseMatrix.identity(field, s), *mats)))
 
 
-def burnside_pair(field, s: int, seed: int = 0, max_attempts: int = 32):
+def burnside_pair(field, s: int, seed: int = 0):
     """Two s x s matrices whose joint commutant is exactly the scalars.
 
     B1 is diag(1..s); B2 conjugates the same diagonal by a seeded random
@@ -155,7 +156,7 @@ def burnside_pair(field, s: int, seed: int = 0, max_attempts: int = 32):
     if s == 1:
         return diag, diag
     rng = random.Random(seed)
-    for attempt in range(max_attempts):
+    for _ in range(SEARCH_BUDGET):
         x = DenseMatrix(field, [[field.random_element(rng) for _ in range(s)]
                                 for _ in range(s)], s)
         if x.rank() != s:
@@ -164,8 +165,7 @@ def burnside_pair(field, s: int, seed: int = 0, max_attempts: int = 32):
         if commutant_dim(field, [diag, b2]) == 1:
             return diag, b2
     raise AnchoringSearchError(
-        f"no Burnside pair of size {s} found in {max_attempts} attempts",
-        max_attempts, [])
+        f"no Burnside pair of size {s} found in {SEARCH_BUDGET} attempts", [])
 
 
 def anchoring_tensor(field, u: int, d: int, m: int) -> SliceTensor:
@@ -240,14 +240,23 @@ def general_position_range(u: int, w: int):
     return lo, u * w - lo
 
 
-def sample_anchoring(field, u: int, w: int, d: int, seed: int = 0,
-                     max_attempts: int = 32) -> AnchorProblem:
+def draw_subspace(field, u: int, w: int, d: int, rng) -> AnchorProblem | None:
+    """A d-dimensional subspace of U (x) W spanned by d rows drawn from ``rng``,
+    or None if the rows are dependent.  Whether it anchors is not checked."""
+    rows = [[field.random_element(rng) for _ in range(u * w)] for _ in range(d)]
+    try:
+        return AnchorProblem(u, w, Subspace(DenseMatrix(field, rows, u * w)))
+    except MalformedSubspaceError:  # Subspace refuses dependent rows
+        return None
+
+
+def sample_anchoring(field, u: int, w: int, d: int, seed: int = 0) -> AnchorProblem:
     """A seeded random d-dimensional subspace verified to anchor U.
 
     For u > 1 requires w >= 4 and d strictly inside the general-position
     interval; for u = 1 any d is trivially anchoring, and d = 0 gives the
-    zero subspace.  Each candidate is checked exactly; failure statistics
-    ride along on the error.
+    zero subspace.  Each of at most ``SEARCH_BUDGET`` candidates is checked
+    exactly; failure statistics ride along on the error.
     """
     if u > 1:
         if w < 4:
@@ -257,17 +266,15 @@ def sample_anchoring(field, u: int, w: int, d: int, seed: int = 0,
             raise ValueError(f"dimension {d} outside the open interval ({lo}, {hi})")
     rng = random.Random(seed)
     failures = []
-    for attempt in range(max_attempts):
-        rows = [[field.random_element(rng) for _ in range(u * w)] for _ in range(d)]
-        basis = DenseMatrix(field, rows, u * w)
-        if d > 0 and basis.rank() != d:
+    for attempt in range(SEARCH_BUDGET):
+        prob = draw_subspace(field, u, w, d, rng)
+        if prob is None:
             failures.append((attempt, "dependent sample"))
             continue
-        prob = AnchorProblem(u, w, Subspace(basis))
         verdict = is_anchoring(prob)
         if verdict.anchors:
             return prob
         failures.append((attempt, f"solution dimension {verdict.solution_dim}"))
     raise AnchoringSearchError(
-        f"no anchoring subspace for (u={u}, w={w}, d={d}) in {max_attempts} attempts",
-        max_attempts, failures)
+        f"no anchoring subspace for (u={u}, w={w}, d={d}) in {SEARCH_BUDGET} attempts",
+        failures)

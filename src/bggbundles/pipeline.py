@@ -8,15 +8,15 @@ verifies everything it claims: faithfulness (a scan of ``RANDOM_SAMPLES``
 random points of P^n(F_q), or all of them if there are fewer, plus a strand
 certificate of the reported anchor L, which proves the condition at every
 point over the algebraic closure; q is the working prime, or over Q
-``bgg.CERTIFICATE_PRIME``, and no other anchor is drawn), simplicity
-(endomorphism dimension 1), rank and certified homological dimension.  The
-whole record is serialized into a self-contained JSON report.
+``bgg.CERTIFICATE_PRIME``, and no other anchor is drawn), simplicity (L's
+anchoring system has solution dimension 1), rank and certified homological
+dimension.  The whole record is serialized into a self-contained JSON report.
 
-The one random choice is the anchor, drawn by ``sample_anchoring`` at the
-seed ``params.seed + attempts - 1``; the retry budget, the point budget, the
+The one random choice is the anchor, drawn by ``draw_subspace`` at the seed
+``params.seed + attempts - 1``; the retry budget, the point budget, the
 cohomology window, the random scan's size and the certificate's cell cap are
 constants, not settings.  ``construct`` refuses a case none of whose strands
-fits that cap before building.  ``construct`` and ``verify`` run one list of eight
+fits that cap before building.  ``construct`` and ``verify`` run one list of six
 checks, ``CHECKS``.  A check takes an :class:`Instance` and returns
 ``(ok, detail, values)``, the values of the report sections its ``CHECKS``
 row names.  The instance's inputs are the parameters, the anchor L and the
@@ -31,6 +31,7 @@ recorded one.
 from __future__ import annotations
 
 import json
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,11 +40,10 @@ from math import comb
 from operator import getitem
 
 from . import __version__, bgg
-from .anchor import (AnchoringSearchError, AnchorProblem, general_position_range,
-                     sample_anchoring)
+from .anchor import AnchorProblem, draw_subspace, general_position_range, is_anchoring
 from .bgg import (FaithfulnessReport, LinearComplex, bgg_complex, faithfulness_scan,
                   projective_point_count, scan_prime)
-from .emod import GradedEModule, chi, free_truncated, hom_space_dim, quotient_map, quotient_top
+from .emod import GradedEModule, chi, free_truncated, quotient_map, quotient_top
 from .fields import GF, QQ, FieldError, RationalField
 from .matrix import DenseMatrix, Subspace
 from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable,
@@ -155,11 +155,14 @@ def choose_parameters(n: int, l: int, r: int, multiplicity: int | None = None):
 
 
 def _build(field, params: ConstructionParams, seed: int) -> AnchorProblem:
-    """The anchor L over ``field`` that ``sample_anchoring`` draws at ``seed``, in
-    one candidate: ``construct`` retries one that does not anchor."""
+    """The anchor L over ``field`` drawn at ``seed``.  Whether it anchors is left
+    to ``hom_dimension``; rows drawn dependent fail the attempt here."""
     n, l = params.n, params.l
     p, dim_l = choose_parameters(n, l, params.r, params.multiplicity)
-    return sample_anchoring(field, p, comb(n + 1, l), dim_l, seed=seed, max_attempts=1)
+    L = draw_subspace(field, p, comb(n + 1, l), dim_l, random.Random(seed))
+    if L is None:
+        raise VerificationError(f"build: the {dim_l} rows drawn at seed {seed} are dependent")
+    return L
 
 
 def _rebuild(params: ConstructionParams, L: AnchorProblem) -> GradedEModule:
@@ -194,16 +197,12 @@ class Instance:
 
 
 def _check_parameters(inst):
-    n, l = inst.params.n, inst.params.l
-    p, dim_l = choose_parameters(n, l, inst.params.r, inst.params.multiplicity)
-    L = inst.L
-    return ((L.u, L.w, L.d) == (p, comb(n + 1, l), dim_l),
-            f"p={p}, anchor dim={dim_l}", (dict(CONVENTIONS), p, dim_l))
-
-
-def _check_exterior_relations(inst):
-    inst.M.validate()
-    return True, "exterior relations hold", ()
+    n, l, r = inst.params.n, inst.params.l, inst.params.r
+    p, dim_l = choose_parameters(n, l, r, inst.params.multiplicity)
+    L, ch = inst.L, chi(inst.M)
+    return ((L.u, L.w, L.d) == (p, comb(n + 1, l), dim_l) and ch[-1] == r,
+            f"p={p}, anchor dim={dim_l}, rank={ch[-1]}",
+            (dict(CONVENTIONS), p, dim_l, ch, ch[-1]))
 
 
 def _check_module_rebuild(inst):
@@ -213,13 +212,9 @@ def _check_module_rebuild(inst):
 
 
 def _check_hom_dimension(inst):
-    hom = hom_space_dim(inst.M)
+    # M is generated in degree 0: Hom(M, M) is {phi_0 (x) 1 : (phi_0 (x) 1)(L) in L}.
+    hom = is_anchoring(inst.L).solution_dim
     return hom == 1, f"Hom dimension {hom}", (hom,)
-
-
-def _check_rank(inst):
-    ch = chi(inst.M)
-    return ch[-1] == inst.params.r, f"chi={ch}, rank={ch[-1]}", (ch, ch[-1])
 
 
 def _check_random_faithfulness(inst):
@@ -256,12 +251,10 @@ def _check_cohomology(inst):
 # (name, construct timing stage, the report keys of the values the check
 # returns, check), in the order both callers run them.
 CHECKS = (
-    ("parameters", "build", ("conventions", "multiplicity", "anchor_dim"),
+    ("parameters", "build", ("conventions", "multiplicity", "anchor_dim", "chi", "rank"),
      _check_parameters),
-    ("exterior_relations", "build", (), _check_exterior_relations),
     ("module_rebuild", "build", ("module", "quotient_basis"), _check_module_rebuild),
     ("hom_dimension", "simplicity", ("hom_dim",), _check_hom_dimension),
-    ("rank", "simplicity", ("chi", "rank"), _check_rank),
     ("random_faithfulness", "random_scan", ("random_scan",), _check_random_faithfulness),
     ("exhaustive_faithfulness", "exhaustive_scan",
      ("exhaustive.field", "exhaustive.scan"),
@@ -293,7 +286,6 @@ class BundleReport:
     anchor_dim = _section("anchor_dim")
     hom_dim = _section("hom_dim")
     rank = _section("rank")
-    chi = _section("chi")
     random_scan = _section("random_scan")
     exhaustive_field_spec = _section("exhaustive.field")
     exhaustive_scan = _section("exhaustive.scan")
@@ -306,9 +298,9 @@ def construct(params: ConstructionParams) -> BundleReport:
 
     Structural parameter problems raise :class:`ParameterError` immediately,
     among them a case whose anchors no strand within the certificate's cell
-    cap could certify; genericity failures (a random choice that is not
-    anchoring, certified faithful or simple) reseed and retry up to the
-    budget.
+    cap could certify; genericity failures (drawn rows that are dependent, or
+    an anchor that is not simple, faithful or certified) reseed and retry up
+    to the budget.
     """
     field = params.field()
     n, l, r = params.n, params.l, params.r
@@ -320,7 +312,7 @@ def construct(params: ConstructionParams) -> BundleReport:
     for attempt in range(RETRY_BUDGET):
         try:
             return _construct_once(params, field, attempt + 1)
-        except (VerificationError, CertificationError, AnchoringSearchError) as exc:
+        except (VerificationError, CertificationError) as exc:
             diagnostics.append((attempt, str(exc)))
     raise RetryBudgetError(
         f"construction failed {RETRY_BUDGET} time(s) for "

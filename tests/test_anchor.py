@@ -220,8 +220,8 @@ def test_sample_anchoring_exhaustion_reports_failures(monkeypatch):
     import bggbundles.anchor as an
     from bggbundles import AnchorVerdict
     monkeypatch.setattr(an, "is_anchoring", lambda prob: AnchorVerdict(False, 3))
+    monkeypatch.setattr(an, "SEARCH_BUDGET", 3)
     with pytest.raises(AnchoringSearchError) as exc:
-        an.sample_anchoring(F, 2, 4, 2, seed=0, max_attempts=3)
-    assert exc.value.attempts == 3
+        an.sample_anchoring(F, 2, 4, 2, seed=0)
     assert len(exc.value.failures) == 3
     assert all("3" in msg for _, msg in exc.value.failures)
