@@ -207,18 +207,43 @@ def _random_point_chunks(q: int, n: int, samples: int, seed: int,
     drawn without replacement from the points not seen yet.  numpy's
     Generator yields the same int64 stream whether drawn at once or in
     blocks, so the piece size does not change which points are drawn, nor
-    their order.  The points seen so far are kept as one sorted array of
-    row keys, 8(n+1) bytes per point.
+    their order.
+
+    A point's key is W int64 words, each its next k coordinates read as
+    base-q digits, k the largest with q^k < 2^63: W = 1 at q = 32003 and
+    n = 3, W = 2 at n = 6 or at ``CERTIFICATE_PRIME`` and n = 3.  One
+    numeric sort of a block's words finds its distinct points, and the
+    least position in each run of equal keys is that point's first.  The
+    points seen so far are kept as one sorted array of keys, 8W bytes per
+    point, with the words stored big-endian so that the bytewise order of
+    ``np.searchsorted`` is the words' order.  A block's keys are looked up
+    there rather than sorted with all of them, so that a small block does
+    not cost a pass over every point seen.
     """
     inv_table = modp.inverse_table(q)
     rng = np.random.default_rng(seed)
-    key = np.dtype((np.void, 8 * (n + 1)))
+    digits = 1  # coordinates per key word
+    while q ** (digits + 1) < 1 << 63:
+        digits += 1
+    key = np.dtype((np.void, 8 * -(-(n + 1) // digits)))
     seen = np.empty(0, dtype=key)
     collected = 0
     rounds = 0
 
-    def keys(rows):
-        return np.ascontiguousarray(rows).view(key).ravel()
+    def key_words(rows):
+        """Each row's key words: its coordinates, ``digits`` at a time, read
+        as base-q numbers."""
+        words = []
+        for start in range(0, n + 1, digits):
+            w = rows[:, start].copy()
+            for j in range(start + 1, min(start + digits, n + 1)):
+                w *= q
+                w += rows[:, j]
+            words.append(w)
+        return words
+
+    def keys(words):
+        return np.stack(words, axis=1).astype(">i8").view(key).ravel()
 
     def unseen(k, pos):
         """Which keys are not in ``seen``, given their insertion positions."""
@@ -231,7 +256,7 @@ def _random_point_chunks(q: int, n: int, samples: int, seed: int,
         want = samples - collected
         if rounds > 1000:
             rest = np.concatenate(list(_normalized_point_chunks(q, n, 1 << 16)))
-            k = keys(rest)
+            k = keys(key_words(rest))
             rest = rest[unseen(k, np.searchsorted(seen, k))]
             rest = rest[rng.choice(rest.shape[0], want, replace=False)]
             for start in range(0, want, chunk):
@@ -240,13 +265,24 @@ def _random_point_chunks(q: int, n: int, samples: int, seed: int,
         for start in range(0, want * 2, chunk):
             raw = rng.integers(0, q, size=(min(chunk, want * 2 - start), n + 1),
                                dtype=np.int64)
-            raw = raw[(raw != 0).any(axis=1)]
+            nonzero = raw != 0
+            drawn = nonzero.any(axis=1)
+            if not drawn.all():
+                raw, nonzero = raw[drawn], nonzero[drawn]
             # Normalize so distinctness means distinct projective points.
-            lead = (raw != 0).argmax(axis=1)
+            lead = nonzero.argmax(axis=1)
             raw *= inv_table[raw[np.arange(raw.shape[0]), lead]][:, None]
             raw %= q
-            # The block's distinct points, sorted, with their first positions.
-            u, first = np.unique(keys(raw), return_index=True)
+            # The block's distinct points, sorted, with their first positions:
+            # no sort need be stable, as the first is the least position.
+            w = key_words(raw)
+            order = np.lexsort(w[::-1]) if len(w) > 1 else np.argsort(w[0])
+            w = [x[order] for x in w]
+            starts = np.ones(order.size, dtype=bool)
+            starts[1:] = np.logical_or.reduce([x[1:] != x[:-1] for x in w])
+            starts = np.flatnonzero(starts)
+            u = keys([x[starts] for x in w])
+            first = np.minimum.reduceat(order, starts)
             pos = np.searchsorted(seen, u)
             new = unseen(u, pos)
             keep = np.sort(first[new])[:samples - collected]
@@ -259,11 +295,22 @@ def _random_point_chunks(q: int, n: int, samples: int, seed: int,
                 return
 
 
+def _fibers(pts, forms, q: int) -> np.ndarray:
+    """The fibers sum_j pts[:, j] * forms[j], for residues mod q, unreduced,
+    as int64.  They are one float64 product, exact while every sum of n+1
+    products of residues, at most (n+1)(q-1)^2, stays below 2^53: for any
+    n < 2^13 at q below ``modp.PRIME_BOUND``."""
+    if pts.shape[1] * (q - 1) ** 2 >= 1 << 53:
+        raise OverflowError(f"fibers of {pts.shape[1]} residues mod {q} are not "
+                            "exact in float64")
+    return np.tensordot(pts.astype(np.float64), forms.astype(np.float64),
+                        axes=([1], [0])).astype(np.int64)
+
+
 def _rank_deficient(pts, forms, q: int, d: int):
     """Indices of the points whose fiber of ``forms`` has rank below d.  The
     fibers and ranks die on return, so a scan holds one chunk's at a time."""
-    fibers = np.tensordot(pts, forms, axes=([1], [0])) % q
-    return np.nonzero(modp.batch_rank(fibers, q) < d)[0]
+    return np.nonzero(modp.batch_rank(_fibers(pts, forms, q), q) < d)[0]
 
 
 def _anchor_restriction(anchor: AnchorProblem, n: int, l: int) -> MatrixOfLinearForms:

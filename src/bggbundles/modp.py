@@ -1,16 +1,21 @@
 """numpy kernels for exact dense linear algebra over F_p.
 
-Over F_p all arrays are ``int64`` with entries reduced into ``[0, p)``.  The
-kernels are exact only for p < PRIME_BOUND = 2**20.  The largest intermediate
-is the random scan's fiber evaluation, a sum of n+1 products of two residues,
-at most (n+1)(p-1)**2 < (n+1) * 2**40, which stays below 2**63 for any
-n+1 < 2**23; the elimination steps need only (p-1)**2 + p.  The bound also
-caps the inverse table a scan allocates at 8 MiB.  ``fields.PrimeField``
-refuses larger primes and ``inverse_table`` raises on them.  A
-``DenseMatrix`` product sums k products of residues, at most k(p-1)**2, so it
-is exact only while k(p-1)**2 < 2**63 (k < 2**23 at any p below the bound);
-beyond that ``DenseMatrix.__matmul__`` raises ``OverflowError`` instead of
-wrapping.
+Over F_p all arrays are ``int64`` with entries reduced into ``[0, p)``,
+except the random scan's fibers.  The kernels are exact only for p <
+PRIME_BOUND = 2**20, so that a product of two residues is below 2**40; the
+elimination steps need only (p-1)**2 + p.  The bound also caps the inverse
+table a scan allocates at 8 MiB.  ``fields.PrimeField`` refuses larger
+primes and ``inverse_table`` raises on them.  The random scan's fibers,
+sums of n+1 products of residues, are one float64 product
+(``bgg._fibers``), exact while (n+1)(p-1)**2 < 2**53, which holds for any
+n < 2**13; they reach ``batch_rank`` unreduced.  ``batch_rank`` delays
+reduction: an entry takes at most one subtraction of a product below
+(p-1)**2 per column and is reduced only as a pivot, so entries below 2**53
+stay below 2**53 + cols*(p-1)**2 < 2**63 for any cols < 2**23; it reduces
+larger input first.  A ``DenseMatrix`` product sums k products of
+residues, at most k(p-1)**2, so it is exact only while k(p-1)**2 < 2**63
+(k < 2**23 at any p below the bound); beyond that
+``DenseMatrix.__matmul__`` raises ``OverflowError`` instead of wrapping.
 
 The package has two elimination loops, each with its callers.  ``echelon``
 is the dense Gauss-Jordan loop on numpy rows: ``rank``, ``rref``,
@@ -39,6 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 PRIME_BOUND = 1 << 20
+BATCH_SLICE = 2048  # matrices ``batch_rank`` eliminates at a time
 
 
 @lru_cache(maxsize=8)
@@ -194,33 +200,49 @@ def sparse_rank(rows, cols, vals, p: int | None) -> int:
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a stack of matrices over F_p.
 
-    ``mats`` has shape ``(k, rows, cols)`` and is consumed (eliminated in
-    place on a copy).  Uses a Gauss-Jordan sweep over columns with per-matrix
-    pivot bookkeeping, fully vectorized over the batch axis.
+    ``mats`` has shape ``(k, rows, cols)`` and any integer entries; it is not
+    modified.  The stack is ranked ``BATCH_SLICE`` matrices at a time, each
+    slice copied with its columns as contiguous rows.  A sweep over the
+    columns picks in every matrix the first row not yet a pivot that is
+    nonzero mod p there, and subtracts it from the other such rows, in the
+    columns right of the pivot only; pivot rows are left alone.  Reduction
+    is delayed: only the pivot column and the pivot row are taken mod p at
+    each step, so an entry takes at most one subtraction of a product below
+    (p-1)^2 per column.  An entry that starts below 2^53 in absolute value,
+    as the random scan's unreduced float64 fibers do, therefore stays below
+    2^53 + cols*(p-1)^2 < 2^63 for any cols < 2^23 at p < PRIME_BOUND.  A
+    slice with an entry outside that start bound is reduced mod p first;
+    ``cols`` beyond it, where even reduced entries could wrap, raises
+    ``ValueError``.
     """
-    a = reduced(mats, p)
-    k, rows, cols = a.shape
-    if k == 0 or rows == 0 or cols == 0:
-        return np.zeros(k, dtype=np.int64)
-    inv_table = inverse_table(p)
-    used = np.zeros((k, rows), dtype=bool)
+    mats = np.asarray(mats)
+    k, rows, cols = mats.shape
     out = np.zeros(k, dtype=np.int64)
-    ar = np.arange(k)
-    for c in range(cols):
-        colvals = a[:, :, c]
-        cand = (colvals != 0) & ~used
-        has = cand.any(axis=1)
-        if not has.any():
-            continue
-        piv = cand.argmax(axis=1)
-        pv = colvals[ar, piv]
-        pinv = inv_table[pv % p]
-        factor = colvals * pinv[:, None] % p
-        factor[ar, piv] = 0
-        factor[~has] = 0
-        pivrows = a[ar, piv]
-        a -= factor[:, :, None] * pivrows[:, None, :]
-        a %= p
-        used[ar[has], piv[has]] = True
-        out += has
+    if k == 0 or rows == 0 or cols == 0:
+        return out
+    if cols * (p - 1) ** 2 >= (1 << 63) - (1 << 53):
+        raise ValueError(f"{cols} columns at p = {p} could overflow int64")
+    inv_table = inverse_table(p)
+    for start in range(0, k, BATCH_SLICE):
+        a = np.array(mats[start:start + BATCH_SLICE].transpose(0, 2, 1), dtype=np.int64)
+        if a.min() <= -(1 << 53) or a.max() >= 1 << 53:
+            a %= p
+        m = a.shape[0]
+        ar = np.arange(m)
+        free = np.ones((m, rows), dtype=np.int64)  # 0 on the pivot rows
+        rank = out[start:start + BATCH_SLICE]
+        for c in range(cols):
+            col = a[:, c] % p
+            col *= free
+            piv = (col != 0).argmax(axis=1)
+            pv = col[ar, piv]
+            has = pv != 0
+            if c + 1 < cols:
+                pivrow = a[ar, c + 1:, piv] % p
+                col *= inv_table[pv][:, None]  # inv_table[0] = 0: no pivot, no update
+                col %= p
+                col[ar, piv] = 0
+                a[:, c + 1:] -= pivrow[:, :, None] * col[:, None, :]
+            free[ar[has], piv[has]] = 0
+            rank += has
     return out

@@ -1,5 +1,6 @@
 """Linear complexes, fiber evaluation and faithfulness scans."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -286,6 +287,73 @@ def test_random_scan_in_pieces_gives_the_same_report():
                                 chunk=7)
         assert rep == faithfulness_scan(L, "random", n=3, l=1, samples=samples, seed=3)
         assert not rep.ok  # the bad point e_0 is drawn
+
+
+@pytest.mark.parametrize("q, n, samples, seed, chunk, digest", [
+    # one key word
+    (32003, 3, 10000, 42, 1 << 16,
+     "43594139bbac3858a6d62ff06533cd832a16efa7be0a51d4e20d7753d8398ddd"),
+    # two key words
+    (32003, 6, 10000, 0, 1 << 16,
+     "f80b21dccbfc6a09450863455c1c878db56b100444bf3f12a942c57b0164c537"),
+    # the Q scan prime, two key words
+    (CERTIFICATE_PRIME, 3, 10000, 4, 1 << 16,
+     "ca46f70c884ba31d34c2a9a839509cb0904e7aa47ef8e1bae2b8e477f6cb5987"),
+    # every point, the last ones drawn after 1000 rounds
+    (17, 3, 5220, 3, 1 << 16,
+     "ded526f4f092f0449205a1fca39c919fb91a0c60300d9e068cb96a897041b58c"),
+    # seven-point pieces
+    (5, 3, 120, 3, 7,
+     "6a1d5a651d3eed1050f598fe4d774a1b3399f524ddacb2237fe424bbb8f65913"),
+])
+def test_random_point_streams_are_pinned(q, n, samples, seed, chunk, digest):
+    # sha256 of the concatenated int64 points.  The points drawn are part of
+    # every random scan's report, so a faster sampler must draw these same
+    # streams; the digests come from the sampler that deduplicated whole
+    # rows with np.unique.
+    pts = np.concatenate(list(_random_point_chunks(q, n, samples, seed, chunk)))
+    assert pts.dtype == np.int64 and pts.shape == (samples, n + 1)
+    assert hashlib.sha256(np.ascontiguousarray(pts).tobytes()).hexdigest() == digest
+
+
+def test_float_fibers_are_exact_at_the_largest_prime():
+    # n = 7 with every entry q - 1: each fiber entry is 8 (q-1)^2, below 2^53.
+    q = CERTIFICATE_PRIME
+    pts = np.full((3, 8), q - 1, dtype=np.int64)
+    forms = np.full((8, 5, 4), q - 1, dtype=np.int64)
+    fibers = bgg._fibers(pts, forms, q)
+    want = np.tensordot(pts, forms, axes=([1], [0]))
+    assert fibers.dtype == np.int64 and np.array_equal(fibers, want)
+    assert np.array_equal(fibers % q, want % q)
+    # 8192 terms still sum below 2^53; 8193 could not, and are refused.
+    wide = bgg._fibers(np.full((1, 8192), q - 1), np.full((8192, 1, 1), q - 1), q)
+    assert wide.item() == 8192 * (q - 1) ** 2
+    with pytest.raises(OverflowError):
+        bgg._fibers(np.zeros((1, 8193), dtype=np.int64),
+                    np.zeros((8193, 1, 1), dtype=np.int64), q)
+
+
+def test_rank_deficient_matches_the_int64_reference_across_slices():
+    # Plant one point per column of random forms at which that column of
+    # the fiber vanishes, and put the planted points (or multiples) twice in
+    # one slice of the ranks, on both sides of a slice boundary, and in the
+    # third slice.
+    q, n, N, k = CERTIFICATE_PRIME, 3, 12, 3
+    rng = np.random.default_rng(7)
+    forms = rng.integers(0, q, size=(n + 1, N, k))
+    bad = rng.integers(1, q, size=(k, n + 1))
+    for c, v in enumerate(bad):
+        rest = np.tensordot(v[1:], forms[1:, :, c], axes=1) % q
+        forms[0, :, c] = -rest * pow(int(v[0]), q - 2, q) % q
+    s = modp.BATCH_SLICE
+    pts = rng.integers(0, q, size=(2 * s + 100, n + 1))
+    planted = {100: bad[0], 101: bad[0] * 5 % q, s - 1: bad[1], s: bad[2], 2 * s + 4: bad[1]}
+    for i, v in planted.items():
+        pts[i] = v
+    reference = np.tensordot(pts, forms, axes=([1], [0])) % q
+    want = [i for i, fiber in enumerate(reference) if modp.rank(fiber, q) < k]
+    assert want == sorted(planted)
+    assert bgg._rank_deficient(pts, forms, q, k).tolist() == want
 
 
 def test_random_scan_rational_samples_the_reduction():

@@ -268,6 +268,55 @@ def test_numpy_ranks_match_fraction_ranks_at_the_largest_prime():
     assert len(set(want)) > 3
 
 
+def _lifted(rows, p, rng, top):
+    """``rows`` of residues mod p, each lifted by a random multiple of p to
+    an integer in [0, top], some of them to the largest such."""
+    return [[x + p * (rng.randrange((top - x) // p + 1) if rng.random() < 0.8
+                      else (top - x) // p) for x in row] for row in rows]
+
+
+def test_batch_rank_at_its_delayed_reduction_bound(monkeypatch):
+    # batch_rank reduces only the pivot column and row at each step.  Its
+    # inputs sit at the bound: entries all p - 1, the largest residue, and
+    # unreduced entries up to 2^53 - 1, as the float64 fibers of the random
+    # scan arrive, with up to 12 columns.
+    p = LARGEST_PRIME
+    top = (1 << 53) - 1
+    rng = random.Random(53)
+    for cols in (1, 2, 5, 9, 12):
+        nrows = 14 - cols // 2
+        mats = [[[p - 1] * cols for _ in range(nrows)], [[top] * cols for _ in range(nrows)]]
+        for case in range(16):
+            k = case % (min(nrows, cols) + 1)
+            x = [[rng.randrange(p) for _ in range(k)] for _ in range(nrows)]
+            y = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
+            rows = [[sum(a * b for a, b in zip(xr, col)) % p for col in zip(*y)]
+                    if k else [0] * cols for xr in x]
+            if case % 4 == 1:  # p - 1 in every entry of a row keeps the rank at most k + 1
+                rows[rng.randrange(nrows)] = [p - 1] * cols
+            mats.append(_lifted(rows, p, rng, top) if case % 2 else rows)
+        want = [_rank_mod_p_fractions(m, p) for m in mats]
+        assert len(set(want)) > min(nrows, cols, 3) - 1, want
+        stack = np.array(mats, dtype=np.int64)
+        assert stack.max() == top and stack.min() == 0
+        assert list(modp.batch_rank(stack, p)) == want, cols
+        # Entries past the bound, of either sign, are reduced first: in
+        # slices of 5, some slices are and some are not.
+        shifted = stack + (p << 42) * np.array([rng.choice((-1, 0, 1)) for _ in mats])[:, None, None]
+        assert np.abs(shifted).max() > 1 << 53
+        monkeypatch.setattr(modp, "BATCH_SLICE", 5)
+        assert list(modp.batch_rank(shifted, p)) == want, cols
+        monkeypatch.setattr(modp, "BATCH_SLICE", 3)
+        assert list(modp.batch_rank(stack, p)) == want, cols
+        monkeypatch.undo()
+        assert np.array_equal(stack, np.array(mats))  # the input is not modified
+    # Past 2^23 columns even reduced entries could wrap; a zero-stride view
+    # of that width costs no memory.
+    with pytest.raises(ValueError, match="overflow"):
+        modp.batch_rank(np.broadcast_to(np.zeros((1, 1, 1), dtype=np.int64),
+                                        (1, 1, 1 << 23)), p)
+
+
 def _sparse_low_rank_triples(rng, p):
     """A sparse product of rank at most k, as shuffled ``(row, col, value)``
     triples, and its dense rows, over F_p or over Q (``p=None``).
