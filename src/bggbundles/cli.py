@@ -4,8 +4,8 @@ Subcommands: ``construct`` runs the full pipeline and writes a report;
 ``verify`` replays every check of a saved report; ``anchor`` runs standalone
 anchoring-subspace checks; ``cohomology`` prints a table for a saved report.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
-3 retry budget exhausted.
+Exit codes: 0 success, 1 verification failure, 2 invalid parameters (a file
+that cannot be opened or written among them), 3 retry budget exhausted.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
                "anchor": _cmd_anchor, "cohomology": _cmd_cohomology}[args.command]
     try:
         return handler(args)
-    except (ParameterError, FieldError, ValueError) as exc:
+    except (ParameterError, FieldError, ValueError, OSError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     except RetryBudgetError as exc:

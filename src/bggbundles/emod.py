@@ -77,16 +77,6 @@ def free_truncated(p: int, l: int, n: int, field) -> GradedEModule:
     return GradedEModule(n, field, dims, actions)
 
 
-def quotient_map(L: Subspace) -> DenseMatrix:
-    """Coordinate projection onto the echelon-pivot complement of L.
-
-    Its rows are the free-column kernel vectors of L's basis: the complement
-    is spanned by the coordinates that are not pivot columns of rref(L),
-    which makes the quotient deterministic and cheap to re-derive.
-    """
-    return L.basis.free_column_kernel()
-
-
 def quotient_top(P: GradedEModule, L: Subspace) -> GradedEModule:
     """Quotient of P by a subspace L of its top piece.
 
@@ -103,7 +93,11 @@ def quotient_top(P: GradedEModule, L: Subspace) -> GradedEModule:
         return P
     if L.dim == P.piece_dims[c]:
         return GradedEModule(P.n, P.field, P.piece_dims[:-1], P.actions[:-1])
-    q = quotient_map(L)
+    # Coordinate projection onto the echelon-pivot complement of L.  Its rows
+    # are the free-column kernel vectors of L's basis: the complement is
+    # spanned by the coordinates that are not pivot columns of rref(L), which
+    # makes the quotient deterministic and cheap to re-derive.
+    q = L.basis.free_column_kernel()
     assert (q @ L.basis.transpose()).is_zero()
     new_top = tuple(q @ a for a in P.actions[c - 1])
     return GradedEModule(P.n, P.field, P.piece_dims[:-1] + (q.nrows,),

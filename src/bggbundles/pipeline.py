@@ -16,12 +16,13 @@ The one random choice is the anchor, drawn by ``draw_subspace`` at the seed
 ``params.seed + attempts - 1``; the retry budget, the point budget, the
 cohomology window, the random scan's size and the certificate's cell cap are
 constants, not settings.  ``construct`` refuses a case none of whose strands
-fits that cap before building.  ``construct`` and ``verify`` run one list of six
+fits that cap before building.  ``construct`` and ``verify`` run one list of five
 checks, ``CHECKS``.  A check takes an :class:`Instance` and returns
 ``(ok, detail, values)``, the values of the report sections its ``CHECKS``
 row names.  The instance's inputs are the parameters, the anchor L and the
-attempt count.  The module M is the free module's quotient by L, a
-recomputed section, and each faithfulness scan reads L directly.
+attempt count.  The module M is the free module's quotient by L, rebuilt
+from L and the ``CONVENTIONS`` rather than recorded, and each faithfulness
+scan reads L directly.
 ``construct`` draws L, stops at the first failing check and writes the
 report from the sections; ``verify`` reads the inputs from a report and
 passes a check only if it is ok and every recomputed section equals the
@@ -43,13 +44,13 @@ from . import __version__, bgg
 from .anchor import AnchorProblem, draw_subspace, general_position_range, is_anchoring
 from .bgg import (FaithfulnessReport, LinearComplex, bgg_complex, faithfulness_scan,
                   projective_point_count, scan_prime)
-from .emod import GradedEModule, chi, free_truncated, quotient_map, quotient_top
+from .emod import GradedEModule, chi, free_truncated, quotient_top
 from .fields import GF, QQ, FieldError, RationalField
 from .matrix import DenseMatrix, Subspace
 from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable,
                        HdCertificate, certify_hd, cohomology_table)
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 RETRY_BUDGET = 32  # attempts, each at the next seed, before construct gives up
 RANDOM_SAMPLES = 10_000  # points of a random scan, unless P^n has fewer
 
@@ -165,11 +166,6 @@ def _build(field, params: ConstructionParams, seed: int) -> AnchorProblem:
     return L
 
 
-def _rebuild(params: ConstructionParams, L: AnchorProblem) -> GradedEModule:
-    """The free module's quotient by L: what a module anchored at L must be."""
-    return quotient_top(free_truncated(L.u, params.l, params.n, L.field), L.subspace)
-
-
 # ---------------------------------------------------------------------------
 # the checks shared by construct and verify
 
@@ -177,7 +173,9 @@ def _rebuild(params: ConstructionParams, L: AnchorProblem) -> GradedEModule:
 @dataclass
 class Instance:
     """What the checks examine: the inputs, and what they define.  ``attempts``
-    fixes the seed of the attempt, which drew L and seeds the random scan."""
+    fixes the seed of the attempt, which drew L and seeds the random scan.
+    ``M`` is the one place the module is built: the free module's quotient by
+    L, what a module anchored at L must be.  No report records it."""
 
     params: ConstructionParams
     L: AnchorProblem
@@ -189,7 +187,9 @@ class Instance:
 
     @cached_property
     def M(self) -> GradedEModule:
-        return _rebuild(self.params, self.L)
+        L = self.L
+        return quotient_top(free_truncated(L.u, self.params.l, self.params.n, L.field),
+                            L.subspace)
 
     @cached_property
     def C(self):
@@ -203,12 +203,6 @@ def _check_parameters(inst):
     return ((L.u, L.w, L.d) == (p, comb(n + 1, l), dim_l) and ch[-1] == r,
             f"p={p}, anchor dim={dim_l}, rank={ch[-1]}",
             (dict(CONVENTIONS), p, dim_l, ch, ch[-1]))
-
-
-def _check_module_rebuild(inst):
-    L = inst.L
-    return (True, "module is the free-module quotient by L",
-            (inst.M, quotient_map(L.subspace) if L.d else None))
 
 
 def _check_hom_dimension(inst):
@@ -253,7 +247,6 @@ def _check_cohomology(inst):
 CHECKS = (
     ("parameters", "build", ("conventions", "multiplicity", "anchor_dim", "chi", "rank"),
      _check_parameters),
-    ("module_rebuild", "build", ("module", "quotient_basis"), _check_module_rebuild),
     ("hom_dimension", "simplicity", ("hom_dim",), _check_hom_dimension),
     ("random_faithfulness", "random_scan", ("random_scan",), _check_random_faithfulness),
     ("exhaustive_faithfulness", "exhaustive_scan",
@@ -275,13 +268,13 @@ def _section(key):
 class BundleReport:
     params: ConstructionParams
     anchor: AnchorProblem
+    module: GradedEModule
     complex: LinearComplex
     sections: dict  # report key -> value, as the checks returned them
     attempts: int
     timings: dict
     version: str = __version__
 
-    module = _section("module")
     multiplicity = _section("multiplicity")
     anchor_dim = _section("anchor_dim")
     hom_dim = _section("hom_dim")
@@ -333,8 +326,8 @@ def _construct_once(params, field, attempts) -> BundleReport:
         if not ok:
             raise VerificationError(f"{name}: {detail}")
         sections.update(zip(keys, values, strict=True))
-    return BundleReport(params=params, anchor=L, complex=inst.C, sections=sections,
-                        attempts=attempts, timings=timings)
+    return BundleReport(params=params, anchor=L, module=inst.M, complex=inst.C,
+                        sections=sections, attempts=attempts, timings=timings)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +342,6 @@ def _matrix_to_json(m: DenseMatrix):
 
 def _matrix_from_json(field, obj) -> DenseMatrix:
     return DenseMatrix(field, obj["entries"], int(obj["cols"]))
-
-
-def _module_to_json(M: GradedEModule):
-    return {"n": M.n, "piece_dims": list(M.piece_dims),
-            "actions": [[_matrix_to_json(a) for a in level] for level in M.actions]}
 
 
 def _anchor_to_json(L: AnchorProblem):
@@ -377,10 +365,6 @@ def _scan_to_json(rep: FaithfulnessReport):
 
 def _section_json(value):
     """The report form of a section value returned by a check."""
-    if isinstance(value, DenseMatrix):
-        return _matrix_to_json(value)
-    if isinstance(value, GradedEModule):
-        return _module_to_json(value)
     if isinstance(value, FaithfulnessReport):
         return _scan_to_json(value)
     if isinstance(value, CohomologyTable):
@@ -490,10 +474,13 @@ def _instance_from_report(report: dict) -> Instance:
 def verify(report: dict) -> Verdict:
     """Re-run every check of a serialized report deterministically.
 
-    The inputs are ``params``, ``anchor`` and ``attempts``.  Every other key
-    but ``schema``, ``version`` and ``timings`` is a section of exactly one
-    check, recomputed and compared, the strand certificate included.  An
-    unreadable input or a key no check owns fails one ``report`` check.
+    The inputs are ``params``, ``anchor`` and ``attempts``; the module is
+    not recorded, but rebuilt from the anchor.  Every other key but
+    ``schema``, ``version`` and ``timings`` is a section of exactly one
+    check, recomputed and compared, the strand certificate included.
+    ``version`` is metadata, like ``timings``: it is not checked, so a report
+    stamped by another version verifies if its checks pass.  An unreadable
+    input or a key no check owns fails one ``report`` check.
     What the scans spend is no input: the random sample count follows from
     the working field and the certificate's cell cap is a constant, as in
     ``construct``.
@@ -530,33 +517,30 @@ def cas_script(report: dict) -> str:
     """A Macaulay2 script rebuilding the resolution for cross-validation.
 
     The script recomputes the cokernel sheaf, its rank and the cohomology
-    groups certified in the report.  It is emitted for third-party checking
-    only; nothing in this package depends on its output.
+    groups certified in the report, from the module the report's anchor
+    defines.  It is emitted for third-party checking only; nothing in this
+    package depends on its output.
     """
-    params = report["params"]
-    n, l = params["n"], params["l"]
-    field = parse_field(params["field"])
+    inst = _instance_from_report(report)
+    n, l, M = inst.params.n, inst.params.l, inst.M
+    field = M.field
     kk = "QQ" if isinstance(field, RationalField) else f"ZZ/{field.p}"
-    module = report["module"]
-    dims = module["piece_dims"]
+    dims = M.piece_dims
     lines = [
         "-- independent cross-check of a constructed bundle",
         f"kk = {kk}",
         f"S = kk[x_0..x_{n}]",
     ]
-    for i in range(len(dims) - 1):
-        acts = module["actions"][i]
+    for i, level in enumerate(M.actions):
+        acts = [a.rows() for a in level]
         rows = dims[i + 1]
         cols = dims[i]
         entry_rows = []
         for rr in range(rows):
             ents = []
             for cc in range(cols):
-                terms = []
-                for j in range(n + 1):
-                    coeff = acts[j]["entries"][rr][cc]
-                    if coeff not in ("0", "0/1"):
-                        terms.append(f"({coeff})*x_{j}")
+                terms = [f"({field.to_str(a[rr][cc])})*x_{j}"
+                         for j, a in enumerate(acts) if a[rr][cc]]
                 ents.append("+".join(terms) if terms else "0")
             entry_rows.append("{" + ", ".join(ents) + "}")
         lines.append(

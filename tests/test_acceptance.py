@@ -19,7 +19,7 @@ from bggbundles import (GF, QQ, ConstructionParams, DenseMatrix, LinearComplex,
                         projective_point_count, report_to_json, Subspace, verify)
 from bggbundles.anchor import AnchorProblem
 import bggbundles.pipeline as pl
-from forgery import with_replaced_anchor
+from forgery import module_record, with_replaced_anchor
 from scan_oracle import enumerated_scan, full_complex_scan
 
 F = GF(32003)
@@ -176,11 +176,17 @@ def small_report():
 def test_acceptance_9_mutation_tests(small_report, monkeypatch):
     # Verify at the report's sample count, so that only the mutation departs.
     monkeypatch.setattr(pl, "RANDOM_SAMPLES", 500)
+    names = ["parameters", "hom_dimension", "random_faithfulness",
+             "exhaustive_faithfulness", "cohomology"]
+    assert [name for name, _, _ in verify(small_report).checks] == names
+    # The module is rebuilt from the anchor: a recorded one, here with a
+    # corrupted action entry, is a key no check owns.
     corrupted = json.loads(json.dumps(small_report))
+    corrupted["module"] = module_record(pl._instance_from_report(corrupted).M)
     corrupted["module"]["actions"][1][0]["entries"][0][0] = "12345"
     verdict = verify(corrupted)
     assert not verdict.ok
-    assert [name for name, _ in verdict.failed()] == ["module_rebuild"]
+    assert [name for name, _ in verdict.failed()] == ["report"]
 
     row = ["0"] * 12
     row[0] = "1"  # decomposable vector: preserved by all diagonal phi
@@ -189,7 +195,7 @@ def test_acceptance_9_mutation_tests(small_report, monkeypatch):
     assert not verdict.ok
     failed = dict(verdict.failed())
     assert "hom_dimension" in failed
-    assert "anchoring" not in [name for name, _, _ in verdict.checks]
+    assert [name for name, _, _ in verdict.checks] == names
     _report(9)
 
 

@@ -1,5 +1,6 @@
 """End-to-end construction, report serialization, verification, mutation."""
 
+import hashlib
 import json
 import sys
 import time
@@ -16,8 +17,8 @@ import bggbundles.bgg as bgg
 import bggbundles.emod as emod
 import bggbundles.pipeline as pl
 from bggbundles.cli import main as cli_main
-from bggbundles.pipeline import _module_to_json, _scan_to_json
-from forgery import with_replaced_anchor
+from bggbundles.pipeline import _scan_to_json
+from forgery import module_record, with_replaced_anchor
 
 
 @contextmanager
@@ -207,10 +208,12 @@ def test_report_conventions_block():
     obj = report_to_json(construct(ConstructionParams(3, 1, 3, seed=0)))
     conv = obj["conventions"]
     assert "monomial_order" in conv and "tensor_flattening" in conv
-    assert obj["schema"] == 8
+    assert obj["schema"] == 9
     # Matrix entries serialize as strings.
-    entry = obj["module"]["actions"][0][0]["entries"][0][0]
+    entry = obj["anchor"]["basis"]["entries"][0][0]
     assert isinstance(entry, str)
+    # The module is rebuilt from the anchor and the conventions, not recorded.
+    assert "module" not in obj and "quotient_basis" not in obj
 
 
 def test_verify_rejects_unknown_schema(fast_report):
@@ -236,12 +239,15 @@ def test_cli_verify_fails_a_report_that_is_not_an_object(tmp_path, capsys):
     assert "FAIL report" in capsys.readouterr().out
 
 
-def test_mutation_corrupted_action_matrix():
-    obj = report_to_json(construct(ConstructionParams(3, 2, 5, seed=42)))
+def test_mutation_corrupted_action_matrix(fast_report):
+    # A module recorded beside the anchor, as schema 8 did, is a key no check
+    # owns: the checks read the module the anchor defines.
+    obj = json.loads(json.dumps(fast_report))
+    obj["module"] = module_record(pl._instance_from_report(obj).M)
     obj["module"]["actions"][1][0]["entries"][0][0] = "12345"
     verdict = verify(obj)
     assert not verdict.ok
-    assert [name for name, _ in verdict.failed()] == ["module_rebuild"]
+    assert [name for name, _ in verdict.failed()] == ["report"]
 
 
 def test_mutation_non_anchoring_subspace():
@@ -255,7 +261,9 @@ def test_mutation_non_anchoring_subspace():
     failed = dict(verdict.failed())
     # Hom dimension is the one verdict on simplicity.
     assert "hom_dimension" in failed
-    assert "anchoring" not in [name for name, _, _ in verdict.checks]
+    assert [name for name, _, _ in verdict.checks] == [
+        "parameters", "hom_dimension", "random_faithfulness", "exhaustive_faithfulness",
+        "cohomology"]
 
 
 @pytest.fixture(scope="module")
@@ -284,10 +292,9 @@ def test_mutation_exhaustive_block(fast_report, mutate):
 
 def test_mutation_main_module_swapped_for_free_module(fast_report):
     obj = json.loads(json.dumps(fast_report))
-    obj["module"] = _module_to_json(free_truncated(obj["multiplicity"], 2, 3, GF(32003)))
-    # Every other check runs on the quotient by L, so only the check that
-    # records the module sees the swap.
-    assert [name for name, _ in verify(obj).failed()] == ["module_rebuild"]
+    obj["module"] = module_record(free_truncated(obj["multiplicity"], 2, 3, GF(32003)))
+    # Every check runs on the quotient by L; a recorded module is refused.
+    assert [name for name, _ in verify(obj).failed()] == ["report"]
 
 
 def _policy(obj):
@@ -360,7 +367,7 @@ def _bogus_key(obj):
 
 
 def _stale_exhaustive_module(obj):
-    obj["exhaustive"]["module"] = obj["module"]
+    obj["exhaustive"]["module"] = module_record(pl._instance_from_report(obj).M)
     return ("exhaustive", "module")
 
 
@@ -476,19 +483,23 @@ def _entries(obj, f):
     obj["entries"] = [[f(x) for x in row] for row in obj["entries"]]
 
 
+# Schema 8 recorded the module and the quotient basis beside the anchor
+# that defines both.
 def _forge_module(obj):
-    # P_0 rescaled by 1/2: an isomorphic module, but not the quotient by L.
-    for a in obj["module"]["actions"][0]:
-        _entries(a, lambda x: str(2 * int(x) % 32003))
-
-
-def _forge_anchor(obj):
-    row = obj["anchor"]["basis"]["entries"][0]
-    row[0] = str(int(row[0]) + 1)
+    obj["module"] = module_record(pl._instance_from_report(obj).M)
 
 
 def _forge_quotient_basis(obj):
-    obj["quotient_basis"]["entries"][0][0] = "7"
+    basis = pl._instance_from_report(obj).L.subspace.basis
+    obj["quotient_basis"] = pl._matrix_to_json(basis.free_column_kernel())
+
+
+def _forge_anchor(obj):
+    # u_0 (x) (e_01 + e_23): faithful, since the 2-form has rank 4, but kept by
+    # every phi_0 that keeps the line of u_0.
+    row = ["0"] * 12
+    row[0] = row[5] = "1"
+    obj["anchor"]["basis"]["entries"] = [row]
 
 
 def _forge_exhaustive_field(obj):
@@ -500,10 +511,6 @@ def _forge_exhaustive_block_over_f3(obj):
     sibling = pl._build(GF(3), ConstructionParams(3, 2, 5, seed=42), 42)
     obj["exhaustive"] = {"field": "fp:3", "scan": _scan_to_json(
         faithfulness_scan(sibling, "exhaustive", n=3, l=2))}
-
-
-def _forge_deleted_module(obj):
-    del obj["module"]
 
 
 def _forge_certificate(obj):
@@ -568,10 +575,9 @@ def _forge_conventions(obj):
 
 
 @pytest.mark.parametrize("forge, owner", [
-    (_forge_module, "module_rebuild"),
-    (_forge_anchor, "module_rebuild"),
-    (_forge_quotient_basis, "module_rebuild"),
-    (_forge_deleted_module, "module_rebuild"),
+    (_forge_module, "report"),
+    (_forge_quotient_basis, "report"),
+    (_forge_anchor, "hom_dimension"),
     (_forge_exhaustive_field, "exhaustive_faithfulness"),
     (_forge_exhaustive_block_over_f3, "exhaustive_faithfulness"),
     (_forge_certificate, "exhaustive_faithfulness"),
@@ -594,6 +600,21 @@ def test_forged_section_fails_exactly_its_check(fast_report, forge, owner):
     assert [name for name, _ in verify(obj).failed()] == [owner]
 
 
+def test_a_report_edited_only_in_its_anchor_verifies(fast_report):
+    # The anchor is an input: verify proves every claim again for whatever
+    # anchor a report holds, here u_0 (x) e_01 + u_1 (x) e_23, once each
+    # section is recomputed for it.
+    row = ["0"] * 12
+    row[0] = row[11] = "1"
+    obj = with_replaced_anchor(fast_report, [row])
+    inst = pl._instance_from_report(obj)
+    for _, _, keys, check in pl.CHECKS:
+        for key, value in zip(keys, check(inst)[2], strict=True):
+            pl._put(obj, key, pl._section_json(value))
+    assert [key for key in obj if obj[key] != fast_report[key]] == ["anchor"]
+    assert verify(obj).ok
+
+
 def test_forged_attempts_fail_only_the_random_scan(fast_report):
     # attempts fixes the seed of the random scan; the certificate is of L.
     obj = json.loads(json.dumps(fast_report))
@@ -613,7 +634,7 @@ def test_construct_and_verify_walk_one_check_list(monkeypatch):
 
     monkeypatch.setattr(pl, "CHECKS", tuple((name, stage, keys, recording(name, check))
                                             for name, stage, keys, check in pl.CHECKS))
-    names = ["parameters", "module_rebuild", "hom_dimension", "random_faithfulness",
+    names = ["parameters", "hom_dimension", "random_faithfulness",
              "exhaustive_faithfulness", "cohomology"]
     rep = construct(ConstructionParams(3, 2, 5, seed=42))
     assert rep.attempts == 1 and walked == names
@@ -635,6 +656,28 @@ def test_cas_script_contents():
     assert "kk = ZZ/32003" in script
     assert "coker" in script and "sheaf M" in script
     assert "assert(rank F == 5)" in script
+
+
+def test_cas_script_is_pinned(fast_report, qq_report):
+    # The digests of the scripts built from the module that schema-8 reports
+    # recorded: the module rebuilt from the anchor gives the same bytes.
+    digests = [hashlib.sha256(cas_script(obj).encode()).hexdigest()
+               for obj in (fast_report, qq_report)]
+    assert digests == ["5a30e1e0458a81d96e5dc38d3b73dcfd43ff8d374fd7ad697ec02b9b831a7619",
+                       "48a55806a47ee93d5a58aaf44fcc4e95771b72eeca536d4538abb8a6874e7319"]
+
+
+def test_version_is_metadata(fast_report, tmp_path, capsys):
+    # A report stamped by another version verifies, and cohomology reads it.
+    path = tmp_path / "rep.json"
+    tables = []
+    for version in (fast_report["version"], "0.0.1-other"):
+        obj = dict(fast_report, version=version)
+        assert verify(obj).ok
+        path.write_text(json.dumps(obj))
+        assert cli_main(["cohomology", "--in", str(path), "--t-lo", "-6", "--t-hi", "0"]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1] != ""
 
 
 def test_retry_on_bad_genericity(monkeypatch):
@@ -728,7 +771,7 @@ def test_rebuilt_modules_satisfy_the_relations_and_have_rank_r():
     cases = [ConstructionParams(n, l, r) for n in (3, 4) for l in range(1, n)
              for r in range(n, n + 4)]
     for params in cases + [ConstructionParams(3, 2, 5, field_spec="qq", seed=3)]:
-        M = pl._rebuild(params, pl._build(params.field(), params, params.seed))
+        M = pl.Instance(params, pl._build(params.field(), params, params.seed), 1).M
         M.validate()
         assert chi(M)[-1] == params.r, params
 
@@ -809,10 +852,26 @@ def test_cli_verify_fails_on_mutation(tmp_path, capsys):
     assert cli_main(["construct", "--n", "3", "--l", "1", "--r", "3",
                      "--seed", "0", "--out", str(out)]) == 0
     obj = json.loads(out.read_text())
-    obj["module"]["actions"][0][0]["entries"][0][0] = "777"
+    obj["rank"] = 4
     out.write_text(json.dumps(obj))
     assert cli_main(["verify", "--in", str(out)]) == 1
-    capsys.readouterr()
+    assert "FAIL parameters: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--in", "{missing}"],
+    ["verify", "--in", "{directory}"],
+    ["cohomology", "--in", "{missing}", "--t-lo", "-6", "--t-hi", "0"],
+    ["construct", "--n", "3", "--l", "1", "--r", "3", "--out", "{missing}/r.json"],
+], ids=["verify_missing", "verify_directory", "cohomology_missing", "construct_out"])
+def test_a_file_that_cannot_be_opened_or_written_exits_2(tmp_path, capsys, argv):
+    # Exit 1 means that verification failed; a file error is a bad parameter.
+    paths = {"missing": tmp_path / "missing", "directory": tmp_path}
+    assert cli_main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid parameters: [Errno ")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_bad_params_exit_code(capsys):
