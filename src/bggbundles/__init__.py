@@ -4,8 +4,8 @@ Construct bundles of prescribed rank and homological dimension as cokernels
 of linear complexes attached to quotients of truncated free modules over the
 exterior algebra, and verify every claimed property with exact linear
 algebra: faithfulness by a strand certificate of the reported anchor beside
-a random point scan, both at its prime (over Q, mod one prime), simplicity
-by the endomorphism dimension of the anchoring system, rank by Euler
+a random point scan, and simplicity by the endomorphism dimension of its
+anchoring system, all at its prime (over Q, mod one prime); rank by Euler
 characteristics, homological dimension by certified cohomology vanishing.
 """
 

@@ -18,7 +18,7 @@ therefore takes the anchor L, not a complex, and tests this condition on the
 N x k matrix of linear forms D = v-wedge|_L (N = p*C(n+1, l+1), k = dim L).
 
 Both scans run at a prime: the anchor's own, or over Q ``CERTIFICATE_PRIME``,
-mod which ``_certificate_anchor`` reduces the basis rows cleared of their
+mod which ``certificate_anchor`` reduces the basis rows cleared of their
 denominators.  That can only lower ranks, so a rational point where L fails
 reduces to one where the reduction fails; a basis that loses rank mod p is
 neither sampled nor certified.  The exhaustive scan decides the condition at
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import modp
 from .anchor import AnchorProblem
-from .emod import GradedEModule
+from .emod import GradedEModule, anticommutation_failure
 from .extalg import generator_action
 from .fields import GF, PrimeField
 from .matrix import DenseMatrix, ShapeError, Subspace
@@ -113,14 +113,10 @@ class LinearComplex:
         # Composite is zero as a matrix of quadratic forms: the symmetrized
         # slice products must vanish.
         for i in range(c - 1):
-            a, b = self.diffs[i], self.diffs[i + 1]
-            for j in range(a.nvars):
-                for k in range(j, a.nvars):
-                    comp = b.slices[j] @ a.slices[k] + b.slices[k] @ a.slices[j]
-                    if not comp.is_zero():
-                        raise ShapeError(
-                            f"composite of differentials {i},{i + 1} is nonzero "
-                            f"on x_{j} x_{k}")
+            bad = anticommutation_failure(self.diffs[i + 1].slices, self.diffs[i].slices)
+            if bad:
+                raise ShapeError(f"composite of differentials {i},{i + 1} is nonzero "
+                                 f"on x_{bad[0]} x_{bad[1]}")
         return self
 
 
@@ -344,11 +340,13 @@ def strand_shapes(n: int, N: int, k: int):
         yield a, rows, cols
 
 
-def _certificate_anchor(anchor: AnchorProblem) -> AnchorProblem | None:
-    """The anchor whose strands certify ``anchor``: itself over F_q; over Q its
-    basis rows, each cleared of denominators, mod ``CERTIFICATE_PRIME``, or
-    None if they lose rank there.  Row scaling leaves L as it is, and reducing
-    an integer matrix mod p cannot raise its rank: onto mod p is onto over Q."""
+def certificate_anchor(anchor: AnchorProblem) -> AnchorProblem | None:
+    """The anchor whose strands certify ``anchor`` and whose anchoring system
+    bounds its Hom: itself over F_q; over Q its basis rows, each cleared of
+    denominators, mod ``CERTIFICATE_PRIME``, or None if they lose rank there.
+    Row scaling leaves L as it is, and reducing an integer matrix mod p cannot
+    raise its rank: onto mod p is onto over Q, and a solution dimension of 1
+    mod p is 1 over Q."""
     if isinstance(anchor.field, PrimeField):
         return anchor
     rows = [[x * lcm(*(y.denominator for y in row)) for x in row]
@@ -382,7 +380,7 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
 
     ``exhaustive`` covers every point over the algebraic closure of the
     anchor's field, F_q or Q, by the first onto strand of
-    ``_strand_certificate`` (of ``_certificate_anchor``), recorded in
+    ``_strand_certificate`` (of ``certificate_anchor``), recorded in
     ``certificate``; over F_q it counts the points of P^n(F_q) as checked.
     The module docstring proves this sound.  Without an onto strand the scan
     is not ok, and lists no failure.
@@ -395,7 +393,7 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
     """
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    L = _certificate_anchor(anchor)
+    L = certificate_anchor(anchor)
     D = None if L is None else _anchor_restriction(L, n, l)
     if mode == "exhaustive":
         f = anchor.field

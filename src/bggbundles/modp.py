@@ -1,4 +1,5 @@
-"""numpy kernels for exact dense linear algebra over F_p.
+"""numpy kernels for exact linear algebra over F_p, and over Q the same dense
+elimination loop.
 
 Over F_p all arrays are ``int64`` with entries reduced into ``[0, p)``,
 except the random scan's fibers.  The kernels are exact only for p <
@@ -18,22 +19,22 @@ residues, at most k(p-1)**2, so it is exact only while k(p-1)**2 < 2**63
 ``DenseMatrix.__matmul__`` raises ``OverflowError`` instead of wrapping.
 
 The package has two elimination loops, each with its callers.  ``echelon``
-is the dense Gauss-Jordan loop on numpy rows: ``rank``, ``rref``,
-``DenseMatrix.rref`` over Q (``p=None``) and the dense strand ranks of the
-faithfulness certificate call it.  ``sparse_rank`` ranks the strands of
-the cohomology tables from their ``(row, col, value)`` triples: one numpy
-pass groups them into rows, and a loop reduces the rows, in index order, as
-``{col: value}`` dicts of Python scalars.  Those strands are 0.1-0.4%
-nonzero with 3-6 nonzeros per row, so a dense loop spends its time on numpy
-call overhead per pivot, not on arithmetic; the certificate's strands are
-4-80% nonzero and fill in, and there the dense loop is about ten times
-faster (0.13 against 1.55 s on the degree-4 certificate strand of (5,4,5),
-630 x 672 and 4% nonzero).  ``sheafcoh`` picks the orientation of each
-strand it passes by the strand's row of the spectral sequence.  The
-remaining kernels are
-``matrix._rank_bareiss`` and ``batch_rank``, which ranks many small matrices
-at once and serves only the random scan; the enumeration of P^n(F_q) it once
-made cheap lives in ``tests/scan_oracle.py``.
+is the dense Gauss-Jordan loop on numpy rows, over both fields: ``rank``,
+``rref``, ``DenseMatrix.rank`` and ``DenseMatrix.rref`` over Q (``p=None``)
+and the dense strand ranks of the faithfulness certificate call it.
+``sparse_rank`` ranks the strands of the cohomology tables from their
+``(row, col, value)`` triples: one numpy pass groups them into rows, and a
+loop reduces the rows, in index order, as ``{col: value}`` dicts of Python
+scalars.  Those strands are 0.1-0.4% nonzero with 3-6 nonzeros per row, so
+a dense loop spends its time on numpy call overhead per pivot, not on
+arithmetic; the certificate's strands are 4-80% nonzero and fill in, and
+there the dense loop is about ten times faster (0.13 against 1.55 s on the
+degree-4 certificate strand of (5,4,5), 630 x 672 and 4% nonzero).
+``sheafcoh`` picks the orientation of each strand it passes by the
+strand's row of the spectral sequence.  The one remaining kernel is
+``batch_rank``, which ranks many small matrices at once and serves only the
+random scan; the enumeration of P^n(F_q) it once made cheap lives in
+``tests/scan_oracle.py``.
 """
 
 from __future__ import annotations

@@ -9,14 +9,15 @@ random points of P^n(F_q), or all of them if there are fewer, plus a strand
 certificate of the reported anchor L, which proves the condition at every
 point over the algebraic closure; q is the working prime, or over Q
 ``bgg.CERTIFICATE_PRIME``, and no other anchor is drawn), simplicity (L's
-anchoring system has solution dimension 1), rank and certified homological
-dimension.  The whole record is serialized into a self-contained JSON report.
+anchoring system has solution dimension 1, over Q at that prime, which
+proves it over Q), rank and certified homological dimension.  The whole
+record is serialized into a self-contained JSON report.
 
 The one random choice is the anchor, drawn by ``draw_subspace`` at the seed
 ``params.seed + attempts - 1``; the retry budget, the point budget, the
 cohomology window, the random scan's size and the certificate's cell cap are
-constants, not settings.  ``construct`` refuses a case none of whose strands
-fits that cap before building.  ``construct`` and ``verify`` run one list of five
+constants, not settings.  ``construct`` and ``verify`` refuse a case none of
+whose strands fits that cap before building, and run one list of five
 checks, ``CHECKS``.  A check takes an :class:`Instance` and returns
 ``(ok, detail, values)``, the values of the report sections its ``CHECKS``
 row names.  The instance's inputs are the parameters, the anchor L and the
@@ -35,7 +36,6 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb
 from operator import getitem
@@ -46,7 +46,7 @@ from .bgg import (FaithfulnessReport, LinearComplex, bgg_complex, faithfulness_s
                   projective_point_count, scan_prime)
 from .emod import GradedEModule, chi, free_truncated, quotient_top
 from .fields import GF, QQ, FieldError, RationalField
-from .matrix import DenseMatrix, Subspace
+from .matrix import DenseMatrix, ShapeError, Subspace
 from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable,
                        HdCertificate, certify_hd, cohomology_table)
 
@@ -117,9 +117,7 @@ def choose_parameters(n: int, l: int, r: int, multiplicity: int | None = None):
 
     Returns the smallest p with r strictly below p*(C(n,l) - 2/C(n+1,l)).
     An explicit multiplicity may relax this to the free-module case p = 1,
-    r = C(n,l) (no quotient); a trivial quotient at any larger multiplicity
-    is rejected because the module would not be simple.  All derived bounds
-    are asserted exactly.
+    r = C(n,l) (no quotient).  All derived bounds are asserted exactly.
     """
     if n < 3:
         raise ParameterError("projective dimension must be at least 3")
@@ -129,30 +127,34 @@ def choose_parameters(n: int, l: int, r: int, multiplicity: int | None = None):
         raise ParameterError(f"rank {r} must be at least n = {n}")
     cnl = comb(n, l)
     cn1l = comb(n + 1, l)
-    bound = lambda p: p * (Fraction(cnl) - Fraction(2, cn1l))  # noqa: E731
+    c = cnl * cn1l - 2  # r < p*(C(n,l) - 2/C(n+1,l)) iff r*C(n+1,l) < p*c
     if multiplicity is not None:
         p = multiplicity
         if p < 1:
             raise ParameterError("multiplicity must be at least 1")
-        if not (r < bound(p) or (p == 1 and r == cnl)):
+        if not (r * cn1l < p * c or (p == 1 and r == cnl)):
             raise ParameterError(f"multiplicity {p} violates the rank bound for "
                                  f"(n={n}, l={l}, r={r})")
     else:
-        p = 1
-        while not r < bound(p):
-            p += 1
+        p = r * cn1l // c + 1  # the least such p; c > 0 as C(n,l) >= 3
     dim_l = p * cnl - r
-    if dim_l < 0:
-        raise ParameterError(f"rank {r} exceeds p*C(n,l) = {p * cnl}")
-    chi_l = p * cnl
-    assert dim_l <= chi_l - n, "anchor dimension exceeds the faithfulness bound"
-    if p > 1 and dim_l >= 1:
+    # The rank bound leaves L nonzero but in the free case p = 1, r = C(n,l).
+    assert 0 < dim_l <= p * cnl - n or (p, dim_l) == (1, 0), "anchor dimension"
+    if p > 1:
         lo, hi = general_position_range(p, cn1l)
         assert lo < dim_l < hi, "anchor dimension outside the general-position range"
-    if dim_l == 0 and p != 1:
-        raise ParameterError("a trivial quotient needs multiplicity 1 "
-                             "(otherwise the module is not simple)")
     return p, dim_l
+
+
+def check_buildable(params: ConstructionParams):
+    """Raise :class:`ParameterError` for parameters ``choose_parameters``
+    refuses, or a case no strand within the certificate's cell cap could
+    certify: what ``construct`` and ``verify`` refuse before building."""
+    n, l, r = params.n, params.l, params.r
+    p, dim_l = choose_parameters(n, l, r, params.multiplicity)
+    if next(bgg.strand_shapes(n, p * comb(n + 1, l + 1), dim_l), None) is None:
+        raise ParameterError(f"no strand of (n={n}, l={l}, r={r}) within "
+                             f"{bgg.CERTIFICATE_CELLS} cells can certify its anchor")
 
 
 def _build(field, params: ConstructionParams, seed: int) -> AnchorProblem:
@@ -187,9 +189,10 @@ class Instance:
 
     @cached_property
     def M(self) -> GradedEModule:
-        L = self.L
-        return quotient_top(free_truncated(L.u, self.params.l, self.params.n, L.field),
-                            L.subspace)
+        L, n, l = self.L, self.params.n, self.params.l
+        if L.w != comb(n + 1, l):  # before P, whose size follows n, is built
+            raise ShapeError(f"the anchor's width {L.w} is not C(n+1, l) = {comb(n + 1, l)}")
+        return quotient_top(free_truncated(L.u, l, n, L.field), L.subspace)
 
     @cached_property
     def C(self):
@@ -207,8 +210,13 @@ def _check_parameters(inst):
 
 def _check_hom_dimension(inst):
     # M is generated in degree 0: Hom(M, M) is {phi_0 (x) 1 : (phi_0 (x) 1)(L) in L}.
-    hom = is_anchoring(inst.L).solution_dim
-    return hom == 1, f"Hom dimension {hom}", (hom,)
+    # Over Q, 1 read mod q proves it (see bgg.certificate_anchor).
+    L, q = bgg.certificate_anchor(inst.L), scan_prime(inst.L.field)
+    if L is None:
+        return False, f"the basis of L loses rank mod {q}: no system is solved", (None,)
+    hom = is_anchoring(L).solution_dim
+    read = "" if L is inst.L else f", read mod {q}"
+    return hom == 1, f"Hom dimension {hom}{read}", (hom,)
 
 
 def _check_random_faithfulness(inst):
@@ -226,7 +234,7 @@ def _check_exhaustive_faithfulness(inst):
     if scan.certificate is not None:
         a, rows, cols = scan.certificate
         detail = f"certified by the degree-{a} strand ({rows}x{cols}) over {scan.field_desc}"
-    elif bgg._certificate_anchor(L) is None:
+    elif bgg.certificate_anchor(L) is None:
         detail = f"the basis of L loses rank mod {bgg.CERTIFICATE_PRIME}: no strand is ranked"
     else:
         detail = (f"no strand of at most {bgg.CERTIFICATE_CELLS} cells is onto "
@@ -296,11 +304,7 @@ def construct(params: ConstructionParams) -> BundleReport:
     to the budget.
     """
     field = params.field()
-    n, l, r = params.n, params.l, params.r
-    p, dim_l = choose_parameters(n, l, r, params.multiplicity)
-    if next(bgg.strand_shapes(n, p * comb(n + 1, l + 1), dim_l), None) is None:
-        raise ParameterError(f"no strand of (n={n}, l={l}, r={r}) within "
-                             f"{bgg.CERTIFICATE_CELLS} cells can certify its anchor")
+    check_buildable(params)
     diagnostics = []
     for attempt in range(RETRY_BUDGET):
         try:
@@ -453,8 +457,10 @@ def _departures(record, expected, path=""):
 
 def _instance_from_report(report: dict) -> Instance:
     """The report's inputs, written as ``construct`` writes them, with attempts
-    in [1, RETRY_BUDGET]; any other key must be metadata or a section."""
+    in [1, RETRY_BUDGET], of a case ``construct`` would build; any other key
+    must be metadata or a section."""
     params = _params_from_json(report["params"])
+    check_buildable(params)
     attempts = report["attempts"]
     if type(attempts) is not int or not 1 <= attempts <= RETRY_BUDGET:
         raise ValueError(f"attempts {attempts!r} lies outside [1, {RETRY_BUDGET}]")
@@ -480,7 +486,8 @@ def verify(report: dict) -> Verdict:
     check, recomputed and compared, the strand certificate included.
     ``version`` is metadata, like ``timings``: it is not checked, so a report
     stamped by another version verifies if its checks pass.  An unreadable
-    input or a key no check owns fails one ``report`` check.
+    input, a case that ``construct`` refuses before building, or a key no
+    check owns fails one ``report`` check.
     What the scans spend is no input: the random sample count follows from
     the working field and the certificate's cell cap is a constant, as in
     ``construct``.

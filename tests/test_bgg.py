@@ -15,12 +15,11 @@ from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, FaithfulnessReport,
                         faithfulness_scan, free_truncated, projective_point_count,
                         quotient_top, sample_anchoring, tensor_to_subspace)
 import bggbundles.bgg as bgg
-import bggbundles.matrix as matrix
 from bggbundles import modp
 from bggbundles.fields import _is_prime
 from bggbundles.bgg import (CERTIFICATE_CELLS, CERTIFICATE_PRIME, POINT_BUDGET,
-                            _anchor_restriction, _certificate_anchor, _random_point_chunks,
-                            _strand_certificate)
+                            _anchor_restriction, _random_point_chunks, _strand_certificate,
+                            certificate_anchor)
 from bggbundles.sheafcoh import _transpose_forms, strand_map
 from scan_oracle import enumerated_scan, evaluate_fiber, exact_at_point, full_complex_scan
 
@@ -195,7 +194,7 @@ def test_exhaustive_scan_certifies_over_the_rationals(monkeypatch):
     # The strands are ranked mod CERTIFICATE_PRIME, never by an exact Q rank:
     # over Q the e0 anchor's strands up to the full cap would take minutes.
     with monkeypatch.context() as mp:
-        mp.setattr(matrix, "_rank_bareiss", _no_rational_rank)
+        mp.setattr(DenseMatrix, "rank", _no_rational_rank(DenseMatrix.rank))
         rep = faithfulness_scan(e0, "exhaustive", n=3, l=1)
         assert not rep.ok and rep.points_checked is None and rep.certificate is None
         # The rank-5 shape's anchor over Q has the strand of its F_32003 draw.
@@ -207,8 +206,13 @@ def test_exhaustive_scan_certifies_over_the_rationals(monkeypatch):
     assert rnd.ok and rnd.points_checked == 2000 and rnd.field_desc == "GF(1048573)"
 
 
-def _no_rational_rank(rows):
-    raise AssertionError("an exact rank over Q")
+def _no_rational_rank(rank):
+    """``rank`` with its branch over Q replaced by a failure."""
+    def guarded(m):
+        if m.field == QQ:
+            raise AssertionError("an exact rank over Q")
+        return rank(m)
+    return guarded
 
 
 def test_rational_certificate_clears_rows_and_refuses_rank_loss():
@@ -218,11 +222,11 @@ def test_rational_certificate_clears_rows_and_refuses_rank_loss():
     # Each row is multiplied by the lcm of its denominators, then reduced mod q.
     L = AnchorProblem(1, 4, Subspace(DenseMatrix(QQ, [[Fraction(2, 3), Fraction(1, 6), 0, 0],
                                                      [0, 0, Fraction(5, 7), 1]], 4)))
-    assert bgg._certificate_anchor(L).subspace.basis.to_lists() == [[4, 1, 0, 0],
-                                                                     [0, 0, 5, 7]]
+    assert bgg.certificate_anchor(L).subspace.basis.to_lists() == [[4, 1, 0, 0],
+                                                                    [0, 0, 5, 7]]
     # Independent over Q, equal mod q: not certified, and no exception.
     L = rank_loss_anchor()
-    assert bgg._certificate_anchor(L) is None
+    assert bgg.certificate_anchor(L) is None
     rep = faithfulness_scan(L, "exhaustive", n=3, l=1)
     assert not rep.ok and rep.certificate is None
 
@@ -371,7 +375,7 @@ def test_random_scan_rational_samples_the_reduction():
         scaled = AnchorProblem(L.u, L.w, Subspace(shrink.kron(L.subspace.basis)))
         for seed in (2, 5):
             rep = faithfulness_scan(L, "random", n=3, l=l, samples=300, seed=seed)
-            assert rep == faithfulness_scan(_certificate_anchor(L), "random", n=3, l=l,
+            assert rep == faithfulness_scan(certificate_anchor(L), "random", n=3, l=l,
                                             samples=300, seed=seed)
             assert rep == faithfulness_scan(scaled, "random", n=3, l=l, samples=300, seed=seed)
             assert rep.ok and rep.points_checked == 300 and rep.field_desc == "GF(1048573)"
@@ -491,7 +495,7 @@ def test_anchored_scan_rational_and_shape_checks():
                                                            for i in range(12)]
                                                           for k in range(6)], 12)))
     for anchor, fails in ((L, False), (every, True)):
-        R = _certificate_anchor(anchor)
+        R = certificate_anchor(anchor)
         C = bgg_complex(quotient_top(free_truncated(2, 2, 3, Fq), R.subspace))
         for seed in (1, 2):
             full = full_complex_scan(C, "random", samples=100, seed=seed)

@@ -2,17 +2,20 @@
 
 import hashlib
 import json
+import random
 import sys
 import time
 from contextlib import contextmanager
+from fractions import Fraction
+from math import comb
 
 import pytest
 
 from bggbundles import (GF, QQ, AnchorProblem, AnchorVerdict, ConstructionParams,
-                        DenseMatrix, GradedEModule, ParameterError, Subspace, cas_script,
-                        chi, choose_parameters, construct, faithfulness_scan,
-                        free_truncated, projective_point_count, report_to_json,
-                        report_to_json_str, verify)
+                        DenseMatrix, GradedEModule, ParameterError, ShapeError, Subspace,
+                        cas_script, chi, choose_parameters, construct, faithfulness_scan,
+                        free_truncated, is_anchoring, projective_point_count,
+                        report_to_json, report_to_json_str, verify)
 import bggbundles.bgg as bgg
 import bggbundles.emod as emod
 import bggbundles.pipeline as pl
@@ -43,6 +46,18 @@ def test_choose_parameters_examples():
     assert choose_parameters(4, 3, 4, multiplicity=1) == (1, 0)
 
 
+def test_closed_form_multiplicity_is_the_least_admissible():
+    # The search the closed form replaced is the oracle.
+    for n in range(3, 9):
+        for l in range(1, n):
+            cnl, cn1l = comb(n, l), comb(n + 1, l)
+            for r in range(n, 5 * cnl + 10):
+                p = 1
+                while not r < p * (Fraction(cnl) - Fraction(2, cn1l)):
+                    p += 1
+                assert choose_parameters(n, l, r) == (p, p * cnl - r), (n, l, r)
+
+
 def test_choose_parameters_rejections():
     with pytest.raises(ParameterError):
         choose_parameters(2, 1, 3)
@@ -54,6 +69,42 @@ def test_choose_parameters_rejections():
         choose_parameters(3, 2, 5, multiplicity=1)
     with pytest.raises(ParameterError):
         choose_parameters(4, 3, 8, multiplicity=2)  # trivial quotient at p = 2
+
+
+@pytest.mark.parametrize("edit", [{"r": 10**15}, {"n": 10**5, "l": 1},
+                                  {"n": 10**5, "l": 1, "r": 10**5}],
+                         ids=["r1e15", "n1e5", "n1e5r1e5"])
+def test_a_report_edited_to_a_huge_case_fails_within_a_second(fast_report, edit):
+    # verify makes construct's refusal before any check, so the numbers in
+    # params set no cost.
+    obj = json.loads(json.dumps(fast_report))
+    obj["params"].update(edit)
+    t0 = time.perf_counter()
+    failed = verify(obj).failed()
+    assert time.perf_counter() - t0 < 1
+    assert [name for name, _ in failed] == ["report"]
+    assert failed[0][1].startswith("ParameterError: ")
+
+
+def test_a_huge_rank_is_refused_within_a_second(capsys):
+    t0 = time.perf_counter()
+    assert cli_main(["construct", "--n", "3", "--l", "1", "--r", str(10**15)]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert "within 2000000 cells" in capsys.readouterr().err
+
+
+def test_anchor_width_is_checked_before_the_free_module_is_built(fast_report, monkeypatch):
+    obj = json.loads(json.dumps(fast_report))
+    obj["anchor"].update(u=3, w=4)  # still 12 columns, as k^3 (x) k^4
+
+    def no_free_module(*args):
+        raise AssertionError("built the free module")
+
+    monkeypatch.setattr(pl, "free_truncated", no_free_module)
+    with pytest.raises(ShapeError, match="width 4 is not C\\(n\\+1, l\\) = 6"):
+        pl._instance_from_report(obj).M
+    failed = dict(verify(obj).failed())
+    assert failed["parameters"].startswith("ShapeError: the anchor's width 4")
 
 
 def test_case_without_a_certificate_is_refused_before_building(monkeypatch, capsys):
@@ -120,12 +171,15 @@ def _rank_loss_rows(qq_report):
             for row in qq_report["anchor"]["basis"]["entries"]]
 
 
-def test_rank_loss_anchor_fails_both_faithfulness_checks(qq_report, monkeypatch):
+def test_rank_loss_anchor_fails_the_three_prime_checks(qq_report, monkeypatch):
+    # Simplicity and both faithfulness checks read L mod the prime.
     forged = with_replaced_anchor(qq_report, _rank_loss_rows(qq_report))
     failed = verify(forged).failed()
-    assert [name for name, _ in failed] == ["random_faithfulness",
+    assert [name for name, _ in failed] == ["hom_dimension", "random_faithfulness",
                                             "exhaustive_faithfulness"]
     assert failed[0][1].startswith("the basis of L loses rank mod 1048573: "
+                                   "no system is solved")
+    assert failed[1][1].startswith("the basis of L loses rank mod 1048573: "
                                    "no point is drawn")
     # construct takes such a draw for a genericity failure, and retries.
     lossy, real, drawn = pl._anchor_from_json(QQ, forged["anchor"]), pl._build, []
@@ -143,7 +197,41 @@ def test_rank_loss_anchor_fails_both_faithfulness_checks(qq_report, monkeypatch)
     with pytest.raises(pl.RetryBudgetError) as exc:
         construct(params)
     assert exc.value.diagnostics == [
-        (0, "random_faithfulness: the basis of L loses rank mod 1048573: no point is drawn")]
+        (0, "hom_dimension: the basis of L loses rank mod 1048573: no system is solved")]
+
+
+def test_hom_over_the_rationals_is_decided_mod_the_prime(qq_report):
+    # A decomposable basis mod q plus q times random integers: L anchors over
+    # Q, but its reduction does not, so hom_dimension fails.  The check is
+    # one-sided: a solution dimension of 1 mod q proves 1 over Q, a larger
+    # one proves nothing, and the detail names the prime it was read at.
+    q, rng = bgg.CERTIFICATE_PRIME, random.Random(0)
+    rows = [[int(j == 0) + q * rng.randint(-9, 9) for j in range(12)]]
+    forged = with_replaced_anchor(qq_report, rows)
+    L = pl._anchor_from_json(QQ, forged["anchor"])
+    assert is_anchoring(L) == AnchorVerdict(True, 1)
+    assert is_anchoring(bgg.certificate_anchor(L)) == AnchorVerdict(False, 3)
+    detail = {name: text for name, _, text in verify(forged).checks}
+    assert detail["hom_dimension"] == ("Hom dimension 3, read mod 1048573; "
+                                       "differs from the record: hom_dim")
+    assert {name: text for name, _, text in verify(qq_report).checks}[
+        "hom_dimension"] == "Hom dimension 1, read mod 1048573"
+
+
+@pytest.mark.parametrize("params, digest", [
+    ((3, 2, 5, 3), "5702522c0f445c9d38de17a6ff3e0b1574d7c60dd3146b30843385850ddcbd25"),
+    ((4, 3, 7, 0), "334c5d2a6c5e67d96ad5ac1aebc81b814101700808cc507cbe040ec10d6cb0b2"),
+    ((4, 2, 6, 0), "e64ee240652767385c15fe76000a72e07bd3f6d974cc6add881497f4cba20407"),
+    ((5, 4, 5, 0), "9247fcedbd56184967e0180004c28f320b26b5dc516db928e7f653da4b3654da"),
+], ids=["qq325s3", "qq437", "qq426", "qq545"])
+def test_rational_reports_are_pinned(params, digest):
+    # Digests of the reports, minus timings, from when Hom over Q was an exact
+    # rational rank: reading it mod the prime changes no byte.
+    n, l, r, seed = params
+    obj = report_to_json(construct(ConstructionParams(n, l, r, field_spec="qq", seed=seed)))
+    del obj["timings"]
+    assert obj["attempts"] == 1
+    assert hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_report_roundtrip_verify():
@@ -175,19 +263,21 @@ def test_exhaustive_detail_says_how_the_verdict_was_reached(fast_report, qq_repo
 
 
 def test_uncertified_anchor_fails_its_check_and_is_retried(fast_report, monkeypatch):
-    # With no strand allowed, the reported anchor is uncertified: verify
-    # fails exactly the check that owns the certificate.
+    # With no strand allowed, construct refuses the case before building
+    # anything, and verify refuses its report as a whole.
     with monkeypatch.context() as mp:
         mp.setattr(bgg, "CERTIFICATE_CELLS", 0)
-        verdict = verify(fast_report)
-        assert verdict.failed() == [("exhaustive_faithfulness",
-                                     "no strand of at most 0 cells is onto over GF(32003); "
-                                     "differs from the record: exhaustive.scan")]
-        # construct refuses such a cap for the case before building anything.
+        assert verify(fast_report).failed() == [
+            ("report", "ParameterError: no strand of (n=3, l=2, r=5) within 0 cells "
+                       "can certify its anchor")]
         with pytest.raises(ParameterError, match="within 0 cells"):
             construct(ConstructionParams(3, 2, 5, seed=42))
-    # An anchor left uncertified within the cap is a genericity failure.
+    # An anchor left uncertified within the cap fails exactly the check that
+    # owns the certificate, and is a genericity failure.
     monkeypatch.setattr(bgg, "_strand_certificate", lambda D: None)
+    assert verify(fast_report).failed() == [
+        ("exhaustive_faithfulness", "no strand of at most 2000000 cells is onto over "
+                                    "GF(32003); differs from the record: exhaustive.scan")]
     monkeypatch.setattr(pl, "RETRY_BUDGET", 3)
     with pytest.raises(pl.RetryBudgetError) as exc:
         construct(ConstructionParams(3, 2, 5, seed=42))
