@@ -1,8 +1,9 @@
 """Cohomology tables from linear resolutions, without computing classes.
 
 Line bundles on P^n only have cohomology in degrees 0 and n, so a resolution
-by sums of line bundles lets every dim H^q(F(t)) be read off from ranks of
-multiplication ("strand") maps in two rows.
+by sums of line bundles lets every dim H^q(F(t)) be read off from two rows:
+the H^n row from ranks of multiplication ("strand") maps, and the H^0 row,
+exact but at its last position, from the dimensions of its terms.
 
 Run with: python3 demos/04_cohomology_tables.py
 """

@@ -2,7 +2,8 @@
 
 Subcommands: ``construct`` runs the full pipeline and writes a report;
 ``verify`` replays every check of a saved report; ``anchor`` runs standalone
-anchoring-subspace checks; ``cohomology`` prints a table for a saved report.
+anchoring-subspace checks; ``cohomology`` prints a table for a saved report
+whose anchor the exhaustive faithfulness check certifies.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters (a file
 that cannot be opened or written among them), 3 retry budget exhausted.
@@ -18,8 +19,9 @@ from . import __version__
 from .anchor import AnchoringSearchError, annihilator, is_anchoring, sample_anchoring
 from .fields import FieldError
 from .pipeline import (SCHEMA_VERSION, ConstructionParams, ParameterError,
-                       RetryBudgetError, _instance_from_report, cas_script, construct,
-                       parse_field, report_to_json_str, verify)
+                       RetryBudgetError, _check_exhaustive_faithfulness,
+                       _instance_from_report, cas_script, construct, parse_field,
+                       report_to_json_str, verify)
 from .sheafcoh import CohomologyCalculator, cohomology_table
 
 EXIT_OK = 0
@@ -115,6 +117,9 @@ def _cmd_cohomology(args) -> int:
         inst = _instance_from_report(report)
     except (KeyError, TypeError) as exc:  # a missing input, or one of another type
         raise ValueError(f"unreadable report: {type(exc).__name__}: {exc}") from exc
+    ok, detail, _ = _check_exhaustive_faithfulness(inst)  # the table needs a bundle
+    if not ok:
+        raise ValueError(f"exhaustive_faithfulness fails: {detail}")
     C = inst.C
     table = cohomology_table(C, args.t_lo, args.t_hi, CohomologyCalculator(C))
     print(table.to_text())

@@ -14,8 +14,8 @@ Q anchor's anchoring system and strands mod ``bgg.CERTIFICATE_PRIME``; the
 ranks left over Q are of subspace bases and of the anchoring systems of
 ``anchor.is_anchoring`` and ``commutant_dim``, up to 234 x 178 for the
 ``anchor`` command's annihilator at u=3, w=6, d=5.  The strands of the
-cohomology tables never become a ``DenseMatrix``; ``sheafcoh`` ranks them
-from their nonzeros by ``modp.sparse_rank``.  Pivoting is always "first
+cohomology tables never become a ``DenseMatrix``; ``sheafcoh`` ranks its
+H^n row's from their nonzeros by ``modp.sparse_rank``.  Pivoting is always "first
 nonzero in column order" so results are reproducible.
 """
 

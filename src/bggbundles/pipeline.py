@@ -151,10 +151,15 @@ def check_buildable(params: ConstructionParams):
     refuses, or a case no strand within the certificate's cell cap could
     certify: what ``construct`` and ``verify`` refuse before building."""
     n, l, r = params.n, params.l, params.r
-    p, dim_l = choose_parameters(n, l, r, params.multiplicity)
-    if next(bgg.strand_shapes(n, p * comb(n + 1, l + 1), dim_l), None) is None:
-        raise ParameterError(f"no strand of (n={n}, l={l}, r={r}) within "
-                             f"{bgg.CERTIFICATE_CELLS} cells can certify its anchor")
+    # Decided before any binomial when it can be: unless multiplicity 1 allows
+    # the free case, dim L = k >= 1, so every strand has degree a >= 1 and at
+    # least (n+1) * N >= (n+1)^2 cells.
+    if params.multiplicity == 1 or (n + 1) ** 2 <= bgg.CERTIFICATE_CELLS:
+        p, dim_l = choose_parameters(n, l, r, params.multiplicity)
+        if next(bgg.strand_shapes(n, p * comb(n + 1, l + 1), dim_l), None) is not None:
+            return
+    raise ParameterError(f"no strand of (n={n}, l={l}, r={r}) within "
+                         f"{bgg.CERTIFICATE_CELLS} cells can certify its anchor")
 
 
 def _build(field, params: ConstructionParams, seed: int) -> AnchorProblem:
@@ -243,6 +248,8 @@ def _check_exhaustive_faithfulness(inst):
 
 
 def _check_cohomology(inst):
+    # The table reads its H^0 row off the term dimensions, which presupposes
+    # the resolution that the exhaustive_faithfulness certificate proves exact.
     n, l, C = inst.params.n, inst.params.l, inst.C
     calc = CohomologyCalculator(C)
     cert = certify_hd(inst.M, C, calc)

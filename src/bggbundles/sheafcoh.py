@@ -3,8 +3,11 @@
 Line bundles on P^n have cohomology only in degrees 0 and n, so for a
 resolution by sums of line bundles of length at most n the hypercohomology
 spectral sequence has two rows and degenerates at the second page.  Only
-dimensions are computed, never classes: the top-row maps are transposes of
-multiplication maps in the dual degrees, and transposing preserves rank.
+dimensions are computed, never classes.  The H^n row is ranked: its maps are
+transposes of multiplication maps in the dual degrees, and transposing
+preserves rank.  The H^0 row needs no rank once the complex is known to be a
+resolution, which the faithfulness certificate proves: its homology sits at
+the last position and is the alternating sum of its term dimensions.
 
 Monomial bases are enumerated in graded lexicographic order (within a degree,
 lexicographically descending exponent tuples), fixed once so tables are
@@ -137,16 +140,6 @@ def _prime(D) -> int | None:
     return f.p if isinstance(f, PrimeField) else None
 
 
-def bottom_strand_rank(D, d: int) -> int:
-    """Rank of the degree-d strand of ``D``, as the H^0 row ranks it:
-    ``modp.sparse_rank`` on the strand's transpose with its columns reversed,
-    so each row is one source basis vector and pivots on its last nonzero
-    target position."""
-    rows, cols, vals = strand_entries(D, d)
-    height = len(monomials(D.nvars - 1, d + 1)) * D.nrows
-    return modp.sparse_rank(cols, height - 1 - rows, vals, _prime(D))
-
-
 def top_strand_rank(D, d: int) -> int:
     """Rank of the degree-d strand of ``D``, as the H^n row ranks it (there
     ``D`` is the slice-wise transpose of a differential): ``modp.sparse_rank``
@@ -195,27 +188,27 @@ class CohomologyTable:
 
 
 class CohomologyCalculator:
-    """Two-row hypercohomology dimensions for one linear complex.
+    """Two-row hypercohomology dimensions for one linear complex, which the
+    caller has certified to resolve its cokernel bundle F: the faithfulness
+    certificate proves 0 -> P_0 (x) O -> ... -> P_c (x) O(c) -> F -> 0 exact.
 
-    Strand ranks are cached per (differential, degree); the cache is filled
-    by pure computations and only ever read afterwards, so concurrent readers
-    are safe.  Each rank is sparse elimination on the strand's nonzeros,
-    never a dense strand: the strands asked for here are 0.1-0.4% nonzero,
-    3-6 entries per row, and a dense loop spends its time on numpy calls per
-    pivot, not on arithmetic (the ``tables`` benchmark op went from 1.17 to
-    0.25 s, median of 10 runs on a 2-core host).  The denser, filling-in
+    The H^0 row is read off its term dimensions.  The sequence degenerates at
+    the second page, so E2 at (pos, row 0) is a graded piece of the
+    hypercohomology of the complex twisted by t in degree pos, which is
+    H^(pos - c)(F(t)), zero for pos < c.  The row is therefore exact below c,
+    and its homology at c is the alternating sum of its term dimensions.
+
+    The H^n row is ranked, with ranks cached per (differential, degree); the
+    cache is filled by pure computations and only ever read afterwards, so
+    concurrent readers are safe.  Each rank is ``top_strand_rank``, sparse
+    elimination on the strand's nonzeros in index order, never a dense
+    strand: the strands asked for here are 0.1-0.4% nonzero, 3-6 entries per
+    row, and a dense loop spends its time on numpy calls per pivot, not on
+    arithmetic.  Index order is the cheaper orientation on this row: 0.14 M
+    entry updates against 0.36 M for the transpose with its columns reversed,
+    on the two tables of the ``tables`` benchmark.  The denser, filling-in
     strands of ``bgg._strand_certificate`` stay with the dense
     ``modp.echelon``.
-
-    The row fixes the orientation that ``modp.sparse_rank`` sees, since its
-    cost is the number of entry updates a reduced row takes from the pivot
-    rows.  The H^0 row (``bottom_strand_rank``) ranks each strand's
-    transpose with its columns reversed; in index order its strands send
-    their dependent rows through long chains of pivot rows, which cost
-    1.87 M updates against 0.13 M on the (5,4,5) table at seed 0, and
-    (6,5,7)'s cohomology check took 31 s against 0.5 s.  The H^n row (``top_strand_rank``) keeps
-    index order, which there is the cheaper one: 0.14 M updates against
-    0.36 M on the two tables of the ``tables`` benchmark.
     """
 
     def __init__(self, C: LinearComplex):
@@ -226,7 +219,6 @@ class CohomologyCalculator:
         self.n = C.n
         self.dims = [r for _, r in C.terms]
         self._diffs_t = [_transpose_forms(D) for D in C.diffs]
-        self._strand_ranks = {}
         self._costrand_ranks = {}
 
     # -- row terms -----------------------------------------------------------
@@ -238,14 +230,6 @@ class CohomologyCalculator:
     def _top_dim(self, i: int, t: int) -> int:
         m = -t - i - self.n - 1
         return self.dims[i] * comb(self.n + m, self.n) if m >= 0 else 0
-
-    def _strand_rank(self, i: int, d: int) -> int:
-        if d < 0:
-            return 0
-        key = (i, d)
-        if key not in self._strand_ranks:
-            self._strand_ranks[key] = bottom_strand_rank(self.C.diffs[i], d)
-        return self._strand_ranks[key]
 
     def _costrand_rank(self, i: int, m: int) -> int:
         # costrand_map(D, m) is the transpose of this strand, of equal rank.
@@ -259,18 +243,13 @@ class CohomologyCalculator:
     # -- second-page entries ---------------------------------------------------
 
     def bottom_homology(self, pos: int, t: int) -> int:
-        """E2 at (pos, row 0): homology of the H^0-row complex."""
+        """E2 at (pos, row 0): homology of the H^0-row complex, which is
+        exact below position c for a resolution (see the class docstring),
+        so it is the alternating sum of the row's terms at c and 0 below."""
         c = self.C.length
-        if not (0 <= pos <= c):
+        if pos != c:
             return 0
-        dim = self._bottom_dim(pos, t)
-        if dim == 0:
-            return 0
-        rin = self._strand_rank(pos - 1, t + pos - 1) if pos > 0 else 0
-        rout = self._strand_rank(pos, t + pos) if pos < c else 0
-        val = dim - rin - rout
-        assert val >= 0
-        return val
+        return sum((-1) ** (c - i) * self._bottom_dim(i, t) for i in range(c + 1))
 
     def top_homology(self, pos: int, t: int) -> int:
         """E2 at (pos, row n): homology of the H^n-row complex."""
@@ -306,7 +285,13 @@ def cohomology_table(C: LinearComplex, t_lo: int, t_hi: int,
 
     Every column is checked against the Euler characteristic of the
     resolution, and the structural vanishing band (t >= -n, 0 < q < n) is
-    asserted rather than assumed.
+    asserted rather than assumed.  ``C`` must resolve its cokernel bundle,
+    as the calculator presupposes.  With the H^0 row in closed form, the
+    Euler check is an identity at t >= -n, where the H^n row is empty, and
+    checks the H^n-row ranks at t <= -n-1, where the H^0 row is empty.  The
+    band cannot fail either: at t >= -n, H^q for 0 < q < n reads the H^0 row
+    past its last position and the empty H^n row; the assert guards that
+    bookkeeping.
     """
     if t_hi < t_lo:
         raise ValueError("empty twist window")
@@ -343,7 +328,10 @@ def certify_hd(P: GradedEModule, C: LinearComplex,
     upper bound.  The matching lower bound is H^(n-l)(F(-n-1)), the top-row
     term at position 0 and twist -n-1, where the complex is
     S*_0 (x) P_0 -> 0; its dimension is dim P_0, read off the term
-    dimensions and checked against the module's P_0.
+    dimensions and checked against the module's P_0.  That term has no
+    incoming map and its outgoing costrand has degree 0, so no rank: it is
+    ``dims[0]``, which is dim P_0 when ``C`` is the complex of ``P``.  On such
+    a pair the ``cohomology`` check fails only if an assert of the table does.
     """
     n = P.n
     l = C.length

@@ -72,8 +72,9 @@ def test_choose_parameters_rejections():
 
 
 @pytest.mark.parametrize("edit", [{"r": 10**15}, {"n": 10**5, "l": 1},
-                                  {"n": 10**5, "l": 1, "r": 10**5}],
-                         ids=["r1e15", "n1e5", "n1e5r1e5"])
+                                  {"n": 10**5, "l": 1, "r": 10**5},
+                                  {"n": 10**6, "l": 5 * 10**5, "r": 10**6}],
+                         ids=["r1e15", "n1e5", "n1e5r1e5", "n1e6l5e5r1e6"])
 def test_a_report_edited_to_a_huge_case_fails_within_a_second(fast_report, edit):
     # verify makes construct's refusal before any check, so the numbers in
     # params set no cost.
@@ -84,6 +85,31 @@ def test_a_report_edited_to_a_huge_case_fails_within_a_second(fast_report, edit)
     assert time.perf_counter() - t0 < 1
     assert [name for name, _ in failed] == ["report"]
     assert failed[0][1].startswith("ParameterError: ")
+
+
+@pytest.mark.parametrize("n", [1413, 1414])
+def test_the_binomial_free_refusal_refuses_nothing_a_strand_could_certify(monkeypatch, n):
+    # check_buildable refuses (n+1)^2 > CERTIFICATE_CELLS before computing a
+    # binomial, so from n = 1414 on; there strand_shapes must have nothing
+    # to offer.  The ranks include those that leave dim L = 1, the smallest
+    # strands.
+    def reached(*args):
+        raise LookupError("reached choose_parameters")
+
+    monkeypatch.setattr(pl, "choose_parameters", reached)
+    for l in (1, 2, n - 1):
+        for r in sorted({n, 2 * n - 1, comb(n, l) - 1}):
+            if r < n:
+                continue
+            p, dim_l = choose_parameters(n, l, r)
+            shape = next(bgg.strand_shapes(n, p * comb(n + 1, l + 1), dim_l), None)
+            with pytest.raises((ParameterError, LookupError)) as refusal:
+                pl.check_buildable(ConstructionParams(n, l, r))
+            if n == 1413:
+                assert refusal.type is LookupError, (l, r)
+            else:
+                assert refusal.type is ParameterError and shape is None, (l, r, p, dim_l)
+                assert "within 2000000 cells" in str(refusal.value)
 
 
 def test_a_huge_rank_is_refused_within_a_second(capsys):
@@ -898,6 +924,21 @@ def test_cli_cohomology_refuses_another_schema(tmp_path, capsys):
     out.write_text("[]")
     assert cli_main(["cohomology", "--in", str(out), "--t-lo", "-6", "--t-hi", "0"]) == 2
     capsys.readouterr()
+
+
+def test_cli_cohomology_refuses_an_uncertified_anchor(fast_report, tmp_path, capsys):
+    # The anchor u_0 (x) e_01 is not faithful, so its quotient is no bundle
+    # and the table, whose H^0 row presupposes one, is not printed.
+    obj = json.loads(json.dumps(fast_report))
+    obj["anchor"] = {"u": 2, "w": 6, "dim": 1,
+                     "basis": {"rows": 1, "cols": 12, "entries": [["1"] + ["0"] * 11]}}
+    out = tmp_path / "rep.json"
+    out.write_text(json.dumps(obj))
+    assert cli_main(["cohomology", "--in", str(out), "--t-lo", "-5", "--t-hi", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid parameters: exhaustive_faithfulness fails: no strand "
+                            "of at most 2000000 cells is onto over GF(32003)\n")
 
 
 @pytest.mark.parametrize("forge, error", [

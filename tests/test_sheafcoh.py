@@ -14,10 +14,11 @@ from bggbundles import (GF, QQ, CertificationError, CohomologyCalculator,
                         ConstructionParams, euler_line,
                         free_truncated, line_coh, monomials, quotient_top,
                         strand_map)
-from bggbundles.anchor import sample_anchoring
-from bggbundles.bgg import LinearComplex
+from bggbundles.anchor import AnchorProblem, sample_anchoring
+from bggbundles.bgg import LinearComplex, faithfulness_scan
 from bggbundles.pipeline import choose_parameters
-from bggbundles.sheafcoh import bottom_strand_rank, costrand_map, top_strand_rank
+from bggbundles.sheafcoh import costrand_map, top_strand_rank
+from strand_oracle import bottom_homology, bottom_strand_rank
 
 F = GF(32003)
 
@@ -103,17 +104,17 @@ def _assert_strand_matches_reference(D, d):
 
 
 def _recorded_strand_ranks(monkeypatch, run):
-    """Call ``run()`` and return the strand ranks it asked for through the
-    two rows' entry points, ``bottom_strand_rank`` and ``top_strand_rank``,
-    as ``(D, d, rank)``."""
+    """Call ``run()`` and return the strand ranks it asked for through
+    ``top_strand_rank``, the one rank of the tables (the H^n row's), as
+    ``(D, d, rank)``."""
     requested = []
-    for name in ("bottom_strand_rank", "top_strand_rank"):
-        def recording(D, d, rank_of=getattr(sheafcoh, name)):
-            rank = rank_of(D, d)
-            requested.append((D, d, rank))
-            return rank
 
-        monkeypatch.setattr(sheafcoh, name, recording)
+    def recording(D, d, rank_of=sheafcoh.top_strand_rank):
+        rank = rank_of(D, d)
+        requested.append((D, d, rank))
+        return rank
+
+    monkeypatch.setattr(sheafcoh, "top_strand_rank", recording)
     run()
     monkeypatch.undo()
     return requested
@@ -122,20 +123,23 @@ def _recorded_strand_ranks(monkeypatch, run):
 @pytest.mark.parametrize("n,l,r,t_lo,t_hi", [(3, 2, 5, -14, 6), (4, 3, 7, -12, 2)])
 def test_strand_map_matches_entrywise_reference(monkeypatch, n, l, r, t_lo, t_hi):
     # The benchmark's table cases: every strand the calculator asks for, on
-    # the forms (bottom row) and on their slice-wise transposes (top row).
+    # the slice-wise transposes of the forms (top row), and every strand of
+    # the forms that the ranked H^0 row of the oracle asks for (bottom row).
     p, dim_l = choose_parameters(n, l, r)
     L = sample_anchoring(F, p, comb(n + 1, l), dim_l, seed=42)
     C = bgg_complex(quotient_top(free_truncated(p, l, n, F), L.subspace))
     requested = _recorded_strand_ranks(
         monkeypatch, lambda: cohomology_table(C, t_lo, t_hi, CohomologyCalculator(C)))
     transposed = [sheafcoh._transpose_forms(D) for D in C.diffs]
-    forms = {(id(D), d) for D, d, _ in requested if any(D is E for E in C.diffs)}
     duals = {(id(D), d) for D, d, _ in requested if any(D == E for E in transposed)}
-    assert len(forms) + len(duals) == len(requested) > 20 and forms and duals
+    assert len(duals) == len(requested) > 15
     for D, d, rank in requested:
         # The sparse rank against the dense oracle, and the scattered
         # entries against the entrywise reference.
         assert rank == _assert_strand_matches_reference(D, d).rank(), d
+    for i, D in enumerate(C.diffs):
+        for d in range(t_hi + i + 1):  # the degrees of position i's twists
+            assert bottom_strand_rank(D, d) == _assert_strand_matches_reference(D, d).rank()
 
 
 def test_sparse_rank_on_every_strand_of_the_construction_grid(monkeypatch):
@@ -149,7 +153,7 @@ def test_sparse_rank_on_every_strand_of_the_construction_grid(monkeypatch):
                     construct(ConstructionParams(n=n, l=l, r=r, seed=0))
 
     requested = _recorded_strand_ranks(monkeypatch, grid)
-    assert len(requested) > 80
+    assert len(requested) > 50
     for D, d, rank in requested:
         want = modp.rank(strand_map(D, d).to_numpy(), D.field.p)
         assert rank == bottom_strand_rank(D, d) == top_strand_rank(D, d) == want, d
@@ -158,22 +162,37 @@ def test_sparse_rank_on_every_strand_of_the_construction_grid(monkeypatch):
 @pytest.mark.parametrize("r", [5, 6])
 def test_both_orientations_on_the_n5_tables(monkeypatch, r):
     # The (5,4,r) table at seed 0 over t in [-10, 0], the window of the
-    # cohomology check, where the index order fills in on the H^0 row.  The
-    # dense oracle ranks every strand of at most two million cells.  Only
-    # the largest strand of each table (3150 x 2240, or 3276 x 2240) is
-    # past that and takes seconds dense; there the orientations are checked
-    # against each other.
+    # cohomology check.  Its H^n-row strands are at most 423360 cells, so
+    # the dense oracle ranks every one of them.
     requested = _recorded_strand_ranks(
         monkeypatch, lambda: construct(ConstructionParams(n=5, l=4, r=r, seed=0)))
-    assert len(requested) > 12
-    dense = 0
+    assert len(requested) > 8
     for D, d, rank in requested:
         assert rank == bottom_strand_rank(D, d) == top_strand_rank(D, d), d
-        cells = len(monomials(5, d + 1)) * D.nrows * len(monomials(5, d)) * D.ncols
-        if cells <= 2_000_000:
-            assert rank == modp.rank(strand_map(D, d).to_numpy(), D.field.p), d
-            dense += 1
-    assert dense == len(requested) - 1
+        assert rank == modp.rank(strand_map(D, d).to_numpy(), D.field.p), d
+
+
+def _assert_bottom_row_is_the_ranked_row(C, t_lo, t_hi):
+    calc = CohomologyCalculator(C)
+    for t in range(t_lo, t_hi + 1):
+        positions = range(-1, C.length + 2)
+        assert [calc.bottom_homology(pos, t) for pos in positions] \
+            == [bottom_homology(calc, pos, t) for pos in positions], t
+
+
+def test_closed_form_bottom_row_is_the_ranked_row():
+    # The H^0 row of a certified complex, read off its term dimensions,
+    # against the same row ranked strand by strand: at every position, on
+    # [-n-l-8, 6] for the 20 grid cases and on the report window [-10, 0]
+    # for (5,4,5) and (5,4,6), all at seed 0.
+    for n in (3, 4):
+        for l in range(1, n):
+            for r in range(n, n + 4):
+                C = construct(ConstructionParams(n=n, l=l, r=r, seed=0)).complex
+                _assert_bottom_row_is_the_ranked_row(C, -n - l - 8, 6)
+    for r in (5, 6):
+        C = construct(ConstructionParams(n=5, l=4, r=r, seed=0)).complex
+        _assert_bottom_row_is_the_ranked_row(C, -10, 0)
 
 
 def test_strand_map_matches_entrywise_reference_over_qq():
@@ -210,6 +229,7 @@ def test_single_term_oracle():
 
 
 def rank5_example_complex():
+    """The anchor's basis, the quotient it defines and that quotient's complex."""
     rng = random.Random(0)
     P = free_truncated(2, 2, 3, F)
     while True:
@@ -219,11 +239,16 @@ def rank5_example_complex():
             Q = quotient_top(P, Subspace(basis))
             from bggbundles import hom_space_dim
             if hom_space_dim(Q) == 1:
-                return Q, bgg_complex(Q)
+                return basis, Q, bgg_complex(Q)
 
 
 def test_rank5_example_table_values():
-    Q, C = rank5_example_complex()
+    basis, Q, C = rank5_example_complex()
+    # The H^0 entries are read off the term dimensions, which needs the
+    # complex to be a resolution: the anchor is certified.
+    scan = faithfulness_scan(AnchorProblem(2, 6, Subspace(basis)), n=3, l=2)
+    assert scan.certificate is not None
+    _assert_bottom_row_is_the_ranked_row(C, -8, 4)
     table = cohomology_table(C, -8, 4)
     assert table.entry(0, -2) == 11
     assert table.entry(1, -4) == 2
@@ -256,7 +281,7 @@ def test_calculator_rejects_long_complex():
 
 
 def test_certify_rank5_example():
-    Q, C = rank5_example_complex()
+    _, Q, C = rank5_example_complex()
     cert = certify_hd(Q, C)
     assert cert.value == 2
     assert cert.nonvanishing == (1, -4, 2)
