@@ -17,11 +17,11 @@ quotient by L loses dim(L n ker(v-wedge)) of its rank.  ``faithfulness_scan``
 therefore takes the anchor L, not a complex, and tests this condition on the
 N x k matrix of linear forms D = v-wedge|_L (N = p*C(n+1, l+1), k = dim L).
 
-Both scans run at a prime: the anchor's own, or over Q ``CERTIFICATE_PRIME``,
-mod which ``certificate_anchor`` reduces the basis rows cleared of their
-denominators.  That can only lower ranks, so a rational point where L fails
-reduces to one where the reduction fails; a basis that loses rank mod p is
-neither sampled nor certified.  The exhaustive scan decides the condition at
+Both scans take an anchor over a prime field F_q; a run reduces a Q anchor
+once, by ``certificate_anchor``: its basis rows, cleared of denominators,
+mod ``CERTIFICATE_PRIME``.  That can only lower ranks, so a rational point
+where L fails reduces to one where the reduction fails; a basis that loses
+rank there is not scanned.  The exhaustive scan decides the condition at
 every point at once.  The degree-a strand of the transpose of D maps g in
 S_(a-1) (x) k^N to h = D^T g in S_a (x) k^k; if it is onto, no point over the
 algebraic closure fails.  For suppose D(v) lam = 0 with v != 0.  Every h in
@@ -49,7 +49,7 @@ from .anchor import AnchorProblem
 from .emod import GradedEModule, anticommutation_failure
 from .extalg import generator_action
 from .fields import GF, PrimeField
-from .matrix import DenseMatrix, ShapeError, Subspace
+from .matrix import DenseMatrix, MalformedSubspaceError, ShapeError, Subspace
 
 
 POINT_BUDGET = 2_000_000  # most points a random scan may test
@@ -124,7 +124,7 @@ class LinearComplex:
 class FaithfulnessReport:
     mode: str
     field_desc: str
-    points_checked: int | None  # of P^n(F_q); None for an exhaustive scan over Q
+    points_checked: int | None  # of P^n(F_q); None as a Q anchor's exhaustive scan is recorded
     failures: tuple  # (enumeration index, point tuple, degree)
     seed: int | None = None
     # (a, rows, cols) of the onto strand that proves an exhaustive scan, or
@@ -133,10 +133,8 @@ class FaithfulnessReport:
 
     @property
     def ok(self) -> bool:
-        """No failing point, and a certificate or, for a random scan, a point."""
-        covered = (self.certificate is not None if self.mode == "exhaustive"
-                   else self.points_checked > 0)
-        return covered and not self.failures
+        """No failing point, and a certificate if the scan is exhaustive."""
+        return not self.failures and (self.mode != "exhaustive" or self.certificate is not None)
 
 
 def bgg_complex(P: GradedEModule) -> LinearComplex:
@@ -149,10 +147,6 @@ def bgg_complex(P: GradedEModule) -> LinearComplex:
 
 def projective_point_count(q: int, n: int) -> int:
     return (q ** (n + 1) - 1) // (q - 1)
-
-
-def scan_prime(field) -> int:
-    return field.p if isinstance(field, PrimeField) else CERTIFICATE_PRIME
 
 
 def scan_point_count(q: int, n: int, samples: int) -> int:
@@ -351,10 +345,11 @@ def certificate_anchor(anchor: AnchorProblem) -> AnchorProblem | None:
         return anchor
     rows = [[x * lcm(*(y.denominator for y in row)) for x in row]
             for row in anchor.subspace.basis.rows()]
-    basis = DenseMatrix(GF(CERTIFICATE_PRIME), rows, anchor.u * anchor.w)
-    if basis.rank() < anchor.d:
+    try:
+        basis = Subspace(DenseMatrix(GF(CERTIFICATE_PRIME), rows, anchor.u * anchor.w))
+    except MalformedSubspaceError:  # the rows lose rank mod the prime
         return None
-    return AnchorProblem(anchor.u, anchor.w, Subspace(basis))
+    return AnchorProblem(anchor.u, anchor.w, basis)
 
 
 def _strand_certificate(D: MatrixOfLinearForms):
@@ -375,41 +370,37 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
                       l: int, samples: int = 10000, seed: int = 0,
                       chunk: int = 1 << 16) -> FaithfulnessReport:
     """Scan projective points v of P^n for L n ker(v-wedge) != 0, where L is
-    ``anchor`` in U (x) wedge^l: the points where the quotient of
-    ``free_truncated(anchor.u, l, n)`` by L is not locally free.
+    ``anchor`` in U (x) wedge^l over F_q: the points where the quotient of
+    ``free_truncated(anchor.u, l, n)`` by L is not locally free.  A Q anchor
+    is refused: a run scans its reduction, ``certificate_anchor``.
 
-    ``exhaustive`` covers every point over the algebraic closure of the
-    anchor's field, F_q or Q, by the first onto strand of
-    ``_strand_certificate`` (of ``certificate_anchor``), recorded in
-    ``certificate``; over F_q it counts the points of P^n(F_q) as checked.
-    The module docstring proves this sound.  Without an onto strand the scan
-    is not ok, and lists no failure.
-    ``random`` samples ``samples`` distinct seeded points of P^n(F_q), q =
-    ``scan_prime``, or none if a Q basis loses rank mod q; ``scan_point_count``
-    refuses counts beyond the points or the budget.  A failure is recorded as
-    (enumeration index, point, l - 1), the degree at which the quotient's
-    fiber sequence is not exact, and the failures are ordered by index
-    regardless of chunking.
+    ``exhaustive`` covers every point over the algebraic closure of F_q by
+    the first onto strand of ``_strand_certificate``, recorded in
+    ``certificate``, and counts the points of P^n(F_q) as checked.  The
+    module docstring proves this sound.  Without an onto strand the scan is
+    not ok, and lists no failure.
+    ``random`` samples ``samples`` distinct seeded points of P^n(F_q);
+    ``scan_point_count`` refuses counts beyond the points or the budget.  A
+    failure is recorded as (enumeration index, point, l - 1), the degree at
+    which the quotient's fiber sequence is not exact, and the failures are
+    ordered by index regardless of chunking.
     """
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    L = certificate_anchor(anchor)
-    D = None if L is None else _anchor_restriction(L, n, l)
+    f = anchor.field
+    if not isinstance(f, PrimeField):
+        raise ValueError(f"a scan needs an anchor over a prime field, not {f!r}")
+    D = _anchor_restriction(anchor, n, l)
     if mode == "exhaustive":
-        f = anchor.field
-        count = projective_point_count(f.p, n) if isinstance(f, PrimeField) else None
-        cert = None if D is None else _strand_certificate(D)
-        return FaithfulnessReport(mode, repr(f), count, (), None, cert)
-    q = scan_prime(anchor.field)
-    count = scan_point_count(q, n, samples)
-    if D is None:
-        return FaithfulnessReport(mode, repr(GF(q)), 0, (), seed)
+        return FaithfulnessReport(mode, repr(f), projective_point_count(f.p, n), (), None,
+                                  _strand_certificate(D))
+    count = scan_point_count(f.p, n, samples)
     forms = np.stack([s.to_numpy() for s in D.slices])
     failures = []
     base = 0
-    for pts in _random_point_chunks(q, n, samples, seed, chunk):
+    for pts in _random_point_chunks(f.p, n, samples, seed, chunk):
         failures += [(base + int(t), tuple(int(x) for x in pts[t]), l - 1)
-                     for t in _rank_deficient(pts, forms, q, anchor.d)]
+                     for t in _rank_deficient(pts, forms, f.p, anchor.d)]
         base += pts.shape[0]
     assert base == count
-    return FaithfulnessReport(mode, repr(GF(q)), count, tuple(failures), seed)
+    return FaithfulnessReport(mode, repr(f), count, tuple(failures), seed)

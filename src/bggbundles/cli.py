@@ -17,12 +17,13 @@ import sys
 
 from . import __version__
 from .anchor import AnchoringSearchError, annihilator, is_anchoring, sample_anchoring
+from .bgg import bgg_complex
 from .fields import FieldError
 from .pipeline import (SCHEMA_VERSION, ConstructionParams, ParameterError,
-                       RetryBudgetError, _check_exhaustive_faithfulness,
-                       _instance_from_report, cas_script, construct, parse_field,
-                       report_to_json_str, verify)
-from .sheafcoh import CohomologyCalculator, cohomology_table
+                       RetryBudgetError, VerificationError, _check_exhaustive_faithfulness,
+                       _instance_from_report, anchored_module, cas_script, construct,
+                       parse_field, report_to_json_str, verify)
+from .sheafcoh import cohomology_table
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -120,9 +121,9 @@ def _cmd_cohomology(args) -> int:
     ok, detail, _ = _check_exhaustive_faithfulness(inst)  # the table needs a bundle
     if not ok:
         raise ValueError(f"exhaustive_faithfulness fails: {detail}")
-    C = inst.C
-    table = cohomology_table(C, args.t_lo, args.t_hi, CohomologyCalculator(C))
-    print(table.to_text())
+    # Over L's own field: over Q, Instance.C is proven on the report's window only.
+    C = bgg_complex(anchored_module(inst.L, inst.params.n, inst.params.l))
+    print(cohomology_table(C, args.t_lo, args.t_hi).to_text())
     return EXIT_OK
 
 
@@ -132,7 +133,7 @@ def main(argv=None) -> int:
                "anchor": _cmd_anchor, "cohomology": _cmd_cohomology}[args.command]
     try:
         return handler(args)
-    except (ParameterError, FieldError, ValueError, OSError) as exc:
+    except (ParameterError, FieldError, ValueError, OSError, VerificationError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     except RetryBudgetError as exc:

@@ -9,14 +9,15 @@ construction, so values can be shared freely across threads and
 ``row``, ``rows``, ``to_lists``) return Python ``int``/``Fraction`` scalars.
 
 Dense elimination runs through one Gauss-Jordan loop, ``modp.echelon``:
-every rank and every RREF, over both fields, call it.  The pipeline ranks a
-Q anchor's anchoring system and strands mod ``bgg.CERTIFICATE_PRIME``; the
-ranks left over Q are of subspace bases and of the anchoring systems of
-``anchor.is_anchoring`` and ``commutant_dim``, up to 234 x 178 for the
-``anchor`` command's annihilator at u=3, w=6, d=5.  The strands of the
-cohomology tables never become a ``DenseMatrix``; ``sheafcoh`` ranks its
-H^n row's from their nonzeros by ``modp.sparse_rank``.  Pivoting is always "first
-nonzero in column order" so results are reproducible.
+every rank and every RREF, over both fields, call it.  A run reduces a Q
+anchor once, mod ``bgg.CERTIFICATE_PRIME``, and ranks all it checks there;
+the ranks left over Q are of subspace bases, of the module that
+``cas_script`` and the ``cohomology`` command build, and of the ``anchor``
+command's systems, up to 234 x 178 for its annihilator at u=3, w=6, d=5.
+The strands of the cohomology tables never become a ``DenseMatrix``;
+``sheafcoh`` ranks its H^n row's from their nonzeros by
+``modp.sparse_rank``.  Pivoting is always "first nonzero in column order"
+so results are reproducible.
 """
 
 from __future__ import annotations

@@ -23,16 +23,18 @@ is the dense Gauss-Jordan loop on numpy rows, over both fields: ``rank``,
 ``rref``, ``DenseMatrix.rank`` and ``DenseMatrix.rref`` over Q (``p=None``)
 and the dense strand ranks of the faithfulness certificate call it.
 ``sparse_rank`` ranks the strands of the cohomology tables' H^n row from
-their ``(row, col, value)`` triples: one numpy pass groups them into rows,
-and a loop reduces the rows, in index order, as ``{col: value}`` dicts of
-Python scalars.  Those strands are 0.1-0.4% nonzero with 3-6 nonzeros per row, so
-a dense loop spends its time on numpy call overhead per pivot, not on
-arithmetic; the certificate's strands are 4-80% nonzero and fill in, and
-there the dense loop is about ten times faster (0.13 against 1.55 s on the
-degree-4 certificate strand of (5,4,5), 630 x 672 and 4% nonzero).  The
-one remaining kernel is ``batch_rank``, which ranks many small matrices at
-once and serves only the random scan; the enumeration of P^n(F_q) it once
-made cheap lives in ``tests/scan_oracle.py``.
+their ``(row, col, value)`` triples, over Q only for the ``cohomology``
+command (a run reduces a Q anchor once, mod ``bgg.CERTIFICATE_PRIME``): one
+numpy pass groups them into rows, and a loop reduces the rows, in index
+order, as ``{col: value}`` dicts of Python scalars.  Those strands are
+0.1-0.4% nonzero with 3-6 nonzeros per row, so a dense loop spends its time
+on numpy call overhead per pivot, not on arithmetic; the certificate's
+strands are 4-80% nonzero and fill in, and there the dense loop is about
+ten times faster (0.13 against 1.55 s on the degree-4 certificate strand of
+(5,4,5), 630 x 672 and 4% nonzero).  The one remaining kernel is
+``batch_rank``, which ranks many small matrices at once and serves only the
+random scan; the enumeration of P^n(F_q) it once made cheap lives in
+``tests/scan_oracle.py``.
 """
 
 from __future__ import annotations

@@ -7,11 +7,11 @@ the truncated free module by an anchoring subspace of the top piece, and
 verifies everything it claims: faithfulness (a scan of ``RANDOM_SAMPLES``
 random points of P^n(F_q), or all of them if there are fewer, plus a strand
 certificate of the reported anchor L, which proves the condition at every
-point over the algebraic closure; q is the working prime, or over Q
-``bgg.CERTIFICATE_PRIME``, and no other anchor is drawn), simplicity (L's
-anchoring system has solution dimension 1, over Q at that prime, which
-proves it over Q), rank and certified homological dimension.  The whole
-record is serialized into a self-contained JSON report.
+point over the algebraic closure; q is the working prime), simplicity (L's
+anchoring system has solution dimension 1), rank and certified homological
+dimension.  Over Q a run reads every claim off its anchor reduced once, mod
+q = ``bgg.CERTIFICATE_PRIME`` (see :class:`Instance`).  The whole record is
+serialized into a self-contained JSON report.
 
 The one random choice is the anchor, drawn by ``draw_subspace`` at the seed
 ``params.seed + attempts - 1``; the retry budget, the point budget, the
@@ -20,14 +20,10 @@ constants, not settings.  ``construct`` and ``verify`` refuse a case none of
 whose strands fits that cap before building, and run one list of five
 checks, ``CHECKS``.  A check takes an :class:`Instance` and returns
 ``(ok, detail, values)``, the values of the report sections its ``CHECKS``
-row names.  The instance's inputs are the parameters, the anchor L and the
-attempt count.  The module M is the free module's quotient by L, rebuilt
-from L and the ``CONVENTIONS`` rather than recorded, and each faithfulness
-scan reads L directly.
-``construct`` draws L, stops at the first failing check and writes the
-report from the sections; ``verify`` reads the inputs from a report and
-passes a check only if it is ok and every recomputed section equals the
-recorded one.
+row names.  ``construct`` draws L, stops at the first failing check and
+writes the report from the sections; ``verify`` reads the inputs from a
+report and passes a check only if it is ok and every recomputed section
+equals the recorded one.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from math import comb
 from operator import getitem
@@ -43,7 +39,7 @@ from operator import getitem
 from . import __version__, bgg
 from .anchor import AnchorProblem, draw_subspace, general_position_range, is_anchoring
 from .bgg import (FaithfulnessReport, LinearComplex, bgg_complex, faithfulness_scan,
-                  projective_point_count, scan_prime)
+                  projective_point_count)
 from .emod import GradedEModule, chi, free_truncated, quotient_top
 from .fields import GF, QQ, FieldError, RationalField
 from .matrix import DenseMatrix, ShapeError, Subspace
@@ -177,12 +173,31 @@ def _build(field, params: ConstructionParams, seed: int) -> AnchorProblem:
 # the checks shared by construct and verify
 
 
+def anchored_module(L: AnchorProblem, n: int, l: int) -> GradedEModule:
+    """M = P/L over L's field, P the free module: what a module anchored at L must be."""
+    if L.w != comb(n + 1, l):  # before P, whose size follows n, is built
+        raise ShapeError(f"the anchor's width {L.w} is not C(n+1, l) = {comb(n + 1, l)}")
+    return quotient_top(free_truncated(L.u, l, n, L.field), L.subspace)
+
+
 @dataclass
 class Instance:
     """What the checks examine: the inputs, and what they define.  ``attempts``
     fixes the seed of the attempt, which drew L and seeds the random scan.
-    ``M`` is the one place the module is built: the free module's quotient by
-    L, what a module anchored at L must be.  No report records it."""
+
+    A run reduces a Q anchor once: every check reads ``Lq`` =
+    ``bgg.certificate_anchor(L)`` (L itself over F_q), directly or through
+    ``M`` = P/Lq and its complex ``C``, which no report records.  A basis that
+    loses rank mod q = ``bgg.CERTIFICATE_PRIME`` fails every check with the
+    one error ``Lq`` raises.  Over Q, P/Lq has the table of P/L on the
+    report's window [-n-c-1, 0], c = ``C.length``: the cleared basis has full
+    rank mod q, so the piece dimensions agree.  At t >= -n only the H^0 row
+    is nonzero, a closed form in them.  At t = -n-1-k, k <= c, only the H^n
+    row is; its one map that involves L, d_(c-1) at k = c and degree 1, is
+    the transpose of [A_(c-1,0) | ... | A_(c-1,n)], onto over any field as M
+    is generated in degree 0, and every other map of the row is a Koszul
+    strand, exact in every characteristic.
+    """
 
     params: ConstructionParams
     L: AnchorProblem
@@ -193,11 +208,14 @@ class Instance:
         return self.params.seed + self.attempts - 1
 
     @cached_property
+    def Lq(self) -> AnchorProblem:
+        if (Lq := bgg.certificate_anchor(self.L)) is None:
+            raise VerificationError(f"the basis of L loses rank mod {bgg.CERTIFICATE_PRIME}")
+        return Lq
+
+    @cached_property
     def M(self) -> GradedEModule:
-        L, n, l = self.L, self.params.n, self.params.l
-        if L.w != comb(n + 1, l):  # before P, whose size follows n, is built
-            raise ShapeError(f"the anchor's width {L.w} is not C(n+1, l) = {comb(n + 1, l)}")
-        return quotient_top(free_truncated(L.u, l, n, L.field), L.subspace)
+        return anchored_module(self.Lq, self.params.n, self.params.l)
 
     @cached_property
     def C(self):
@@ -216,35 +234,25 @@ def _check_parameters(inst):
 def _check_hom_dimension(inst):
     # M is generated in degree 0: Hom(M, M) is {phi_0 (x) 1 : (phi_0 (x) 1)(L) in L}.
     # Over Q, 1 read mod q proves it (see bgg.certificate_anchor).
-    L, q = bgg.certificate_anchor(inst.L), scan_prime(inst.L.field)
-    if L is None:
-        return False, f"the basis of L loses rank mod {q}: no system is solved", (None,)
-    hom = is_anchoring(L).solution_dim
-    read = "" if L is inst.L else f", read mod {q}"
+    hom = is_anchoring(inst.Lq).solution_dim
+    read = "" if inst.Lq is inst.L else f", read mod {bgg.CERTIFICATE_PRIME}"
     return hom == 1, f"Hom dimension {hom}{read}", (hom,)
 
 
 def _check_random_faithfulness(inst):
-    n, q = inst.params.n, scan_prime(inst.L.field)
-    rnd = faithfulness_scan(inst.L, "random", n=n, l=inst.params.l, seed=inst.seed,
+    n, q = inst.params.n, inst.Lq.field.p
+    rnd = faithfulness_scan(inst.Lq, "random", n=n, l=inst.params.l, seed=inst.seed,
                             samples=min(RANDOM_SAMPLES, projective_point_count(q, n)))
-    if not rnd.points_checked:
-        return False, f"the basis of L loses rank mod {q}: no point is drawn", (rnd,)
     return rnd.ok, f"{rnd.points_checked} points, {len(rnd.failures)} failures", (rnd,)
 
 
 def _check_exhaustive_faithfulness(inst):
-    L = inst.L
-    scan = faithfulness_scan(L, "exhaustive", n=inst.params.n, l=inst.params.l)
-    if scan.certificate is not None:
-        a, rows, cols = scan.certificate
-        detail = f"certified by the degree-{a} strand ({rows}x{cols}) over {scan.field_desc}"
-    elif bgg.certificate_anchor(L) is None:
-        detail = f"the basis of L loses rank mod {bgg.CERTIFICATE_PRIME}: no strand is ranked"
-    else:
-        detail = (f"no strand of at most {bgg.CERTIFICATE_CELLS} cells is onto "
-                  f"over {scan.field_desc}")
-    return scan.ok, detail, (field_spec(L.field), scan)
+    scan = faithfulness_scan(inst.Lq, "exhaustive", n=inst.params.n, l=inst.params.l)
+    if inst.Lq is not inst.L:  # the certificate is L's, over Q: no point of F_q is counted
+        scan = replace(scan, field_desc=repr(inst.L.field), points_checked=None)
+    how = ("certified by the degree-{} strand ({}x{})".format(*scan.certificate)
+           if scan.certificate else f"no strand of at most {bgg.CERTIFICATE_CELLS} cells is onto")
+    return scan.ok, f"{how} over {scan.field_desc}", (field_spec(inst.L.field), scan)
 
 
 def _check_cohomology(inst):
@@ -283,8 +291,6 @@ def _section(key):
 class BundleReport:
     params: ConstructionParams
     anchor: AnchorProblem
-    module: GradedEModule
-    complex: LinearComplex
     sections: dict  # report key -> value, as the checks returned them
     attempts: int
     timings: dict
@@ -299,6 +305,10 @@ class BundleReport:
     exhaustive_scan = _section("exhaustive.scan")
     table = _section("cohomology")
     hd = _section("hd")
+
+    # M = P/L over the anchor's own field, and its complex, built when first read.
+    module = cached_property(lambda r: anchored_module(r.anchor, r.params.n, r.params.l))
+    complex = cached_property(lambda r: bgg_complex(r.module))
 
 
 def construct(params: ConstructionParams) -> BundleReport:
@@ -337,8 +347,8 @@ def _construct_once(params, field, attempts) -> BundleReport:
         if not ok:
             raise VerificationError(f"{name}: {detail}")
         sections.update(zip(keys, values, strict=True))
-    return BundleReport(params=params, anchor=L, module=inst.M, complex=inst.C,
-                        sections=sections, attempts=attempts, timings=timings)
+    return BundleReport(params=params, anchor=L, sections=sections, attempts=attempts,
+                        timings=timings)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +546,8 @@ def cas_script(report: dict) -> str:
     package depends on its output.
     """
     inst = _instance_from_report(report)
-    n, l, M = inst.params.n, inst.params.l, inst.M
+    n, l = inst.params.n, inst.params.l
+    M = anchored_module(inst.L, n, l)  # over Q too: the script prints Q entries
     field = M.field
     kk = "QQ" if isinstance(field, RationalField) else f"ZZ/{field.p}"
     dims = M.piece_dims

@@ -17,7 +17,6 @@ bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -51,15 +50,9 @@ def line_coh(n: int, d: int, q: int) -> int:
 
 
 def euler_line(n: int, d: int) -> int:
-    """chi(O(d)) as the signed binomial, polynomial in d."""
-    num = 1
-    for k in range(1, n + 1):
-        num *= d + k
-    val = Fraction(num, 1)
-    for k in range(1, n + 1):
-        val /= k
-    assert val.denominator == 1
-    return int(val)
+    """chi(O(d)) = (d+1)...(d+n)/n!, polynomial in d: C(n+d, n) from d = -n,
+    and (-1)^n C(-d-1, n) below."""
+    return comb(n + d, n) if d >= -n else (-1) ** n * comb(-d - 1, n)
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,8 @@ import json
 from math import comb
 
 from bggbundles import AnchorProblem, DenseMatrix, Subspace, chi
-from bggbundles.pipeline import Instance, _anchor_to_json, _matrix_to_json, _params_from_json
+from bggbundles.pipeline import (_anchor_to_json, _matrix_to_json, _params_from_json,
+                                 anchored_module)
 
 
 def with_replaced_anchor(report: dict, new_basis_rows) -> dict:
@@ -20,7 +21,7 @@ def with_replaced_anchor(report: dict, new_basis_rows) -> dict:
     w = comb(params.n + 1, params.l)
     basis = DenseMatrix(params.field(), new_basis_rows, out["multiplicity"] * w)
     L = AnchorProblem(out["multiplicity"], w, Subspace(basis))
-    ch = chi(Instance(params, L, out["attempts"]).M)
+    ch = chi(anchored_module(L, params.n, params.l))
     out["anchor"] = _anchor_to_json(L)
     out["anchor_dim"] = L.d
     out["chi"] = list(ch)

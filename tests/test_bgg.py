@@ -9,11 +9,11 @@ from math import comb
 import numpy as np
 import pytest
 
-from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, FaithfulnessReport,
-                        LinearComplex, MatrixOfLinearForms, PointBudgetError, ShapeError,
-                        Subspace, anchoring_tensor, bgg_complex, choose_parameters,
-                        faithfulness_scan, free_truncated, projective_point_count,
-                        quotient_top, sample_anchoring, tensor_to_subspace)
+from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, LinearComplex,
+                        MatrixOfLinearForms, PointBudgetError, ShapeError, Subspace,
+                        anchoring_tensor, bgg_complex, choose_parameters, faithfulness_scan,
+                        free_truncated, projective_point_count, quotient_top,
+                        sample_anchoring, tensor_to_subspace)
 import bggbundles.bgg as bgg
 from bggbundles import modp
 from bggbundles.fields import _is_prime
@@ -187,23 +187,34 @@ def test_exhaustive_scan_requires_prime_field():
 
 
 def test_exhaustive_scan_certifies_over_the_rationals(monkeypatch):
-    assert faithfulness_scan(zero_anchor(QQ, 1, 3, 1), "exhaustive", n=3,
-                             l=1).certificate == (0, 0, 0)
+    # A Q anchor is scanned through its reduction mod CERTIFICATE_PRIME.
+    assert faithfulness_scan(certificate_anchor(zero_anchor(QQ, 1, 3, 1)), "exhaustive",
+                             n=3, l=1).certificate == (0, 0, 0)
     p, d = choose_parameters(3, 2, 5)
     e0, L = e0_anchor(QQ), sample_anchoring(QQ, p, 6, d, seed=3)
     # The strands are ranked mod CERTIFICATE_PRIME, never by an exact Q rank:
     # over Q the e0 anchor's strands up to the full cap would take minutes.
     with monkeypatch.context() as mp:
         mp.setattr(DenseMatrix, "rank", _no_rational_rank(DenseMatrix.rank))
-        rep = faithfulness_scan(e0, "exhaustive", n=3, l=1)
-        assert not rep.ok and rep.points_checked is None and rep.certificate is None
+        rep = faithfulness_scan(certificate_anchor(e0), "exhaustive", n=3, l=1)
+        assert not rep.ok and rep.certificate is None
         # The rank-5 shape's anchor over Q has the strand of its F_32003 draw.
-        rep = faithfulness_scan(L, "exhaustive", n=3, l=2)
+        rep = faithfulness_scan(certificate_anchor(L), "exhaustive", n=3, l=2)
         # The random scan samples the same reduction, with no Q rank either.
-        rnd = faithfulness_scan(L, "random", n=3, l=2, samples=2000, seed=3)
-    assert rep.ok and rep.certificate == (1, 4, 8) and rep.points_checked is None
-    assert rep.field_desc == repr(QQ)
+        rnd = faithfulness_scan(certificate_anchor(L), "random", n=3, l=2, samples=2000,
+                                seed=3)
+    assert rep.ok and rep.certificate == (1, 4, 8)
+    assert rep.field_desc == "GF(1048573)"
+    assert rep.points_checked == projective_point_count(CERTIFICATE_PRIME, 3)
     assert rnd.ok and rnd.points_checked == 2000 and rnd.field_desc == "GF(1048573)"
+
+
+def test_scan_refuses_a_rational_anchor():
+    # A run reduces a Q anchor once, in pipeline.Instance; the scan takes only
+    # the reduction, so it holds no rule of its own for Q.
+    for mode in ("exhaustive", "random"):
+        with pytest.raises(ValueError, match="an anchor over a prime field, not QQ"):
+            faithfulness_scan(e0_anchor(QQ), mode, n=3, l=1, samples=10)
 
 
 def _no_rational_rank(rank):
@@ -224,11 +235,8 @@ def test_rational_certificate_clears_rows_and_refuses_rank_loss():
                                                      [0, 0, Fraction(5, 7), 1]], 4)))
     assert bgg.certificate_anchor(L).subspace.basis.to_lists() == [[4, 1, 0, 0],
                                                                     [0, 0, 5, 7]]
-    # Independent over Q, equal mod q: not certified, and no exception.
-    L = rank_loss_anchor()
-    assert bgg.certificate_anchor(L) is None
-    rep = faithfulness_scan(L, "exhaustive", n=3, l=1)
-    assert not rep.ok and rep.certificate is None
+    # Independent over Q, equal mod q: no reduction, and no exception.
+    assert bgg.certificate_anchor(rank_loss_anchor()) is None
 
 
 def test_scan_refuses_unknown_mode_shape_and_sample_counts():
@@ -239,11 +247,10 @@ def test_scan_refuses_unknown_mode_shape_and_sample_counts():
     for n, l in ((3, 2), (4, 1), (3, 0)):
         with pytest.raises(ShapeError, match="does not lie in"):
             faithfulness_scan(L, "random", n=n, l=l, samples=10)
-    for field in (GF(5), QQ):
+    for anchor in (L, certificate_anchor(e0_anchor(QQ))):
         for samples in (0, -5):
             with pytest.raises(ValueError, match="at least one sample"):
-                faithfulness_scan(e0_anchor(field), "random", n=3, l=1,
-                                  samples=samples)
+                faithfulness_scan(anchor, "random", n=3, l=1, samples=samples)
 
 
 def test_random_scan_prime_field():
@@ -362,7 +369,7 @@ def test_rank_deficient_matches_the_int64_reference_across_slices():
 
 def test_random_scan_rational_samples_the_reduction():
     # Over Q the scan samples the points of P^n(F_q) at CERTIFICATE_PRIME for
-    # the anchor's reduction there: the same report, seed and count.
+    # the anchor's reduction there.
     p, d = choose_parameters(3, 2, 5)
     cases = [(zero_anchor(QQ, 1, 3, 2), 2), (e0_anchor(QQ), 1),
              (sample_anchoring(QQ, p, 6, d, seed=3), 2),
@@ -374,17 +381,11 @@ def test_random_scan_rational_samples_the_reduction():
         shrink = DenseMatrix(QQ, [[Fraction(1, 10**7)]], 1)
         scaled = AnchorProblem(L.u, L.w, Subspace(shrink.kron(L.subspace.basis)))
         for seed in (2, 5):
-            rep = faithfulness_scan(L, "random", n=3, l=l, samples=300, seed=seed)
-            assert rep == faithfulness_scan(certificate_anchor(L), "random", n=3, l=l,
+            rep = faithfulness_scan(certificate_anchor(L), "random", n=3, l=l, samples=300,
+                                    seed=seed)
+            assert rep == faithfulness_scan(certificate_anchor(scaled), "random", n=3, l=l,
                                             samples=300, seed=seed)
-            assert rep == faithfulness_scan(scaled, "random", n=3, l=l, samples=300, seed=seed)
             assert rep.ok and rep.points_checked == 300 and rep.field_desc == "GF(1048573)"
-    # A basis that loses rank mod q draws no point: not ok, and no exception.
-    rep = faithfulness_scan(rank_loss_anchor(), "random", n=3, l=1, samples=300, seed=2)
-    assert rep == FaithfulnessReport("random", "GF(1048573)", 0, (), 2) and not rep.ok
-    # The sample count is still checked where no point is drawn.
-    with pytest.raises(ValueError, match="at least one sample"):
-        faithfulness_scan(rank_loss_anchor(), "random", n=3, l=1, samples=0)
 
 
 def test_random_scan_budget():
@@ -499,9 +500,9 @@ def test_anchored_scan_rational_and_shape_checks():
         C = bgg_complex(quotient_top(free_truncated(2, 2, 3, Fq), R.subspace))
         for seed in (1, 2):
             full = full_complex_scan(C, "random", samples=100, seed=seed)
-            assert faithfulness_scan(anchor, "random", n=3, l=2, samples=100,
+            assert faithfulness_scan(R, "random", n=3, l=2, samples=100,
                                      seed=seed) == full
             assert len(full.failures) == (100 if fails else 0)
     # An anchor that does not lie in U (x) wedge^l is refused.
     with pytest.raises(ShapeError, match="does not lie in"):
-        faithfulness_scan(L, "random", n=3, l=1, samples=10)
+        faithfulness_scan(certificate_anchor(L), "random", n=3, l=1, samples=10)

@@ -18,9 +18,11 @@ from bggbundles import (GF, QQ, AnchorProblem, AnchorVerdict, ConstructionParams
                         report_to_json, report_to_json_str, verify)
 import bggbundles.bgg as bgg
 import bggbundles.emod as emod
+import bggbundles.modp as modp
 import bggbundles.pipeline as pl
 from bggbundles.cli import main as cli_main
 from bggbundles.pipeline import _scan_to_json
+from bggbundles.sheafcoh import cohomology_table
 from forgery import module_record, with_replaced_anchor
 
 
@@ -197,16 +199,19 @@ def _rank_loss_rows(qq_report):
             for row in qq_report["anchor"]["basis"]["entries"]]
 
 
-def test_rank_loss_anchor_fails_the_three_prime_checks(qq_report, monkeypatch):
-    # Simplicity and both faithfulness checks read L mod the prime.
+def test_rank_loss_anchor_fails_every_check_with_one_detail(qq_report, monkeypatch,
+                                                            tmp_path, capsys):
+    # Every check reads L mod the prime, parameters and cohomology through the
+    # module of that reduction, so all five fail alike, with no comparison.
     forged = with_replaced_anchor(qq_report, _rank_loss_rows(qq_report))
-    failed = verify(forged).failed()
-    assert [name for name, _ in failed] == ["hom_dimension", "random_faithfulness",
-                                            "exhaustive_faithfulness"]
-    assert failed[0][1].startswith("the basis of L loses rank mod 1048573: "
-                                   "no system is solved")
-    assert failed[1][1].startswith("the basis of L loses rank mod 1048573: "
-                                   "no point is drawn")
+    detail = "VerificationError: the basis of L loses rank mod 1048573"
+    assert verify(forged).failed() == [(name, detail) for name, _, _, _ in pl.CHECKS]
+    # The cohomology command refuses such a report, as a bad input.
+    path = tmp_path / "lossy.json"
+    path.write_text(json.dumps(forged))
+    assert cli_main(["cohomology", "--in", str(path), "--t-lo", "-6", "--t-hi", "0"]) == 2
+    assert capsys.readouterr().err == ("invalid parameters: the basis of L loses rank "
+                                       "mod 1048573\n")
     # construct takes such a draw for a genericity failure, and retries.
     lossy, real, drawn = pl._anchor_from_json(QQ, forged["anchor"]), pl._build, []
 
@@ -222,8 +227,7 @@ def test_rank_loss_anchor_fails_the_three_prime_checks(qq_report, monkeypatch):
     drawn.clear()
     with pytest.raises(pl.RetryBudgetError) as exc:
         construct(params)
-    assert exc.value.diagnostics == [
-        (0, "hom_dimension: the basis of L loses rank mod 1048573: no system is solved")]
+    assert exc.value.diagnostics == [(0, "the basis of L loses rank mod 1048573")]
 
 
 def test_hom_over_the_rationals_is_decided_mod_the_prime(qq_report):
@@ -279,13 +283,12 @@ def test_exhaustive_detail_says_how_the_verdict_was_reached(fast_report, qq_repo
         "scan": {"mode": "exhaustive", "field": "GF(32003)",
                  "points_checked": projective_point_count(32003, 3), "seed": None,
                  "failures": [], "certificate": [1, 4, 8]}}
-    # A Q basis that loses rank mod the prime has no strand ranked, and says so.
+    # A Q basis that loses rank mod the prime has no strand ranked, and fails
+    # with the detail that every check then has.
     forged = with_replaced_anchor(qq_report, _rank_loss_rows(qq_report))
     detail = {name: text for name, _, text in verify(forged).checks}
-    assert detail["random_faithfulness"].startswith("the basis of L loses rank mod "
-                                                    "1048573: no point is drawn;")
-    assert detail["exhaustive_faithfulness"].startswith("the basis of L loses rank mod "
-                                                        "1048573: no strand is ranked;")
+    assert detail["exhaustive_faithfulness"] == ("VerificationError: the basis of L loses "
+                                                 "rank mod 1048573")
 
 
 def test_uncertified_anchor_fails_its_check_and_is_retried(fast_report, monkeypatch):
@@ -774,12 +777,20 @@ def test_cas_script_contents():
     assert "assert(rank F == 5)" in script
 
 
-def test_cas_script_is_pinned(fast_report, qq_report):
+def test_cas_script_is_pinned(fast_report, qq_report, tmp_path, capsys):
     # The digests of the scripts built from the module that schema-8 reports
-    # recorded: the module rebuilt from the anchor gives the same bytes.
-    digests = [hashlib.sha256(cas_script(obj).encode()).hexdigest()
-               for obj in (fast_report, qq_report)]
+    # recorded: the module rebuilt from the anchor gives the same bytes.  The
+    # QQ script, emitted by --emit-cas too, still prints M over Q, although
+    # the run reads its anchor mod the prime.
+    cas = tmp_path / "q.m2"
+    assert cli_main(["construct", "--n", "3", "--l", "2", "--r", "5", "--field", "qq",
+                     "--seed", "3", "--out", str(tmp_path / "q.json"),
+                     "--emit-cas", str(cas)]) == 0
+    capsys.readouterr()
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in
+               (cas_script(fast_report), cas_script(qq_report), cas.read_text())]
     assert digests == ["5a30e1e0458a81d96e5dc38d3b73dcfd43ff8d374fd7ad697ec02b9b831a7619",
+                       "48a55806a47ee93d5a58aaf44fcc4e95771b72eeca536d4538abb8a6874e7319",
                        "48a55806a47ee93d5a58aaf44fcc4e95771b72eeca536d4538abb8a6874e7319"]
 
 
@@ -890,6 +901,62 @@ def test_rebuilt_modules_satisfy_the_relations_and_have_rank_r():
         M = pl.Instance(params, pl._build(params.field(), params, params.seed), 1).M
         M.validate()
         assert chi(M)[-1] == params.r, params
+
+
+QQ_CASES = [ConstructionParams(3, 2, 5, field_spec="qq", seed=3)] + [
+    ConstructionParams(n, l, r, field_spec="qq") for n, l, r in
+    ((4, 3, 7), (4, 3, 4), (4, 2, 6), (4, 1, 4), (5, 4, 5))]
+
+
+def test_a_rational_run_builds_and_ranks_only_mod_the_prime(monkeypatch, tmp_path, capsys):
+    primes, fields = [], []
+    real_rank, real_quotient = modp.sparse_rank, emod.quotient_top
+
+    def sparse_rank(rows, cols, vals, p):
+        primes.append(p)
+        return real_rank(rows, cols, vals, p)
+
+    def quotient_top(P, L):
+        fields.append(L.field)
+        return real_quotient(P, L)
+
+    monkeypatch.setattr(modp, "sparse_rank", sparse_rank)
+    _patch_everywhere(monkeypatch, real_quotient, quotient_top)
+    for params in (QQ_CASES[0], QQ_CASES[1], QQ_CASES[5]):
+        obj = report_to_json(construct(params))
+        assert verify(obj).ok
+    assert primes and None not in primes
+    assert fields and QQ not in fields
+    # The cohomology command's windows lie beyond that proof: it ranks over Q,
+    # the table of the Q complex.
+    path = tmp_path / "q437.json"
+    assert cli_main(["construct", "--n", "4", "--l", "3", "--r", "7", "--field", "qq",
+                     "--out", str(path)]) == 0
+    primes.clear()
+    capsys.readouterr()
+    assert cli_main(["cohomology", "--in", str(path), "--t-lo", "-12", "--t-hi", "2"]) == 0
+    assert None in primes
+    L = pl._anchor_from_json(QQ, json.loads(path.read_text())["anchor"])
+    C = bgg.bgg_complex(real_quotient(free_truncated(L.u, 3, 4, QQ), L.subspace))
+    assert capsys.readouterr().out == cohomology_table(C, -12, 2).to_text() + "\n"
+
+
+def test_the_report_table_below_twist_minus_n_is_a_closed_form():
+    # At t <= -n-1 only the H^n row is nonzero: dim P_0 at (n-c, -n-1), dim L
+    # at (n-1, -n-1-c) and 0 elsewhere, in any characteristic, so the table a
+    # Q run reads mod the prime is the table over Q (see pl.Instance).
+    cases = [ConstructionParams(n, l, r) for n in (3, 4) for l in range(1, n)
+             for r in range(n, n + 4)]
+    cases += [ConstructionParams(*nlr) for nlr in ((5, 4, 5), (5, 4, 6), (6, 5, 7))]
+    for params in cases + QQ_CASES:
+        n = params.n
+        inst = pl.Instance(params, pl._build(params.field(), params, params.seed), 1)
+        table = pl._check_cohomology(inst)[2][0]
+        c = inst.C.length
+        assert (table.t_lo, table.t_hi) == (-n - c - 1, 0)
+        closed = {(n - c, -n - 1): inst.L.u, (n - 1, -n - 1 - c): inst.L.d}
+        assert [[table.entry(q, t) for t in range(-n - c - 1, -n)] for q in range(n + 1)] == [
+            [closed.get((q, t), 0) for t in range(-n - c - 1, -n)] for q in range(n + 1)], params
 
 
 def test_cli_construct_verify_cohomology(tmp_path, capsys):
