@@ -358,12 +358,12 @@ def _strand_certificate(D: MatrixOfLinearForms):
     ``D``, is onto, or None when none of ``strand_shapes`` is.  An onto strand
     proves that D(v) has rank k at every nonzero v over the algebraic closure.
     """
-    from .sheafcoh import _transpose_forms, strand_map  # sheafcoh imports bgg
+    from .sheafcoh import _transpose_forms, strand_cokernel_dim  # sheafcoh imports bgg
 
     Dt = _transpose_forms(D)
     return next(((a, rows, cols)
                  for a, rows, cols in strand_shapes(D.nvars - 1, D.nrows, D.ncols)
-                 if strand_map(Dt, a - 1).rank() == rows), None)
+                 if strand_cokernel_dim(Dt, a) == 0), None)
 
 
 def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int,

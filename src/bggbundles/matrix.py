@@ -14,10 +14,9 @@ anchor once, mod ``bgg.CERTIFICATE_PRIME``, and ranks all it checks there;
 the ranks left over Q are of subspace bases, of the module that
 ``cas_script`` and the ``cohomology`` command build, and of the ``anchor``
 command's systems, up to 234 x 178 for its annihilator at u=3, w=6, d=5.
-The strands of the cohomology tables never become a ``DenseMatrix``;
-``sheafcoh`` ranks its H^n row's from their nonzeros by
-``modp.sparse_rank``.  Pivoting is always "first nonzero in column order"
-so results are reproducible.
+The cohomology tables rank only the certificate's strands, as dense
+matrices (``sheafcoh.strand_cokernel_dim``).  Pivoting is always "first
+nonzero in column order" so results are reproducible.
 """
 
 from __future__ import annotations

@@ -18,28 +18,18 @@ residues, at most k(p-1)**2, so it is exact only while k(p-1)**2 < 2**63
 (k < 2**23 at any p below the bound); beyond that
 ``DenseMatrix.__matmul__`` raises ``OverflowError`` instead of wrapping.
 
-The package has two elimination loops, each with its callers.  ``echelon``
-is the dense Gauss-Jordan loop on numpy rows, over both fields: ``rank``,
-``rref``, ``DenseMatrix.rank`` and ``DenseMatrix.rref`` over Q (``p=None``)
-and the dense strand ranks of the faithfulness certificate call it.
-``sparse_rank`` ranks the strands of the cohomology tables' H^n row from
-their ``(row, col, value)`` triples, over Q only for the ``cohomology``
-command (a run reduces a Q anchor once, mod ``bgg.CERTIFICATE_PRIME``): one
-numpy pass groups them into rows, and a loop reduces the rows, in index
-order, as ``{col: value}`` dicts of Python scalars.  Those strands are
-0.1-0.4% nonzero with 3-6 nonzeros per row, so a dense loop spends its time
-on numpy call overhead per pivot, not on arithmetic; the certificate's
-strands are 4-80% nonzero and fill in, and there the dense loop is about
-ten times faster (0.13 against 1.55 s on the degree-4 certificate strand of
-(5,4,5), 630 x 672 and 4% nonzero).  The one remaining kernel is
-``batch_rank``, which ranks many small matrices at once and serves only the
-random scan; the enumeration of P^n(F_q) it once made cheap lives in
-``tests/scan_oracle.py``.
+The package has one elimination loop.  ``echelon`` is the dense
+Gauss-Jordan loop on numpy rows, over both fields: ``rank``, ``rref``,
+``DenseMatrix.rank`` and ``DenseMatrix.rref`` over Q (``p=None``) call it,
+and so do the strand ranks of the faithfulness certificate, the only ranks
+the cohomology tables need (``sheafcoh.CohomologyCalculator``).  The one
+other kernel is ``batch_rank``, which ranks many small matrices at once and
+serves only the random scan; the enumeration of P^n(F_q) it once made cheap
+lives in ``tests/scan_oracle.py``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -133,69 +123,6 @@ def rref(a: np.ndarray, p: int):
     """
     a = reduced(a, p)
     return a, echelon(a, p, full=True)
-
-
-def sparse_rank(rows, cols, vals, p: int | None) -> int:
-    """Rank of the matrix with entries ``vals`` at ``(rows, cols)``, over F_p,
-    or over Q with ``p=None``.
-
-    Entries at a repeated position are summed.  Values may be integers of any
-    size (reduced mod p here) or, over Q, also ``Fraction``s; unless they
-    come as an integer array they are kept as Python objects, so none is
-    rounded or wrapped.  One numpy pass groups the entries by row, sums
-    repeated positions, reduces them mod p and drops zeros.  The rows are
-    then taken in index order, each a ``{col: value}`` dict of Python
-    scalars, and reduced against the pivot rows found so far, which are kept
-    by leading (smallest) column and scaled to a leading 1 (stored without
-    it).  A row that reaches zero is dependent; otherwise it becomes a pivot
-    row.  The order sets the cost, not the rank, so the caller picks the
-    orientation it passes.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if p is None or not isinstance(vals, np.ndarray) or vals.dtype.kind != "i":
-        vals = np.array(vals, dtype=object)
-    if p is not None:
-        vals = vals % p
-    if not vals.size:
-        return 0
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    new = np.empty(len(rows), dtype=bool)
-    new[0] = True
-    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(new)
-    vals = np.add.reduceat(vals, starts)
-    if p is not None:
-        vals %= p
-    nonzero = vals != 0
-    keep = starts[nonzero]
-    rows, cols, vals = rows[keep], cols[keep], vals[nonzero].tolist()
-    if p is None:
-        vals = [Fraction(v) for v in vals]
-    bounds = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist(), len(vals)]
-    cols = cols.tolist()
-    pivots = {}
-    for a, b in zip(bounds, bounds[1:]):
-        row = dict(zip(cols[a:b], vals[a:b]))
-        while row:
-            c = min(row)
-            lead = row.pop(c)
-            tail = pivots.get(c)
-            if tail is None:
-                inv = 1 / lead if p is None else pow(lead, p - 2, p)
-                pivots[c] = {j: v * inv if p is None else v * inv % p
-                             for j, v in row.items()}
-                break
-            for j, v in tail.items():
-                x = row.get(j, 0) - lead * v
-                if p is not None:
-                    x %= p
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-    return len(pivots)
 
 
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:

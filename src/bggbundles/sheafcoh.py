@@ -3,11 +3,15 @@
 Line bundles on P^n have cohomology only in degrees 0 and n, so for a
 resolution by sums of line bundles of length at most n the hypercohomology
 spectral sequence has two rows and degenerates at the second page.  Only
-dimensions are computed, never classes.  The H^n row is ranked: its maps are
-transposes of multiplication maps in the dual degrees, and transposing
-preserves rank.  The H^0 row needs no rank once the complex is known to be a
+dimensions are computed, never classes, and neither row is ranked strand by
+strand.  The H^0 row needs no rank once the complex is known to be a
 resolution, which the faithfulness certificate proves: its homology sits at
-the last position and is the alternating sum of its term dimensions.
+the last position and is the alternating sum of its term dimensions.  The
+H^n row's maps are transposes of multiplication maps in the dual degrees;
+for the complex of a module P/L they are u copies of the Koszul complex,
+whose ranks are binomial sums, but for one defect at the last map, the
+Hilbert function of the certificate's cokernel.  Only that function is
+ranked, on the certificate's strands, and only up to its first zero.
 
 Monomial bases are enumerated in graded lexicographic order (within a degree,
 lexicographically descending exponent tuples), fixed once so tables are
@@ -17,16 +21,16 @@ bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
 
-from . import modp
-from .bgg import LinearComplex, MatrixOfLinearForms
-from .emod import GradedEModule
-from .fields import PrimeField
-from .matrix import DenseMatrix, zeros_array
+from .anchor import AnchorProblem
+from .bgg import LinearComplex, MatrixOfLinearForms, _anchor_restriction
+from .emod import GradedEModule, free_truncated
+from .extalg import basis_subsets, subset_position
+from .matrix import DenseMatrix, Subspace, _reduce, zeros_array
 
 
 class CertificationError(RuntimeError):
@@ -128,18 +132,6 @@ def strand_map(D, d: int) -> DenseMatrix:
     return DenseMatrix.from_numpy(D.field, grid)
 
 
-def _prime(D) -> int | None:
-    f = D.field
-    return f.p if isinstance(f, PrimeField) else None
-
-
-def top_strand_rank(D, d: int) -> int:
-    """Rank of the degree-d strand of ``D``, as the H^n row ranks it (there
-    ``D`` is the slice-wise transpose of a differential): ``modp.sparse_rank``
-    on the strand itself, rows in index order."""
-    return modp.sparse_rank(*strand_entries(D, d), _prime(D))
-
-
 def _transpose_forms(D) -> MatrixOfLinearForms:
     """The slice-wise transpose of a matrix of linear forms."""
     return MatrixOfLinearForms(tuple(s.transpose() for s in D.slices))
@@ -153,6 +145,45 @@ def costrand_map(D, m: int) -> DenseMatrix:
     of the degree-(m-1) strand of the transposed forms.
     """
     return strand_map(_transpose_forms(D), m - 1).transpose()
+
+
+def strand_cokernel_dim(Dt, a: int) -> int:
+    """Dimension of the cokernel of the degree-(a-1) strand of ``Dt``,
+    S_(a-1) (x) src -> S_a (x) tgt.  For ``Dt`` the transpose of an anchor's
+    restriction (``bgg._anchor_restriction``) this is the Hilbert function
+    h(a) of the faithfulness certificate's cokernel: h(0) = dim L, and the
+    degree-a strand is onto exactly when h(a) = 0."""
+    return len(monomials(Dt.nvars - 1, a)) * Dt.nrows - strand_map(Dt, a - 1).rank()
+
+
+def _koszul_rank(n: int, j: int, D: int) -> int:
+    """Rank of the Koszul map out of S_(D-j) (x) wedge^j V in total degree
+    D >= 1, sum over k >= j of (-1)^(k-j) C(n+1, k) C(n+D-k, n): the Koszul
+    complex on n+1 variables is exact in total degree D >= 1 in any
+    characteristic, and injective at its left end."""
+    return sum((-1) ** (k - j) * comb(n + 1, k) * comb(n + D - k, n)
+               for k in range(j, min(n + 1, D) + 1))
+
+
+@lru_cache(maxsize=None)
+def _free_actions(u: int, c: int, n: int, field) -> tuple:
+    """The actions of ``free_truncated(u, c, n, field)``, I_u (x) (e_j wedge)
+    on U (x) wedge^i for i < c, as one read-only stack of n+1 arrays per i."""
+    stacks = tuple(np.stack([a.to_numpy() for a in acts])
+                   for acts in free_truncated(u, c, n, field).actions)
+    for stack in stacks:
+        stack.setflags(write=False)
+    return stacks
+
+
+@lru_cache(maxsize=None)
+def _wedge_factors(u: int, c: int, n: int) -> np.ndarray:
+    """Row 0: min S, row 1: the position of e_s (x) e_(S - min S) in U (x)
+    wedge^(c-1), for each basis vector e_s (x) e_S of U (x) wedge^c in order,
+    as e_S = e_(min S) wedge e_(S - min S) with sign +1."""
+    pos, w = subset_position(n, c - 1), comb(n + 1, c - 1)
+    return np.array([(S[0], s * w + pos[S[1:]]) for s in range(u)
+                     for S in basis_subsets(n, c)], dtype=np.int64).T
 
 
 @dataclass(frozen=True)
@@ -191,17 +222,26 @@ class CohomologyCalculator:
     H^(pos - c)(F(t)), zero for pos < c.  The row is therefore exact below c,
     and its homology at c is the alternating sum of its term dimensions.
 
-    The H^n row is ranked, with ranks cached per (differential, degree); the
-    cache is filled by pure computations and only ever read afterwards, so
-    concurrent readers are safe.  Each rank is ``top_strand_rank``, sparse
-    elimination on the strand's nonzeros in index order, never a dense
-    strand: the strands asked for here are 0.1-0.4% nonzero, 3-6 entries per
-    row, and a dense loop spends its time on numpy calls per pivot, not on
-    arithmetic.  Index order is the cheaper orientation on this row: 0.14 M
-    entry updates against 0.36 M for the transpose with its columns reversed,
-    on the two tables of the ``tables`` benchmark.  The denser, filling-in
-    strands of ``bgg._strand_certificate`` stay with the dense
-    ``modp.echelon``.
+    The H^n row is read off Koszul binomials and the certificate's Hilbert
+    function (Eisenbud-Floystad-Schreyer 2003).  Its map from position i at
+    dual degree m has the rank of the degree-d strand of D_i^T, d = m - 1.
+    For C the complex of M = P/L, P = U (x) wedge^(<=c), u = dim U and
+    pi : U (x) wedge^c -> M_c the quotient, D_i^T is u copies of the Koszul
+    differential for i < c-1, of rank u * kappa(i+1, i+1+d), kappa =
+    ``_koszul_rank``.  D_(c-1)^T is the Koszul map K_c on S_d (x) L^perp,
+    L^perp = im pi^T, whose kernel is im K_(c+1) n S_d (x) L^perp.  So its
+    rank is u * kappa(c, c+d) less the cokernel of im K_(c+1) -> S_d (x)
+    L^*, the certificate's degree-d strand: h(d) = ``strand_cokernel_dim``.
+    h(0) = dim L, and h is 0 from its first zero on, as that cokernel is
+    generated in degree 0.
+
+    At the first rank asked for, the calculator reads pi off D_(c-1) (slice
+    min S maps e_s (x) e_(S - min S) to pi(e_s (x) e_S)) and raises
+    ``ValueError`` unless C is the complex of P/ker(pi): D_i = I_u (x)
+    (e_j wedge) for i < c-1, D_(c-1) = pi (I_u (x) e_j wedge), pi onto.
+    h(1), h(2), ... are ranked when first asked for, up to the first zero.
+    A cached value is the same whoever computes it, so concurrent readers
+    are safe.
     """
 
     def __init__(self, C: LinearComplex):
@@ -211,8 +251,7 @@ class CohomologyCalculator:
         self.C = C
         self.n = C.n
         self.dims = [r for _, r in C.terms]
-        self._diffs_t = [_transpose_forms(D) for D in C.diffs]
-        self._costrand_ranks = {}
+        self._h = ()  # h(0), h(1), ... up to the first zero
 
     # -- row terms -----------------------------------------------------------
 
@@ -224,14 +263,49 @@ class CohomologyCalculator:
         m = -t - i - self.n - 1
         return self.dims[i] * comb(self.n + m, self.n) if m >= 0 else 0
 
+    @cached_property
+    def _pi(self) -> DenseMatrix:
+        """pi : U (x) wedge^c -> M_c, once C is checked to be the complex of
+        P/ker(pi) (see the class docstring)."""
+        C, n, c, u = self.C, self.n, self.C.length, self.dims[0]
+        f = C.diffs[0].field
+        stacks = [np.stack([s.to_numpy() for s in D.slices]) for D in C.diffs]
+        free = _free_actions(u, c, n, f)
+        for i in range(c - 1):
+            if not np.array_equal(stacks[i], free[i]):
+                raise ValueError(f"differential {i} is not I_{u} (x) (e_j wedge)")
+        last, koszul = stacks[-1], free[-1]
+        if last.shape[::2] != koszul.shape[::2]:
+            raise ValueError(f"differential {c - 1} has shape {last.shape}")
+        j, col = _wedge_factors(u, c, n)
+        pi = DenseMatrix.from_numpy(f, last[j, :, col].T)
+        if not np.array_equal(_reduce(f, pi.to_numpy() @ koszul), last):
+            raise ValueError(f"differential {c - 1} does not factor through U (x) wedge^{c}")
+        if pi.rank() != pi.nrows:
+            raise ValueError(f"term {c} is not generated by U (x) wedge^{c}")
+        return pi
+
+    def _defect(self, i: int, d: int) -> int:
+        """u * kappa(i+1, i+1+d) minus the rank of the degree-d strand of
+        D_i^T: h(d) at i = c-1, 0 below."""
+        c, pi = self.C.length, self._pi  # C is checked at the first rank asked for
+        if i < c - 1:
+            return 0
+        h = self._h or (pi.ncols - pi.nrows,)
+        if len(h) <= d and h[-1]:
+            L = AnchorProblem(self.dims[0], comb(self.n + 1, c), Subspace(pi.kernel_basis()))
+            Dt = _transpose_forms(_anchor_restriction(L, self.n, c))
+            while len(h) <= d and h[-1]:
+                h += (strand_cokernel_dim(Dt, len(h)),)
+            self._h = h
+        return h[d] if d < len(h) else 0
+
     def _costrand_rank(self, i: int, m: int) -> int:
-        # costrand_map(D, m) is the transpose of this strand, of equal rank.
+        # costrand_map(D_i, m) is the transpose of the degree-(m-1) strand of
+        # D_i^T, of equal rank.
         if m < 1:
             return 0
-        key = (i, m)
-        if key not in self._costrand_ranks:
-            self._costrand_ranks[key] = top_strand_rank(self._diffs_t[i], m - 1)
-        return self._costrand_ranks[key]
+        return self.dims[0] * _koszul_rank(self.n, i + 1, i + m) - self._defect(i, m - 1)
 
     # -- second-page entries ---------------------------------------------------
 
@@ -279,12 +353,11 @@ def cohomology_table(C: LinearComplex, t_lo: int, t_hi: int,
     Every column is checked against the Euler characteristic of the
     resolution, and the structural vanishing band (t >= -n, 0 < q < n) is
     asserted rather than assumed.  ``C`` must resolve its cokernel bundle,
-    as the calculator presupposes.  With the H^0 row in closed form, the
-    Euler check is an identity at t >= -n, where the H^n row is empty, and
-    checks the H^n-row ranks at t <= -n-1, where the H^0 row is empty.  The
-    band cannot fail either: at t >= -n, H^q for 0 < q < n reads the H^0 row
-    past its last position and the empty H^n row; the assert guards that
-    bookkeeping.
+    as the calculator presupposes.  Neither check can fail: an alternating
+    sum of homology is the alternating sum of the terms, whatever the ranks,
+    and at t >= -n, H^q for 0 < q < n reads the H^0 row past its last
+    position and the empty H^n row.  The asserts guard the bookkeeping that
+    places each row's entries.
     """
     if t_hi < t_lo:
         raise ValueError("empty twist window")

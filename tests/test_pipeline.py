@@ -18,8 +18,8 @@ from bggbundles import (GF, QQ, AnchorProblem, AnchorVerdict, ConstructionParams
                         report_to_json, report_to_json_str, verify)
 import bggbundles.bgg as bgg
 import bggbundles.emod as emod
-import bggbundles.modp as modp
 import bggbundles.pipeline as pl
+import bggbundles.sheafcoh as sheafcoh
 from bggbundles.cli import main as cli_main
 from bggbundles.pipeline import _scan_to_json
 from bggbundles.sheafcoh import cohomology_table
@@ -909,33 +909,35 @@ QQ_CASES = [ConstructionParams(3, 2, 5, field_spec="qq", seed=3)] + [
 
 
 def test_a_rational_run_builds_and_ranks_only_mod_the_prime(monkeypatch, tmp_path, capsys):
-    primes, fields = [], []
-    real_rank, real_quotient = modp.sparse_rank, emod.quotient_top
+    # The strand ranks a run makes are the certificate's and the h(d) of the
+    # cohomology tables, both through sheafcoh.strand_cokernel_dim.
+    strand_fields, fields = [], []
+    real_cokernel, real_quotient = sheafcoh.strand_cokernel_dim, emod.quotient_top
 
-    def sparse_rank(rows, cols, vals, p):
-        primes.append(p)
-        return real_rank(rows, cols, vals, p)
+    def strand_cokernel_dim(Dt, a):
+        strand_fields.append(Dt.field)
+        return real_cokernel(Dt, a)
 
     def quotient_top(P, L):
         fields.append(L.field)
         return real_quotient(P, L)
 
-    monkeypatch.setattr(modp, "sparse_rank", sparse_rank)
+    monkeypatch.setattr(sheafcoh, "strand_cokernel_dim", strand_cokernel_dim)
     _patch_everywhere(monkeypatch, real_quotient, quotient_top)
     for params in (QQ_CASES[0], QQ_CASES[1], QQ_CASES[5]):
         obj = report_to_json(construct(params))
         assert verify(obj).ok
-    assert primes and None not in primes
+    assert strand_fields and QQ not in strand_fields
     assert fields and QQ not in fields
-    # The cohomology command's windows lie beyond that proof: it ranks over Q,
-    # the table of the Q complex.
+    # The cohomology command's windows lie beyond that proof: it computes h
+    # over Q, the table of the Q complex.
     path = tmp_path / "q437.json"
     assert cli_main(["construct", "--n", "4", "--l", "3", "--r", "7", "--field", "qq",
                      "--out", str(path)]) == 0
-    primes.clear()
+    strand_fields.clear()
     capsys.readouterr()
     assert cli_main(["cohomology", "--in", str(path), "--t-lo", "-12", "--t-hi", "2"]) == 0
-    assert None in primes
+    assert QQ in strand_fields
     L = pl._anchor_from_json(QQ, json.loads(path.read_text())["anchor"])
     C = bgg.bgg_complex(real_quotient(free_truncated(L.u, 3, 4, QQ), L.subspace))
     assert capsys.readouterr().out == cohomology_table(C, -12, 2).to_text() + "\n"

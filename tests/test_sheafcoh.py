@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from bggbundles import modp, sheafcoh
+from bggbundles import sheafcoh
 from bggbundles import (GF, QQ, CertificationError, CohomologyCalculator,
                         DenseMatrix, MatrixOfLinearForms, Subspace, bgg_complex,
                         certify_hd, cohomology_table, construct,
@@ -15,10 +15,10 @@ from bggbundles import (GF, QQ, CertificationError, CohomologyCalculator,
                         free_truncated, line_coh, monomials, quotient_top,
                         strand_map)
 from bggbundles.anchor import AnchorProblem, sample_anchoring
-from bggbundles.bgg import LinearComplex, faithfulness_scan
+from bggbundles.bgg import LinearComplex, _anchor_restriction, faithfulness_scan
 from bggbundles.pipeline import choose_parameters
-from bggbundles.sheafcoh import costrand_map, top_strand_rank
-from strand_oracle import bottom_homology, bottom_strand_rank
+from bggbundles.sheafcoh import costrand_map
+from strand_oracle import bottom_homology, bottom_strand_rank, top_rank, top_strand_rank
 
 F = GF(32003)
 
@@ -103,73 +103,118 @@ def _assert_strand_matches_reference(D, d):
     return got
 
 
-def _recorded_strand_ranks(monkeypatch, run):
-    """Call ``run()`` and return the strand ranks it asked for through
-    ``top_strand_rank``, the one rank of the tables (the H^n row's), as
-    ``(D, d, rank)``."""
-    requested = []
-
-    def recording(D, d, rank_of=sheafcoh.top_strand_rank):
-        rank = rank_of(D, d)
-        requested.append((D, d, rank))
-        return rank
-
-    monkeypatch.setattr(sheafcoh, "top_strand_rank", recording)
-    run()
-    monkeypatch.undo()
-    return requested
-
-
 @pytest.mark.parametrize("n,l,r,t_lo,t_hi", [(3, 2, 5, -14, 6), (4, 3, 7, -12, 2)])
-def test_strand_map_matches_entrywise_reference(monkeypatch, n, l, r, t_lo, t_hi):
-    # The benchmark's table cases: every strand the calculator asks for, on
-    # the slice-wise transposes of the forms (top row), and every strand of
-    # the forms that the ranked H^0 row of the oracle asks for (bottom row).
+def test_strand_map_matches_entrywise_reference(n, l, r, t_lo, t_hi):
+    # The benchmark's table cases, entry by entry: every strand of the
+    # slice-wise transposed forms whose rank the calculator reads off on the
+    # window (top row), each of the rank read off, and every strand of the
+    # forms that the ranked H^0 row of the oracle asks for (bottom row).
     p, dim_l = choose_parameters(n, l, r)
     L = sample_anchoring(F, p, comb(n + 1, l), dim_l, seed=42)
     C = bgg_complex(quotient_top(free_truncated(p, l, n, F), L.subspace))
-    requested = _recorded_strand_ranks(
-        monkeypatch, lambda: cohomology_table(C, t_lo, t_hi, CohomologyCalculator(C)))
-    transposed = [sheafcoh._transpose_forms(D) for D in C.diffs]
-    duals = {(id(D), d) for D, d, _ in requested if any(D == E for E in transposed)}
-    assert len(duals) == len(requested) > 15
-    for D, d, rank in requested:
-        # The sparse rank against the dense oracle, and the scattered
-        # entries against the entrywise reference.
-        assert rank == _assert_strand_matches_reference(D, d).rank(), d
+    calc = CohomologyCalculator(C)
     for i, D in enumerate(C.diffs):
+        Dt = sheafcoh._transpose_forms(D)
+        for m in range(1, -t_lo - i - n):  # the dual degrees of position i's twists
+            assert calc._costrand_rank(i, m) \
+                == _assert_strand_matches_reference(Dt, m - 1).rank(), (i, m)
         for d in range(t_hi + i + 1):  # the degrees of position i's twists
             assert bottom_strand_rank(D, d) == _assert_strand_matches_reference(D, d).rank()
 
 
-def test_sparse_rank_on_every_strand_of_the_construction_grid(monkeypatch):
-    # Every strand the cohomology check of construct ranks, for the 20 grid
-    # cases at seed 0: both orientations against the dense rank of the
-    # scattered strand.
-    def grid():
+def _top_rank_cases():
+    """(complex, highest dual degree) pairs for the closed-form H^n row: the
+    grid at seeds 0-1 past each certificate degree, so that h reaches 0;
+    (5,4,5), (5,4,6) and (6,5,7) at seed 0 at low degrees; QQ (3,2,5) at
+    seed 3 and QQ (4,3,7) over Q; and free truncations (dim L = 0)."""
+    for seed in (0, 1):
         for n in (3, 4):
             for l in range(1, n):
                 for r in range(n, n + 4):
-                    construct(ConstructionParams(n=n, l=l, r=r, seed=0))
+                    rep = construct(ConstructionParams(n=n, l=l, r=r, seed=seed))
+                    yield rep.complex, rep.exhaustive_scan.certificate[0] + 2
+    for (n, l, r), top in (((5, 4, 5), 3), ((5, 4, 6), 3), ((6, 5, 7), 2)):
+        yield construct(ConstructionParams(n=n, l=l, r=r, seed=0)).complex, top
+    for params in (ConstructionParams(3, 2, 5, field_spec="qq", seed=3),
+                   ConstructionParams(4, 3, 7, field_spec="qq")):
+        rep = construct(params)
+        assert rep.complex.diffs[0].field == QQ
+        yield rep.complex, rep.exhaustive_scan.certificate[0] + 2
+    for n in (3, 4):
+        for l in range(1, n + 1):
+            yield bgg_complex(free_truncated(2, l, n, F)), 4
 
-    requested = _recorded_strand_ranks(monkeypatch, grid)
-    assert len(requested) > 50
-    for D, d, rank in requested:
-        want = modp.rank(strand_map(D, d).to_numpy(), D.field.p)
-        assert rank == bottom_strand_rank(D, d) == top_strand_rank(D, d) == want, d
+
+def test_closed_form_top_ranks_are_the_ranked_ranks():
+    # Every map of the H^n row, read off Koszul binomials and h, against the
+    # same map ranked strand by strand, at every position up to the case's
+    # highest dual degree.
+    cases = 0
+    for C, top in _top_rank_cases():
+        calc = CohomologyCalculator(C)
+        for i in range(C.length):
+            for m in range(top + 1):
+                assert calc._costrand_rank(i, m) == top_rank(calc, i, m), (C.terms, i, m)
+        cases += 1
+    assert cases == 40 + 3 + 2 + 7
 
 
-@pytest.mark.parametrize("r", [5, 6])
-def test_both_orientations_on_the_n5_tables(monkeypatch, r):
-    # The (5,4,r) table at seed 0 over t in [-10, 0], the window of the
-    # cohomology check.  Its H^n-row strands are at most 423360 cells, so
-    # the dense oracle ranks every one of them.
-    requested = _recorded_strand_ranks(
-        monkeypatch, lambda: construct(ConstructionParams(n=5, l=4, r=r, seed=0)))
-    assert len(requested) > 8
-    for D, d, rank in requested:
-        assert rank == bottom_strand_rank(D, d) == top_strand_rank(D, d), d
-        assert rank == modp.rank(strand_map(D, d).to_numpy(), D.field.p), d
+def _with_slice(C, i, j, slice_):
+    D = C.diffs[i]
+    slices = D.slices[:j] + (slice_,) + D.slices[j + 1:]
+    diffs = C.diffs[:i] + (MatrixOfLinearForms(slices),) + C.diffs[i + 1:]
+    return LinearComplex(C.n, C.terms, diffs)
+
+
+def test_calculator_refuses_a_complex_that_is_not_anchored():
+    C = construct(ConstructionParams(n=4, l=3, r=7, seed=0)).complex
+    n, c = C.n, C.length
+
+    def bump(s):
+        return s + DenseMatrix.from_numpy(F, np.eye(*s.shape, dtype=np.int64))
+
+    refused = {
+        # one Koszul slice below c-1 perturbed
+        "is not I_": _with_slice(C, 1, 2, bump(C.diffs[1].slices[2])),
+        # slice n of D_(c-1) is never read for pi (min S < n for |S| = c >= 2)
+        "does not factor": _with_slice(C, c - 1, n, bump(C.diffs[c - 1].slices[n])),
+        # D_(c-1) = 0 factors through pi = 0, which is not onto
+        "not generated": LinearComplex(n, C.terms, C.diffs[:-1] + (MatrixOfLinearForms(
+            tuple(DenseMatrix.zeros(F, *s.shape) for s in C.diffs[-1].slices)),)),
+    }
+    for match, bad in refused.items():
+        calc = CohomologyCalculator(bad)  # the check waits for the first rank
+        assert cohomology_table(bad, -n, 2, calc).entries  # t >= -n needs no rank
+        with pytest.raises(ValueError, match=match):
+            cohomology_table(bad, -n - c - 1, 0, calc)
+    # Free truncations (dim L = 0) and single-term complexes are tables too.
+    for l in (1, 2, 3):
+        P = free_truncated(1, l, n, F)
+        assert cohomology_table(bgg_complex(P), -n - l - 4, 0).entry(n - l, -n - 1) == 1
+    assert cohomology_table(LinearComplex(n, ((0, 2),), ()), -n - 3, 0).entry(n, -n - 1) == 2
+
+
+def test_intermediate_cohomology_is_the_certificate_hilbert_function():
+    # H^(n-1)(F(-n-1-c-d)) is h(d), the cokernel dimension of the degree-d
+    # strand of the certificate, so it is dim L at d = 0, nonzero below the
+    # certificate degree a and 0 from a on.
+    for n in (3, 4):
+        for l in range(1, n):
+            for r in range(n, n + 4):
+                rep = construct(ConstructionParams(n=n, l=l, r=r, seed=0))
+                c, a = rep.complex.length, rep.exhaustive_scan.certificate[0]
+                Dt = sheafcoh._transpose_forms(_anchor_restriction(rep.anchor, n, l))
+                h = [sheafcoh.strand_cokernel_dim(Dt, d) for d in range(a + 2)]
+                assert h[0] == rep.anchor.d and all(h[:a]) and h[a] == h[a + 1] == 0
+                calc = CohomologyCalculator(rep.complex)
+                assert [calc.dim_h(n - 1, -n - 1 - c - d) for d in range(a + 2)] == h
+    # Regression numbers: the h-vectors of the two largest certified cases.
+    for (n, l, r), h in (((5, 4, 5), [5, 18, 35, 40, 0, 0]),
+                         ((6, 5, 7), [5, 21, 44, 42, 0, 0])):
+        rep = construct(ConstructionParams(n=n, l=l, r=r, seed=0))
+        assert rep.exhaustive_scan.certificate[0] == 4
+        calc = CohomologyCalculator(rep.complex)
+        assert [calc.dim_h(n - 1, -n - 1 - l - d) for d in range(6)] == h, (n, l, r)
 
 
 def _assert_bottom_row_is_the_ranked_row(C, t_lo, t_hi):
