@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from bggbundles import sheafcoh
+from bggbundles import modp, sheafcoh
 from bggbundles import (GF, QQ, CertificationError, CohomologyCalculator,
                         DenseMatrix, MatrixOfLinearForms, Subspace, bgg_complex,
                         certify_hd, cohomology_table, construct,
@@ -120,6 +120,57 @@ def test_strand_map_matches_entrywise_reference(n, l, r, t_lo, t_hi):
                 == _assert_strand_matches_reference(Dt, m - 1).rank(), (i, m)
         for d in range(t_hi + i + 1):  # the degrees of position i's twists
             assert bottom_strand_rank(D, d) == _assert_strand_matches_reference(D, d).rank()
+
+
+def _read_off_strand_ranks(monkeypatch, run):
+    """Call ``run()`` and return, once each, the H^n-row ranks the tables
+    read off through ``CohomologyCalculator._costrand_rank`` as
+    ``(D, d, rank)``: the rank of the degree-d strand of D, the slice-wise
+    transpose of the differential."""
+    read_off = {}
+
+    def recording(calc, i, m, rank_of=CohomologyCalculator._costrand_rank):
+        rank = rank_of(calc, i, m)
+        if m >= 1:
+            # C is kept in the value, so no later complex takes its id.
+            read_off.setdefault((id(calc.C), i, m), (calc.C, i, m - 1, rank))
+        return rank
+
+    monkeypatch.setattr(CohomologyCalculator, "_costrand_rank", recording)
+    run()
+    monkeypatch.undo()
+    return [(sheafcoh._transpose_forms(C.diffs[i]), d, rank)
+            for C, i, d, rank in read_off.values()]
+
+
+def test_sparse_rank_on_every_strand_of_the_construction_grid(monkeypatch):
+    # Every strand whose rank the cohomology check of construct reads off,
+    # for the 20 grid cases at seed 0: the rank read off against both
+    # orientations of sparse_rank and the dense rank of the scattered strand.
+    def grid():
+        for n in (3, 4):
+            for l in range(1, n):
+                for r in range(n, n + 4):
+                    construct(ConstructionParams(n=n, l=l, r=r, seed=0))
+
+    read_off = _read_off_strand_ranks(monkeypatch, grid)
+    assert len(read_off) > 50
+    for D, d, rank in read_off:
+        want = modp.rank(strand_map(D, d).to_numpy(), D.field.p)
+        assert rank == bottom_strand_rank(D, d) == top_strand_rank(D, d) == want, d
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_both_orientations_on_the_n5_tables(monkeypatch, r):
+    # The (5,4,r) table at seed 0 over t in [-10, 0], the window of the
+    # cohomology check.  Its H^n-row strands are at most 423360 cells, so
+    # the dense oracle ranks every one of them.
+    read_off = _read_off_strand_ranks(
+        monkeypatch, lambda: construct(ConstructionParams(n=5, l=4, r=r, seed=0)))
+    assert len(read_off) > 8
+    for D, d, rank in read_off:
+        assert rank == bottom_strand_rank(D, d) == top_strand_rank(D, d), d
+        assert rank == modp.rank(strand_map(D, d).to_numpy(), D.field.p), d
 
 
 def _top_rank_cases():
