@@ -34,6 +34,11 @@ certificate at any degree, so a scan without an onto strand within
 ``CERTIFICATE_CELLS`` cells is not ok.  It names no failing point.  An
 enumeration of P^n(F_q) would, but it checks only the F_q-rational points,
 so it proves nothing about the closure; it is kept as a test oracle.
+
+The random scan is sampled evidence beside that proof.  It draws distinct
+seeded points of P^n(F_q) once, as positions of the enumeration decoded by
+``_points_at`` (as uniform normalized rows where the positions would not fit
+in int64), and ranks their fibers ``SCAN_PIECE`` points at a time.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .matrix import DenseMatrix, MalformedSubspaceError, ShapeError, Subspace
 
 
 POINT_BUDGET = 2_000_000  # most points a random scan may test
+SCAN_PIECE = 1 << 16  # points whose fibers a random scan ranks at a time
 CERTIFICATE_CELLS = 2_000_000  # largest strand an exhaustive scan ranks
 CERTIFICATE_PRIME = 1_048_573  # the largest prime below modp.PRIME_BOUND
 
@@ -125,7 +131,7 @@ class FaithfulnessReport:
     mode: str
     field_desc: str
     points_checked: int | None  # of P^n(F_q); None as a Q anchor's exhaustive scan is recorded
-    failures: tuple  # (enumeration index, point tuple, degree)
+    failures: tuple  # (position among the points scanned, point tuple, degree)
     seed: int | None = None
     # (a, rows, cols) of the onto strand that proves an exhaustive scan, or
     # None when no strand within the cap is onto.
@@ -163,126 +169,58 @@ def scan_point_count(q: int, n: int, samples: int) -> int:
     return samples
 
 
-def _normalized_point_chunks(q: int, n: int, chunk: int):
-    """Canonical representatives of P^n(F_q), first nonzero coordinate 1.
+def _points_at(q: int, n: int, idx) -> np.ndarray:
+    """The points at positions ``idx`` of the enumeration of P^n(F_q), as an
+    int64 array of shape (len(idx), n+1): first nonzero coordinate 1, in
+    blocks by its position, each block in base-q order of the coordinates
+    after it.  Needs |P^n(F_q)| < 2^63."""
+    idx = np.asarray(idx, dtype=np.int64)
+    starts = np.cumsum([0] + [q ** (n - lead) for lead in range(n)], dtype=np.int64)
+    lead = np.searchsorted(starts, idx, side="right") - 1
+    # Coordinate j of position t in block ``lead`` is digit n-j of t, which
+    # is 0 for j < lead, as t < q^(n-lead).
+    pts = (idx - starts[lead])[:, None] // np.array([q ** (n - j) for j in range(n + 1)],
+                                                    dtype=np.int64)
+    pts %= q
+    pts[np.arange(idx.size), lead] = 1
+    return pts
 
-    Enumeration is lexicographic within each leading-position block; yielded
-    as int64 arrays of shape (k, n+1).
+
+def _random_points(q: int, n: int, samples: int, seed: int) -> np.ndarray:
+    """``samples`` distinct seeded points of P^n(F_q), normalized as in
+    ``_points_at``, in draw order.
+
+    Let count = |P^n(F_q)|.  If count <= 2*samples, the points are those at
+    the first ``samples`` positions of a seeded permutation of all count.
+    Otherwise they are drawn uniformly with replacement: positions while
+    count < 2^63, nonzero rows of residues scaled to lead with 1 beyond.  The
+    first draw of each point is kept, and twice the shortfall is redrawn
+    until the first ``samples`` distinct draws are in; nothing of size count
+    is allocated.
     """
-    for lead in range(n + 1):
-        free = n - lead
-        total = q ** free
-        start = 0
-        while start < total:
-            cnt = min(chunk, total - start)
-            idx = np.arange(start, start + cnt, dtype=np.int64)
-            pts = np.zeros((cnt, n + 1), dtype=np.int64)
-            pts[:, lead] = 1
-            for pos in range(free):
-                power = q ** (free - 1 - pos)
-                pts[:, lead + 1 + pos] = (idx // power) % q
-            yield pts
-            start += cnt
-
-
-def _random_point_chunks(q: int, n: int, samples: int, seed: int,
-                         chunk: int = 1 << 16):
-    """``samples`` distinct seeded points of P^n(F_q), normalized as above,
-    in pieces of at most ``chunk`` points.
-
-    Rejection sampling draws the points: a round draws 2*want candidates,
-    in blocks of ``chunk`` rows, and keeps the first occurrence of each
-    point not drawn before, in block order.  Near the point count it needs
-    about q^n/2 rounds for the last point, so after 1000 rounds the rest are
-    drawn without replacement from the points not seen yet.  numpy's
-    Generator yields the same int64 stream whether drawn at once or in
-    blocks, so the piece size does not change which points are drawn, nor
-    their order.
-
-    A point's key is W int64 words, each its next k coordinates read as
-    base-q digits, k the largest with q^k < 2^63: W = 1 at q = 32003 and
-    n = 3, W = 2 at n = 6 or at ``CERTIFICATE_PRIME`` and n = 3.  One
-    numeric sort of a block's words finds its distinct points, and the
-    least position in each run of equal keys is that point's first.  The
-    points seen so far are kept as one sorted array of keys, 8W bytes per
-    point, with the words stored big-endian so that the bytewise order of
-    ``np.searchsorted`` is the words' order.  A block's keys are looked up
-    there rather than sorted with all of them, so that a small block does
-    not cost a pass over every point seen.
-    """
-    inv_table = modp.inverse_table(q)
     rng = np.random.default_rng(seed)
-    digits = 1  # coordinates per key word
-    while q ** (digits + 1) < 1 << 63:
-        digits += 1
-    key = np.dtype((np.void, 8 * -(-(n + 1) // digits)))
-    seen = np.empty(0, dtype=key)
-    collected = 0
-    rounds = 0
+    count = projective_point_count(q, n)
+    if count <= 2 * samples:
+        return _points_at(q, n, rng.permutation(count)[:samples])
+    indexed = count < 1 << 63
+    row = np.dtype((np.void, 8 * (n + 1)))  # a point's bytes, one sortable scalar
 
-    def key_words(rows):
-        """Each row's key words: its coordinates, ``digits`` at a time, read
-        as base-q numbers."""
-        words = []
-        for start in range(0, n + 1, digits):
-            w = rows[:, start].copy()
-            for j in range(start + 1, min(start + digits, n + 1)):
-                w *= q
-                w += rows[:, j]
-            words.append(w)
-        return words
+    def draw(k):
+        if indexed:
+            return rng.integers(0, count, k, dtype=np.int64)
+        rows = rng.integers(0, q, (k, n + 1), dtype=np.int64)
+        lead = rows[np.arange(k), (rows != 0).argmax(axis=1)]  # 0 on a zero row
+        rows *= modp.inverse_table(q)[lead][:, None]
+        rows %= q
+        return rows[lead != 0].view(row).ravel()
 
-    def keys(words):
-        return np.stack(words, axis=1).astype(">i8").view(key).ravel()
-
-    def unseen(k, pos):
-        """Which keys are not in ``seen``, given their insertion positions."""
-        hit = pos < seen.size
-        hit[hit] = seen[pos[hit]] == k[hit]
-        return ~hit
-
-    while collected < samples:
-        rounds += 1
-        want = samples - collected
-        if rounds > 1000:
-            rest = np.concatenate(list(_normalized_point_chunks(q, n, 1 << 16)))
-            k = keys(key_words(rest))
-            rest = rest[unseen(k, np.searchsorted(seen, k))]
-            rest = rest[rng.choice(rest.shape[0], want, replace=False)]
-            for start in range(0, want, chunk):
-                yield rest[start:start + chunk]
-            return
-        for start in range(0, want * 2, chunk):
-            raw = rng.integers(0, q, size=(min(chunk, want * 2 - start), n + 1),
-                               dtype=np.int64)
-            nonzero = raw != 0
-            drawn = nonzero.any(axis=1)
-            if not drawn.all():
-                raw, nonzero = raw[drawn], nonzero[drawn]
-            # Normalize so distinctness means distinct projective points.
-            lead = nonzero.argmax(axis=1)
-            raw *= inv_table[raw[np.arange(raw.shape[0]), lead]][:, None]
-            raw %= q
-            # The block's distinct points, sorted, with their first positions:
-            # no sort need be stable, as the first is the least position.
-            w = key_words(raw)
-            order = np.lexsort(w[::-1]) if len(w) > 1 else np.argsort(w[0])
-            w = [x[order] for x in w]
-            starts = np.ones(order.size, dtype=bool)
-            starts[1:] = np.logical_or.reduce([x[1:] != x[:-1] for x in w])
-            starts = np.flatnonzero(starts)
-            u = keys([x[starts] for x in w])
-            first = np.minimum.reduceat(order, starts)
-            pos = np.searchsorted(seen, u)
-            new = unseen(u, pos)
-            keep = np.sort(first[new])[:samples - collected]
-            if keep.size:
-                new &= first <= keep[-1]
-                seen = np.insert(seen, pos[new], u[new])
-                collected += keep.size
-                yield raw[keep]
-            if collected == samples:
-                return
+    got = draw(samples)
+    while True:
+        # np.unique sorts stably, so it returns the first draw of each point.
+        got = got[np.sort(np.unique(got, return_index=True)[1])[:samples]]
+        if got.size == samples:
+            return _points_at(q, n, got) if indexed else got.view(np.int64).reshape(samples, n + 1)
+        got = np.concatenate([got, draw(2 * (samples - got.size))])
 
 
 def _fibers(pts, forms, q: int) -> np.ndarray:
@@ -299,7 +237,7 @@ def _fibers(pts, forms, q: int) -> np.ndarray:
 
 def _rank_deficient(pts, forms, q: int, d: int):
     """Indices of the points whose fiber of ``forms`` has rank below d.  The
-    fibers and ranks die on return, so a scan holds one chunk's at a time."""
+    fibers and ranks die on return, so a scan holds one piece's at a time."""
     return np.nonzero(modp.batch_rank(_fibers(pts, forms, q), q) < d)[0]
 
 
@@ -367,8 +305,7 @@ def _strand_certificate(D: MatrixOfLinearForms):
 
 
 def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int,
-                      l: int, samples: int = 10000, seed: int = 0,
-                      chunk: int = 1 << 16) -> FaithfulnessReport:
+                      l: int, samples: int = 10000, seed: int = 0) -> FaithfulnessReport:
     """Scan projective points v of P^n for L n ker(v-wedge) != 0, where L is
     ``anchor`` in U (x) wedge^l over F_q: the points where the quotient of
     ``free_truncated(anchor.u, l, n)`` by L is not locally free.  A Q anchor
@@ -379,11 +316,11 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
     ``certificate``, and counts the points of P^n(F_q) as checked.  The
     module docstring proves this sound.  Without an onto strand the scan is
     not ok, and lists no failure.
-    ``random`` samples ``samples`` distinct seeded points of P^n(F_q);
-    ``scan_point_count`` refuses counts beyond the points or the budget.  A
-    failure is recorded as (enumeration index, point, l - 1), the degree at
-    which the quotient's fiber sequence is not exact, and the failures are
-    ordered by index regardless of chunking.
+    ``random`` draws ``samples`` distinct seeded points of P^n(F_q) at once,
+    by ``_random_points``, and ranks their fibers ``SCAN_PIECE`` points at a
+    time; ``scan_point_count`` refuses counts beyond the points or the
+    budget.  A failure is recorded as (position in the draw, point, l - 1),
+    the degree at which the quotient's fiber sequence is not exact.
     """
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -396,11 +333,9 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
                                   _strand_certificate(D))
     count = scan_point_count(f.p, n, samples)
     forms = np.stack([s.to_numpy() for s in D.slices])
-    failures = []
-    base = 0
-    for pts in _random_point_chunks(f.p, n, samples, seed, chunk):
-        failures += [(base + int(t), tuple(int(x) for x in pts[t]), l - 1)
-                     for t in _rank_deficient(pts, forms, f.p, anchor.d)]
-        base += pts.shape[0]
-    assert base == count
+    pts = _random_points(f.p, n, count, seed)
+    failures = [(int(t), tuple(int(x) for x in pts[t]), l - 1)
+                for start in range(0, count, SCAN_PIECE)
+                for t in start + _rank_deficient(pts[start:start + SCAN_PIECE], forms, f.p,
+                                                 anchor.d)]
     return FaithfulnessReport(mode, repr(f), count, tuple(failures), seed)

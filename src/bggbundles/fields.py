@@ -70,6 +70,8 @@ class PrimeField:
                 raise FieldError(f"denominator of {x} is divisible by {self.p}")
             return x.numerator * pow(den, self.p - 2, self.p) % self.p
         if isinstance(x, str):
+            if x.isascii() and x.isdigit():  # a report's entries: no Fraction needed
+                return int(x) % self.p
             return self(_fraction(x, self))
         raise FieldError(f"cannot coerce {x!r} into F_{self.p}")
 

@@ -37,7 +37,7 @@ from math import comb
 from operator import getitem
 
 from . import __version__, bgg
-from .anchor import AnchorProblem, draw_subspace, general_position_range, is_anchoring
+from .anchor import AnchorProblem, draw_subspace, is_anchoring
 from .bgg import (FaithfulnessReport, LinearComplex, bgg_complex, faithfulness_scan,
                   projective_point_count)
 from .emod import GradedEModule, chi, free_truncated, quotient_top
@@ -136,9 +136,9 @@ def choose_parameters(n: int, l: int, r: int, multiplicity: int | None = None):
     dim_l = p * cnl - r
     # The rank bound leaves L nonzero but in the free case p = 1, r = C(n,l).
     assert 0 < dim_l <= p * cnl - n or (p, dim_l) == (1, 0), "anchor dimension"
-    if p > 1:
-        lo, hi = general_position_range(p, cn1l)
-        assert lo < dim_l < hi, "anchor dimension outside the general-position range"
+    # 2p/w < dim L < p*w - 2p/w (``general_position_range``), times w = C(n+1, l).
+    assert p == 1 or 2 * p < dim_l * cn1l < p * cn1l ** 2 - 2 * p, \
+        "anchor dimension outside the general-position range"
     return p, dim_l
 
 
@@ -464,12 +464,13 @@ def _departures(record, expected, path=""):
     """The key paths where ``record`` departs from ``expected``: a key one of them
     lacks, or a value of another type or value.  ``...`` in ``expected`` matches
     anything."""
+    if expected is ...:
+        return []
     if isinstance(record, dict) and isinstance(expected, dict):
         return [found for key in {**expected, **record}
                 for found in _departures(record.get(key, _ABSENT),
                                          expected.get(key, _ABSENT), f"{path}{key}.")]
-    same = type(record) is type(expected) and record == expected
-    return [] if expected is ... or same else [path[:-1]]
+    return [] if type(record) is type(expected) and record == expected else [path[:-1]]
 
 
 def _instance_from_report(report: dict) -> Instance:

@@ -6,8 +6,10 @@ by a strand certificate of the anchor L, and samples random points.
 P^n(F_q), one rank per point, which is what names the failing points.
 ``full_complex_scan`` ranks every differential of a complex over F_q at
 every point and checks exactness below the top degree, which is the
-definition of local freeness the anchored condition replaces.  Both walk the
-same point streams as the scans of the package, so on the complex of the
+definition of local freeness the anchored condition replaces.  Both walk
+``normalized_point_chunks``, the reference enumeration of P^n(F_q) whose
+positions ``bgg._points_at`` decodes, and ``full_complex_scan`` also the
+random scan's draw, ``bgg._random_points``, so on the complex of the
 quotient by L the reports must be equal; over Q that is the quotient by the
 anchor's reduction mod ``CERTIFICATE_PRIME``, which the random scan samples.
 ``exact_at_point`` checks one point exactly over either field, with one
@@ -18,8 +20,30 @@ import numpy as np
 
 from bggbundles import (DenseMatrix, FaithfulnessReport, PointBudgetError, PrimeField,
                         ShapeError, modp)
-from bggbundles.bgg import (POINT_BUDGET, _anchor_restriction, _normalized_point_chunks,
-                            _random_point_chunks, _rank_deficient, projective_point_count)
+from bggbundles.bgg import (POINT_BUDGET, SCAN_PIECE, _anchor_restriction, _random_points,
+                            _rank_deficient, projective_point_count)
+
+
+def normalized_point_chunks(q, n):
+    """Canonical representatives of P^n(F_q), first nonzero coordinate 1.
+
+    Enumeration is lexicographic within each leading-position block; yielded
+    as int64 arrays of shape (k, n+1), k at most ``SCAN_PIECE``.
+    """
+    for lead in range(n + 1):
+        free = n - lead
+        total = q ** free
+        start = 0
+        while start < total:
+            cnt = min(SCAN_PIECE, total - start)
+            idx = np.arange(start, start + cnt, dtype=np.int64)
+            pts = np.zeros((cnt, n + 1), dtype=np.int64)
+            pts[:, lead] = 1
+            for pos in range(free):
+                power = q ** (free - 1 - pos)
+                pts[:, lead + 1 + pos] = (idx // power) % q
+            yield pts
+            start += cnt
 
 
 def enumerated_count(field, n):
@@ -32,7 +56,7 @@ def enumerated_count(field, n):
     return count
 
 
-def enumerated_scan(anchor, *, n, l, chunk=1 << 16) -> FaithfulnessReport:
+def enumerated_scan(anchor, *, n, l) -> FaithfulnessReport:
     """Every normalized point v of P^n(F_q) at which L n ker(v-wedge) != 0,
     for the anchor L in U (x) wedge^l, recorded as (index, point, l - 1)."""
     f = anchor.field
@@ -41,7 +65,7 @@ def enumerated_scan(anchor, *, n, l, chunk=1 << 16) -> FaithfulnessReport:
     forms = np.stack([s.to_numpy() for s in D.slices])
     failures = []
     base = 0
-    for pts in _normalized_point_chunks(f.p, n, chunk):
+    for pts in normalized_point_chunks(f.p, n):
         failures += [(base + int(t), tuple(int(x) for x in pts[t]), l - 1)
                      for t in _rank_deficient(pts, forms, f.p, anchor.d)]
         base += pts.shape[0]
@@ -82,8 +106,7 @@ def exact_at_point(C, v) -> int:
     return -1
 
 
-def full_complex_scan(C, mode="enumerated", *, samples=10000, seed=0,
-                      chunk=1 << 16) -> FaithfulnessReport:
+def full_complex_scan(C, mode="enumerated", *, samples=10000, seed=0) -> FaithfulnessReport:
     """The scan of a complex with one batched rank per differential, recording
     each failing point with the first degree where exactness fails:
     ``enumerated`` over every point of P^n(F_q), or ``random``, for a
@@ -91,9 +114,10 @@ def full_complex_scan(C, mode="enumerated", *, samples=10000, seed=0,
     f, n = C.diffs[0].field, C.n
     q = f.p
     if mode == "enumerated":
-        chunks, count, seed = _normalized_point_chunks(q, n, chunk), enumerated_count(f, n), None
+        chunks, count, seed = normalized_point_chunks(q, n), enumerated_count(f, n), None
     else:
-        chunks, count = _random_point_chunks(q, n, samples, seed, chunk), samples
+        pts, count = _random_points(q, n, samples, seed), samples
+        chunks = (pts[start:start + SCAN_PIECE] for start in range(0, count, SCAN_PIECE))
     slices = [np.stack([s.to_numpy() for s in d.slices]) for d in C.diffs]
     dims = [r for _, r in C.terms]
     failures = []

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -18,10 +19,11 @@ import bggbundles.bgg as bgg
 from bggbundles import modp
 from bggbundles.fields import _is_prime
 from bggbundles.bgg import (CERTIFICATE_CELLS, CERTIFICATE_PRIME, POINT_BUDGET,
-                            _anchor_restriction, _random_point_chunks, _strand_certificate,
-                            certificate_anchor)
+                            SCAN_PIECE, _anchor_restriction, _points_at, _random_points,
+                            _strand_certificate, certificate_anchor)
 from bggbundles.sheafcoh import _transpose_forms, strand_map
-from scan_oracle import enumerated_scan, evaluate_fiber, exact_at_point, full_complex_scan
+from scan_oracle import (enumerated_scan, evaluate_fiber, exact_at_point, full_complex_scan,
+                         normalized_point_chunks)
 
 F = GF(32003)
 
@@ -270,59 +272,96 @@ def test_random_scan_deterministic():
 
 
 def test_random_scan_every_point_of_a_large_field():
-    # P^3(F_17) has 5220 points. Rejection sampling alone needs ~2600 rounds
-    # for the last one; the scan must still draw each point exactly once.
+    # P^3(F_47) has 106,080 points, two fiber pieces: the scan draws each point
+    # exactly once and records the one bad point, e_0, at its place in the
+    # draw, which at seed 4 is in the second piece.
+    q, count = 47, projective_point_count(47, 3)
+    assert SCAN_PIECE < count <= 2 * SCAN_PIECE
+    rep = faithfulness_scan(e0_anchor(GF(q)), "random", n=3, l=1, samples=count, seed=4)
+    pts = _random_points(q, 3, count, 4)
+    assert len({row.tobytes() for row in pts}) == rep.points_checked == count
+    at = int(np.flatnonzero((pts == [1, 0, 0, 0]).all(axis=1))[0])
+    assert at >= SCAN_PIECE and rep.failures == ((at, (1, 0, 0, 0), 0),)
+    # Every point of P^3(F_17) against the full complex's ranks.
     q, count = 17, projective_point_count(17, 3)
     L = e0_anchor(GF(q))
     rep = faithfulness_scan(L, "random", n=3, l=1, samples=count, seed=3)
-    assert rep.points_checked == count
     assert [pt for _, pt, _ in rep.failures] == [(1, 0, 0, 0)]
     C = bgg_complex(quotient_top(free_truncated(1, 1, 3, GF(q)), L.subspace))
     assert rep == full_complex_scan(C, "random", samples=count, seed=3)
-    pts = np.concatenate(list(_random_point_chunks(q, 3, count, 3)))
-    assert len({row.tobytes() for row in pts}) == count
 
 
-def test_random_scan_in_pieces_gives_the_same_report():
-    # Seven-point pieces against the default, on a rejection-sampled run and
-    # on every point of P^3(F_31), whose without-replacement fallback draws
-    # the last ~15 points after 1000 rounds.
-    for q, samples in ((5, 120), (31, projective_point_count(31, 3))):
-        L = e0_anchor(GF(q))
-        pieces = list(_random_point_chunks(q, 3, samples, 3, 7))
-        assert max(len(x) for x in pieces) == 7
-        whole = np.concatenate(list(_random_point_chunks(q, 3, samples, 3)))
-        assert np.array_equal(np.concatenate(pieces), whole)
-        assert len({row.tobytes() for row in whole}) == len(whole) == samples
-        rep = faithfulness_scan(L, "random", n=3, l=1, samples=samples, seed=3,
-                                chunk=7)
-        assert rep == faithfulness_scan(L, "random", n=3, l=1, samples=samples, seed=3)
-        assert not rep.ok  # the bad point e_0 is drawn
+@pytest.mark.parametrize("q, n", [(2, 3), (5, 3), (7, 4), (3, 6), (17, 3), (2, 9)])
+def test_points_at_decodes_the_reference_enumeration(q, n):
+    want = np.concatenate(list(normalized_point_chunks(q, n)))
+    got = _points_at(q, n, np.arange(projective_point_count(q, n)))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # Any positions, in any order.
+    idx = np.random.default_rng(q + n).permutation(len(want))[:50]
+    assert np.array_equal(_points_at(q, n, idx), want[idx])
 
 
-@pytest.mark.parametrize("q, n, samples, seed, chunk, digest", [
-    # one key word
-    (32003, 3, 10000, 42, 1 << 16,
-     "43594139bbac3858a6d62ff06533cd832a16efa7be0a51d4e20d7753d8398ddd"),
-    # two key words
-    (32003, 6, 10000, 0, 1 << 16,
+# (q, n, samples) on both sides of count = 2*samples (whole-space permutation
+# against indices drawn with replacement) and of count = 2^63 (indices
+# against normalized rows): 55103 is the largest prime with |P^4| < 2^63.
+@pytest.mark.parametrize("q, n, samples", [
+    (5, 3, 78), (5, 3, 77), (55103, 4, 3000), (55109, 4, 3000),
+    (CERTIFICATE_PRIME, 3, 3000), (CERTIFICATE_PRIME, 4, 3000)])
+def test_random_points_are_distinct_normalized_and_seeded(q, n, samples):
+    count = projective_point_count(q, n)
+    assert (count <= 2 * samples) == (q == 5 and samples == 78)
+    assert (count < 1 << 63) == (n == 3 or q == 55103)
+    pts = _random_points(q, n, samples, 7)
+    assert pts.dtype == np.int64 and pts.shape == (samples, n + 1)
+    assert len({row.tobytes() for row in pts}) == samples
+    assert ((pts >= 0) & (pts < q)).all()
+    lead = (pts != 0).argmax(axis=1)
+    assert (pts[np.arange(samples), lead] == 1).all()
+    assert np.array_equal(pts, _random_points(q, n, samples, 7))
+    assert not np.array_equal(pts, _random_points(q, n, samples, 8))
+    if count <= 2 * samples:  # a permutation's prefix, decoded
+        perm = np.random.default_rng(7).permutation(count)[:samples]
+        assert np.array_equal(pts, _points_at(q, n, perm))
+
+
+def test_random_points_allocate_nothing_of_the_point_count():
+    # 46 million points, 10^5 drawn: a sampler that permuted every position
+    # would need 371 MB.
+    q, n, samples = 359, 3, 10 ** 5
+    assert projective_point_count(q, n) > 400 * samples
+    tracemalloc.start()
+    try:
+        _random_points(q, n, samples, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * samples * (n + 1) * 8
+
+
+@pytest.mark.parametrize("q, n, samples, seed, digest", [
+    # uniform positions, decoded
+    (32003, 3, 10000, 42,
+     "6b2b6754a096e413899c9a5defab5aa197a54fa8ce5af4f9e820f814425f4554"),
+    # 150 of 400 positions: repeats, and twice the shortfall redrawn
+    (7, 3, 150, 2,
+     "4a1a03ef569b0c1175f9c3cb59bdf7e9f9c32c831db707caa1702b642d319a28"),
+    # the Q scan prime, uniform positions
+    (CERTIFICATE_PRIME, 3, 10000, 4,
+     "e99eb5396a71efc1331b880d56646f425a7f4db07f5ac4311f957133082a6e3a"),
+    # every point: a permutation of all positions
+    (17, 3, 5220, 3,
+     "c10055441da1fde91e6f77ecf73b66916e18bee648700bd01f0c8524bb4bb03d"),
+    # uniform normalized rows, |P^6(F_32003)| >= 2^63
+    (32003, 6, 10000, 0,
      "f80b21dccbfc6a09450863455c1c878db56b100444bf3f12a942c57b0164c537"),
-    # the Q scan prime, two key words
-    (CERTIFICATE_PRIME, 3, 10000, 4, 1 << 16,
-     "ca46f70c884ba31d34c2a9a839509cb0904e7aa47ef8e1bae2b8e477f6cb5987"),
-    # every point, the last ones drawn after 1000 rounds
-    (17, 3, 5220, 3, 1 << 16,
-     "ded526f4f092f0449205a1fca39c919fb91a0c60300d9e068cb96a897041b58c"),
-    # seven-point pieces
-    (5, 3, 120, 3, 7,
-     "6a1d5a651d3eed1050f598fe4d774a1b3399f524ddacb2237fe424bbb8f65913"),
+    # the Q scan prime, uniform normalized rows
+    (CERTIFICATE_PRIME, 4, 10000, 5,
+     "b225beee67f49604630521dfa288f25e14f91dbadaa47825d2a204b0e060a8f5"),
 ])
-def test_random_point_streams_are_pinned(q, n, samples, seed, chunk, digest):
-    # sha256 of the concatenated int64 points.  The points drawn are part of
-    # every random scan's report, so a faster sampler must draw these same
-    # streams; the digests come from the sampler that deduplicated whole
-    # rows with np.unique.
-    pts = np.concatenate(list(_random_point_chunks(q, n, samples, seed, chunk)))
+def test_random_point_streams_are_pinned(q, n, samples, seed, digest):
+    # sha256 of the int64 points, one case per branch of ``_random_points``.
+    # A changed stream changes which points every random scan tests.
+    pts = _random_points(q, n, samples, seed)
     assert pts.dtype == np.int64 and pts.shape == (samples, n + 1)
     assert hashlib.sha256(np.ascontiguousarray(pts).tobytes()).hexdigest() == digest
 

@@ -36,6 +36,15 @@ def test_field_construction():
         GF(1)
 
 
+def test_prime_field_string_coercion():
+    # Digit strings are read as ints; every other string as a Fraction.
+    f = GF(7)
+    assert [f(x) for x in ("12", "007", "0", "-3", "1/2", " 5 ", "1_0")] == [5, 0, 0, 4, 4, 5, 3]
+    for bad in ("\u00b2", "", "1/7", "x"):  # a superscript 2 is a digit, not ASCII
+        with pytest.raises(FieldError):
+            f(bad)
+
+
 def test_prime_field_fraction_coercion():
     # 1/2 mod 7 is 4 since 2*4 = 8 = 1.
     assert GF(7)(Fraction(1, 2)) == 4

@@ -14,8 +14,8 @@ import pytest
 from bggbundles import (GF, QQ, AnchorProblem, AnchorVerdict, ConstructionParams,
                         DenseMatrix, GradedEModule, ParameterError, ShapeError, Subspace,
                         cas_script, chi, choose_parameters, construct, faithfulness_scan,
-                        free_truncated, is_anchoring, projective_point_count,
-                        report_to_json, report_to_json_str, verify)
+                        free_truncated, general_position_range, is_anchoring,
+                        projective_point_count, report_to_json, report_to_json_str, verify)
 import bggbundles.bgg as bgg
 import bggbundles.emod as emod
 import bggbundles.pipeline as pl
@@ -58,6 +58,9 @@ def test_closed_form_multiplicity_is_the_least_admissible():
                 while not r < p * (Fraction(cnl) - Fraction(2, cn1l)):
                     p += 1
                 assert choose_parameters(n, l, r) == (p, p * cnl - r), (n, l, r)
+                # The integer general-position test agrees with the range.
+                lo, hi = general_position_range(p, cn1l)
+                assert p == 1 or lo < p * cnl - r < hi
 
 
 def test_choose_parameters_rejections():
@@ -468,7 +471,7 @@ def test_forged_policy_is_refused_within_a_second(fast_report, qq_report, monkey
     def slow_path(*args, **kwargs):
         raise AssertionError("a refused report reached a scan or a table")
 
-    for module, name in [(bgg, "_normalized_point_chunks"), (bgg, "_random_point_chunks"),
+    for module, name in [(bgg, "_points_at"), (bgg, "_random_points"),
                          (pl, "cohomology_table")]:
         monkeypatch.setattr(module, name, slow_path)
     check = {name: check for name, _, _, check in pl.CHECKS}.get(owner)  # None: report
