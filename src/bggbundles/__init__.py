@@ -23,8 +23,7 @@ from .anchor import (AnchoringSearchError, AnchorProblem, AnchorVerdict,
                      general_position_range, is_anchoring, pair_solution_dim,
                      sample_anchoring, slices_from_subspace, tensor_to_subspace)
 from .bgg import (FaithfulnessReport, LinearComplex, MatrixOfLinearForms,
-                  PointBudgetError, bgg_complex, faithfulness_scan,
-                  projective_point_count)
+                  bgg_complex, faithfulness_scan, projective_point_count)
 from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable,
                        HdCertificate, certify_hd, cohomology_table, euler_line,
                        line_coh, monomials, strand_map)
@@ -45,8 +44,7 @@ __all__ = [
     "pair_solution_dim", "sample_anchoring", "slices_from_subspace",
     "tensor_to_subspace",
     "FaithfulnessReport", "LinearComplex", "MatrixOfLinearForms",
-    "PointBudgetError", "bgg_complex", "faithfulness_scan",
-    "projective_point_count",
+    "bgg_complex", "faithfulness_scan", "projective_point_count",
     "CertificationError", "CohomologyCalculator", "CohomologyTable",
     "HdCertificate", "certify_hd", "cohomology_table", "euler_line",
     "line_coh", "monomials", "strand_map",

@@ -35,10 +35,11 @@ certificate at any degree, so a scan without an onto strand within
 enumeration of P^n(F_q) would, but it checks only the F_q-rational points,
 so it proves nothing about the closure; it is kept as a test oracle.
 
-The random scan is sampled evidence beside that proof.  It draws distinct
-seeded points of P^n(F_q) once, as positions of the enumeration decoded by
-``_points_at`` (as uniform normalized rows where the positions would not fit
-in int64), and ranks their fibers ``SCAN_PIECE`` points at a time.
+The random scan is sampled evidence beside that proof.  It draws
+``RANDOM_SAMPLES`` distinct seeded points of P^n(F_q), or all of them if
+there are fewer, as positions of the enumeration decoded by ``_points_at``
+(as uniform normalized rows where the positions would not fit in int64),
+and ranks their fibers at once.
 """
 
 from __future__ import annotations
@@ -57,14 +58,9 @@ from .fields import GF, PrimeField
 from .matrix import DenseMatrix, MalformedSubspaceError, ShapeError, Subspace
 
 
-POINT_BUDGET = 2_000_000  # most points a random scan may test
-SCAN_PIECE = 1 << 16  # points whose fibers a random scan ranks at a time
+RANDOM_SAMPLES = 10_000  # points of a random scan, unless P^n(F_q) has fewer
 CERTIFICATE_CELLS = 2_000_000  # largest strand an exhaustive scan ranks
 CERTIFICATE_PRIME = 1_048_573  # the largest prime below modp.PRIME_BOUND
-
-
-class PointBudgetError(ValueError):
-    """Raised when a scan would test more points than its budget."""
 
 
 @dataclass(frozen=True)
@@ -155,20 +151,6 @@ def projective_point_count(q: int, n: int) -> int:
     return (q ** (n + 1) - 1) // (q - 1)
 
 
-def scan_point_count(q: int, n: int, samples: int) -> int:
-    """The points a random scan of P^n(F_q) tests, ``samples`` distinct ones.
-    Raises ValueError unless that is at least one, within budget and no more
-    than exist."""
-    if samples < 1:
-        raise ValueError(f"{samples} random samples: a scan needs at least one sample")
-    if samples > POINT_BUDGET:
-        raise PointBudgetError(f"{samples} samples exceed the point budget {POINT_BUDGET}")
-    count = projective_point_count(q, n)
-    if samples > count:
-        raise ValueError(f"{samples} random samples exceed the {count} points of P^{n}(F_{q})")
-    return samples
-
-
 def _points_at(q: int, n: int, idx) -> np.ndarray:
     """The points at positions ``idx`` of the enumeration of P^n(F_q), as an
     int64 array of shape (len(idx), n+1): first nonzero coordinate 1, in
@@ -186,22 +168,22 @@ def _points_at(q: int, n: int, idx) -> np.ndarray:
     return pts
 
 
-def _random_points(q: int, n: int, samples: int, seed: int) -> np.ndarray:
-    """``samples`` distinct seeded points of P^n(F_q), normalized as in
+def _random_points(q: int, n: int, size: int, seed: int) -> np.ndarray:
+    """``size`` distinct seeded points of P^n(F_q), normalized as in
     ``_points_at``, in draw order.
 
-    Let count = |P^n(F_q)|.  If count <= 2*samples, the points are those at
-    the first ``samples`` positions of a seeded permutation of all count.
+    Let count = |P^n(F_q)|.  If count <= 2*size, the points are those at
+    the first ``size`` positions of a seeded permutation of all count.
     Otherwise they are drawn uniformly with replacement: positions while
     count < 2^63, nonzero rows of residues scaled to lead with 1 beyond.  The
     first draw of each point is kept, and twice the shortfall is redrawn
-    until the first ``samples`` distinct draws are in; nothing of size count
-    is allocated.
+    until the first ``size`` distinct draws are in; nothing with count
+    entries is allocated.
     """
     rng = np.random.default_rng(seed)
     count = projective_point_count(q, n)
-    if count <= 2 * samples:
-        return _points_at(q, n, rng.permutation(count)[:samples])
+    if count <= 2 * size:
+        return _points_at(q, n, rng.permutation(count)[:size])
     indexed = count < 1 << 63
     row = np.dtype((np.void, 8 * (n + 1)))  # a point's bytes, one sortable scalar
 
@@ -214,13 +196,13 @@ def _random_points(q: int, n: int, samples: int, seed: int) -> np.ndarray:
         rows %= q
         return rows[lead != 0].view(row).ravel()
 
-    got = draw(samples)
+    got = draw(size)
     while True:
         # np.unique sorts stably, so it returns the first draw of each point.
-        got = got[np.sort(np.unique(got, return_index=True)[1])[:samples]]
-        if got.size == samples:
-            return _points_at(q, n, got) if indexed else got.view(np.int64).reshape(samples, n + 1)
-        got = np.concatenate([got, draw(2 * (samples - got.size))])
+        got = got[np.sort(np.unique(got, return_index=True)[1])[:size]]
+        if got.size == size:
+            return _points_at(q, n, got) if indexed else got.view(np.int64).reshape(size, n + 1)
+        got = np.concatenate([got, draw(2 * (size - got.size))])
 
 
 def _fibers(pts, forms, q: int) -> np.ndarray:
@@ -236,8 +218,7 @@ def _fibers(pts, forms, q: int) -> np.ndarray:
 
 
 def _rank_deficient(pts, forms, q: int, d: int):
-    """Indices of the points whose fiber of ``forms`` has rank below d.  The
-    fibers and ranks die on return, so a scan holds one piece's at a time."""
+    """Indices of the points whose fiber of ``forms`` has rank below d."""
     return np.nonzero(modp.batch_rank(_fibers(pts, forms, q), q) < d)[0]
 
 
@@ -305,7 +286,7 @@ def _strand_certificate(D: MatrixOfLinearForms):
 
 
 def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int,
-                      l: int, samples: int = 10000, seed: int = 0) -> FaithfulnessReport:
+                      l: int, seed: int = 0) -> FaithfulnessReport:
     """Scan projective points v of P^n for L n ker(v-wedge) != 0, where L is
     ``anchor`` in U (x) wedge^l over F_q: the points where the quotient of
     ``free_truncated(anchor.u, l, n)`` by L is not locally free.  A Q anchor
@@ -316,11 +297,10 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
     ``certificate``, and counts the points of P^n(F_q) as checked.  The
     module docstring proves this sound.  Without an onto strand the scan is
     not ok, and lists no failure.
-    ``random`` draws ``samples`` distinct seeded points of P^n(F_q) at once,
-    by ``_random_points``, and ranks their fibers ``SCAN_PIECE`` points at a
-    time; ``scan_point_count`` refuses counts beyond the points or the
-    budget.  A failure is recorded as (position in the draw, point, l - 1),
-    the degree at which the quotient's fiber sequence is not exact.
+    ``random`` draws min(``RANDOM_SAMPLES``, |P^n(F_q)|) distinct seeded
+    points by ``_random_points`` and ranks their fibers at once.  A failure
+    is recorded as (position in the draw, point, l - 1), the degree at which
+    the quotient's fiber sequence is not exact.
     """
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -328,14 +308,12 @@ def faithfulness_scan(anchor: AnchorProblem, mode: str = "exhaustive", *, n: int
     if not isinstance(f, PrimeField):
         raise ValueError(f"a scan needs an anchor over a prime field, not {f!r}")
     D = _anchor_restriction(anchor, n, l)
+    count = projective_point_count(f.p, n)
     if mode == "exhaustive":
-        return FaithfulnessReport(mode, repr(f), projective_point_count(f.p, n), (), None,
-                                  _strand_certificate(D))
-    count = scan_point_count(f.p, n, samples)
+        return FaithfulnessReport(mode, repr(f), count, (), None, _strand_certificate(D))
+    count = min(RANDOM_SAMPLES, count)
     forms = np.stack([s.to_numpy() for s in D.slices])
     pts = _random_points(f.p, n, count, seed)
-    failures = [(int(t), tuple(int(x) for x in pts[t]), l - 1)
-                for start in range(0, count, SCAN_PIECE)
-                for t in start + _rank_deficient(pts[start:start + SCAN_PIECE], forms, f.p,
-                                                 anchor.d)]
-    return FaithfulnessReport(mode, repr(f), count, tuple(failures), seed)
+    failures = tuple((int(t), tuple(int(x) for x in pts[t]), l - 1)
+                     for t in _rank_deficient(pts, forms, f.p, anchor.d))
+    return FaithfulnessReport(mode, repr(f), count, failures, seed)

@@ -4,7 +4,7 @@ homological dimension, plus report serialization and re-verification.
 Given n >= 3, a target homological dimension l in [1, n-1] and a rank
 r >= n, the pipeline picks the smallest admissible multiplicity p, quotients
 the truncated free module by an anchoring subspace of the top piece, and
-verifies everything it claims: faithfulness (a scan of ``RANDOM_SAMPLES``
+verifies everything it claims: faithfulness (a scan of ``bgg.RANDOM_SAMPLES``
 random points of P^n(F_q), or all of them if there are fewer, plus a strand
 certificate of the reported anchor L, which proves the condition at every
 point over the algebraic closure; q is the working prime), simplicity (L's
@@ -14,9 +14,9 @@ q = ``bgg.CERTIFICATE_PRIME`` (see :class:`Instance`).  The whole record is
 serialized into a self-contained JSON report.
 
 The one random choice is the anchor, drawn by ``draw_subspace`` at the seed
-``params.seed + attempts - 1``; the retry budget, the point budget, the
-cohomology window, the random scan's size and the certificate's cell cap are
-constants, not settings.  ``construct`` and ``verify`` refuse a case none of
+``params.seed + attempts - 1``; the retry budget, the cohomology window, the
+random scan's size and the certificate's cell cap are constants, not
+settings.  ``construct`` and ``verify`` refuse a case none of
 whose strands fits that cap before building, and run one list of five
 checks, ``CHECKS``.  A check takes an :class:`Instance` and returns
 ``(ok, detail, values)``, the values of the report sections its ``CHECKS``
@@ -38,8 +38,7 @@ from operator import getitem
 
 from . import __version__, bgg
 from .anchor import AnchorProblem, draw_subspace, is_anchoring
-from .bgg import (FaithfulnessReport, LinearComplex, bgg_complex, faithfulness_scan,
-                  projective_point_count)
+from .bgg import FaithfulnessReport, bgg_complex, faithfulness_scan
 from .emod import GradedEModule, chi, free_truncated, quotient_top
 from .fields import GF, QQ, FieldError, RationalField
 from .matrix import DenseMatrix, ShapeError, Subspace
@@ -48,7 +47,6 @@ from .sheafcoh import (CertificationError, CohomologyCalculator, CohomologyTable
 
 SCHEMA_VERSION = 9
 RETRY_BUDGET = 32  # attempts, each at the next seed, before construct gives up
-RANDOM_SAMPLES = 10_000  # points of a random scan, unless P^n has fewer
 
 CONVENTIONS = {
     "exterior_basis": "index subsets of {0..n}, lexicographic on sorted tuples",
@@ -147,15 +145,28 @@ def check_buildable(params: ConstructionParams):
     refuses, or a case no strand within the certificate's cell cap could
     certify: what ``construct`` and ``verify`` refuse before building."""
     n, l, r = params.n, params.l, params.r
-    # Decided before any binomial when it can be: unless multiplicity 1 allows
-    # the free case, dim L = k >= 1, so every strand has degree a >= 1 and at
-    # least (n+1) * N >= (n+1)^2 cells.
-    if params.multiplicity == 1 or (n + 1) ** 2 <= bgg.CERTIFICATE_CELLS:
+    # Decided before any full binomial when it can be.  Outside the free case
+    # p = 1, r = C(n, l), which only multiplicity 1 allows, dim L = k >= 1, so
+    # every strand has degree a >= 1 and at least (n+1) * N >= (n+1)^2 cells.
+    if ((n + 1) ** 2 <= bgg.CERTIFICATE_CELLS
+            or params.multiplicity == 1 and _is_binomial(r, n, l)):
         p, dim_l = choose_parameters(n, l, r, params.multiplicity)
         if next(bgg.strand_shapes(n, p * comb(n + 1, l + 1), dim_l), None) is not None:
             return
     raise ParameterError(f"no strand of (n={n}, l={l}, r={r}) within "
                          f"{bgg.CERTIFICATE_CELLS} cells can certify its anchor")
+
+
+def _is_binomial(r: int, n: int, l: int) -> bool:
+    """Whether r = C(n, l), for 0 <= l <= n, by the running product
+    C(n, i) for i up to min(l, n-l), which rises with i and stops once it
+    passes r."""
+    c = 1
+    for i in range(min(l, n - l)):
+        c = c * (n - i) // (i + 1)
+        if c > r:
+            return False
+    return c == r
 
 
 def _build(field, params: ConstructionParams, seed: int) -> AnchorProblem:
@@ -240,9 +251,8 @@ def _check_hom_dimension(inst):
 
 
 def _check_random_faithfulness(inst):
-    n, q = inst.params.n, inst.Lq.field.p
-    rnd = faithfulness_scan(inst.Lq, "random", n=n, l=inst.params.l, seed=inst.seed,
-                            samples=min(RANDOM_SAMPLES, projective_point_count(q, n)))
+    rnd = faithfulness_scan(inst.Lq, "random", n=inst.params.n, l=inst.params.l,
+                            seed=inst.seed)
     return rnd.ok, f"{rnd.points_checked} points, {len(rnd.failures)} failures", (rnd,)
 
 

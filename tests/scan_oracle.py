@@ -18,24 +18,30 @@ anchor's reduction mod ``CERTIFICATE_PRIME``, which the random scan samples.
 
 import numpy as np
 
-from bggbundles import (DenseMatrix, FaithfulnessReport, PointBudgetError, PrimeField,
-                        ShapeError, modp)
-from bggbundles.bgg import (POINT_BUDGET, SCAN_PIECE, _anchor_restriction, _random_points,
-                            _rank_deficient, projective_point_count)
+from bggbundles import DenseMatrix, FaithfulnessReport, PrimeField, ShapeError, bgg, modp
+from bggbundles.bgg import (_anchor_restriction, _random_points, _rank_deficient,
+                            projective_point_count)
+
+ENUMERATION_BUDGET = 2_000_000  # most points an enumeration may test
+PIECE = 1 << 16  # points an enumeration ranks at a time
+
+
+class EnumerationBudgetError(ValueError):
+    """Raised when an enumeration would test more points than its budget."""
 
 
 def normalized_point_chunks(q, n):
     """Canonical representatives of P^n(F_q), first nonzero coordinate 1.
 
     Enumeration is lexicographic within each leading-position block; yielded
-    as int64 arrays of shape (k, n+1), k at most ``SCAN_PIECE``.
+    as int64 arrays of shape (k, n+1), k at most ``PIECE``.
     """
     for lead in range(n + 1):
         free = n - lead
         total = q ** free
         start = 0
         while start < total:
-            cnt = min(SCAN_PIECE, total - start)
+            cnt = min(PIECE, total - start)
             idx = np.arange(start, start + cnt, dtype=np.int64)
             pts = np.zeros((cnt, n + 1), dtype=np.int64)
             pts[:, lead] = 1
@@ -51,8 +57,8 @@ def enumerated_count(field, n):
     if not isinstance(field, PrimeField):
         raise ValueError("an enumeration needs a prime field")
     count = projective_point_count(field.p, n)
-    if count > POINT_BUDGET:
-        raise PointBudgetError(f"{count} points exceed the budget {POINT_BUDGET}")
+    if count > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(f"{count} points exceed the budget {ENUMERATION_BUDGET}")
     return count
 
 
@@ -106,18 +112,18 @@ def exact_at_point(C, v) -> int:
     return -1
 
 
-def full_complex_scan(C, mode="enumerated", *, samples=10000, seed=0) -> FaithfulnessReport:
+def full_complex_scan(C, mode="enumerated", *, seed=0) -> FaithfulnessReport:
     """The scan of a complex with one batched rank per differential, recording
     each failing point with the first degree where exactness fails:
-    ``enumerated`` over every point of P^n(F_q), or ``random``, for a
-    complex over F_q."""
+    ``enumerated`` over every point of P^n(F_q), or ``random`` over the
+    points the random scan draws, for a complex over F_q."""
     f, n = C.diffs[0].field, C.n
     q = f.p
     if mode == "enumerated":
         chunks, count, seed = normalized_point_chunks(q, n), enumerated_count(f, n), None
     else:
-        pts, count = _random_points(q, n, samples, seed), samples
-        chunks = (pts[start:start + SCAN_PIECE] for start in range(0, count, SCAN_PIECE))
+        count = min(bgg.RANDOM_SAMPLES, projective_point_count(q, n))
+        chunks = (_random_points(q, n, count, seed),)
     slices = [np.stack([s.to_numpy() for s in d.slices]) for d in C.diffs]
     dims = [r for _, r in C.terms]
     failures = []

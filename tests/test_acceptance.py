@@ -18,6 +18,7 @@ from bggbundles import (GF, QQ, ConstructionParams, DenseMatrix, LinearComplex,
                         is_anchoring, line_coh, pair_solution_dim,
                         projective_point_count, report_to_json, Subspace, verify)
 from bggbundles.anchor import AnchorProblem
+import bggbundles.bgg as bgg
 import bggbundles.pipeline as pl
 from forgery import module_record, with_replaced_anchor
 from scan_oracle import enumerated_scan, full_complex_scan
@@ -169,13 +170,13 @@ def test_acceptance_8_koszul_faithfulness_base_case():
 @pytest.fixture(scope="module")
 def small_report():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pl, "RANDOM_SAMPLES", 500)
+        mp.setattr(bgg, "RANDOM_SAMPLES", 500)
         return report_to_json(construct(ConstructionParams(n=3, l=2, r=5, seed=42)))
 
 
 def test_acceptance_9_mutation_tests(small_report, monkeypatch):
     # Verify at the report's sample count, so that only the mutation departs.
-    monkeypatch.setattr(pl, "RANDOM_SAMPLES", 500)
+    monkeypatch.setattr(bgg, "RANDOM_SAMPLES", 500)
     names = ["parameters", "hom_dimension", "random_faithfulness",
              "exhaustive_faithfulness", "cohomology"]
     assert [name for name, _, _ in verify(small_report).checks] == names

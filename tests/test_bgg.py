@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
@@ -11,21 +12,31 @@ import numpy as np
 import pytest
 
 from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, LinearComplex,
-                        MatrixOfLinearForms, PointBudgetError, ShapeError, Subspace,
+                        MatrixOfLinearForms, ShapeError, Subspace,
                         anchoring_tensor, bgg_complex, choose_parameters, faithfulness_scan,
                         free_truncated, projective_point_count, quotient_top,
                         sample_anchoring, tensor_to_subspace)
 import bggbundles.bgg as bgg
 from bggbundles import modp
 from bggbundles.fields import _is_prime
-from bggbundles.bgg import (CERTIFICATE_CELLS, CERTIFICATE_PRIME, POINT_BUDGET,
-                            SCAN_PIECE, _anchor_restriction, _points_at, _random_points,
-                            _strand_certificate, certificate_anchor)
+import bggbundles.sheafcoh as sheafcoh
+from bggbundles.bgg import (CERTIFICATE_CELLS, CERTIFICATE_PRIME, _anchor_restriction,
+                            _points_at, _random_points, _strand_certificate,
+                            certificate_anchor)
 from bggbundles.sheafcoh import _transpose_forms, strand_map
-from scan_oracle import (enumerated_scan, evaluate_fiber, exact_at_point, full_complex_scan,
-                         normalized_point_chunks)
+from scan_oracle import (EnumerationBudgetError, enumerated_scan, evaluate_fiber,
+                         exact_at_point, full_complex_scan, normalized_point_chunks)
 
 F = GF(32003)
+
+
+@contextmanager
+def random_samples(samples):
+    """Random scans of min(``samples``, |P^n(F_q)|) points, in place of the
+    constant."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bgg, "RANDOM_SAMPLES", samples)
+        yield
 
 
 def zero_anchor(field, u, n, l):
@@ -178,7 +189,7 @@ def test_exhaustive_scan_budget():
     L = zero_anchor(GF(1009), 1, 3, 1)
     rep = faithfulness_scan(L, "exhaustive", n=3, l=1)
     assert rep.ok and rep.points_checked == 1028262820
-    with pytest.raises(PointBudgetError, match="1028262820 points"):
+    with pytest.raises(EnumerationBudgetError, match="1028262820 points"):
         enumerated_scan(L, n=3, l=1)
 
 
@@ -203,8 +214,8 @@ def test_exhaustive_scan_certifies_over_the_rationals(monkeypatch):
         # The rank-5 shape's anchor over Q has the strand of its F_32003 draw.
         rep = faithfulness_scan(certificate_anchor(L), "exhaustive", n=3, l=2)
         # The random scan samples the same reduction, with no Q rank either.
-        rnd = faithfulness_scan(certificate_anchor(L), "random", n=3, l=2, samples=2000,
-                                seed=3)
+        with random_samples(2000):
+            rnd = faithfulness_scan(certificate_anchor(L), "random", n=3, l=2, seed=3)
     assert rep.ok and rep.certificate == (1, 4, 8)
     assert rep.field_desc == "GF(1048573)"
     assert rep.points_checked == projective_point_count(CERTIFICATE_PRIME, 3)
@@ -216,7 +227,7 @@ def test_scan_refuses_a_rational_anchor():
     # the reduction, so it holds no rule of its own for Q.
     for mode in ("exhaustive", "random"):
         with pytest.raises(ValueError, match="an anchor over a prime field, not QQ"):
-            faithfulness_scan(e0_anchor(QQ), mode, n=3, l=1, samples=10)
+            faithfulness_scan(e0_anchor(QQ), mode, n=3, l=1)
 
 
 def _no_rational_rank(rank):
@@ -241,54 +252,51 @@ def test_rational_certificate_clears_rows_and_refuses_rank_loss():
     assert bgg.certificate_anchor(rank_loss_anchor()) is None
 
 
-def test_scan_refuses_unknown_mode_shape_and_sample_counts():
+def test_scan_refuses_unknown_mode_and_shape():
     L = e0_anchor(GF(5))
     with pytest.raises(ValueError, match="unknown mode"):
         faithfulness_scan(L, "sideways", n=3, l=1)
     # w = 4 is C(4, 1) but neither C(4, 2) nor C(5, 1).
     for n, l in ((3, 2), (4, 1), (3, 0)):
         with pytest.raises(ShapeError, match="does not lie in"):
-            faithfulness_scan(L, "random", n=n, l=l, samples=10)
-    for anchor in (L, certificate_anchor(e0_anchor(QQ))):
-        for samples in (0, -5):
-            with pytest.raises(ValueError, match="at least one sample"):
-                faithfulness_scan(anchor, "random", n=3, l=1, samples=samples)
+            faithfulness_scan(L, "random", n=n, l=l)
 
 
 def test_random_scan_prime_field():
-    rep = faithfulness_scan(zero_anchor(F, 2, 3, 2), "random", n=3, l=2, samples=500,
-                            seed=5)
+    with random_samples(500):
+        rep = faithfulness_scan(zero_anchor(F, 2, 3, 2), "random", n=3, l=2, seed=5)
     assert rep.ok and rep.points_checked == 500 and rep.seed == 5
 
 
 def test_random_scan_deterministic():
     L = e0_anchor(GF(5))
-    # 156 distinct points exhaust P^3(F_5), so the bad point is surely hit.
-    r1 = faithfulness_scan(L, "random", n=3, l=1, samples=156, seed=9)
-    r2 = faithfulness_scan(L, "random", n=3, l=1, samples=156, seed=9)
+    # P^3(F_5) has fewer than RANDOM_SAMPLES points: the scan draws all 156,
+    # so the bad point is surely hit.
+    r1 = faithfulness_scan(L, "random", n=3, l=1, seed=9)
+    r2 = faithfulness_scan(L, "random", n=3, l=1, seed=9)
+    assert r1.points_checked == projective_point_count(5, 3) == 156 < bgg.RANDOM_SAMPLES
     assert r1.failures == r2.failures and not r1.ok
-    with pytest.raises(ValueError, match="exceed"):
-        faithfulness_scan(L, "random", n=3, l=1, samples=157, seed=9)
 
 
 def test_random_scan_every_point_of_a_large_field():
-    # P^3(F_47) has 106,080 points, two fiber pieces: the scan draws each point
-    # exactly once and records the one bad point, e_0, at its place in the
-    # draw, which at seed 4 is in the second piece.
+    # P^3(F_47) has 106,080 points, one fewer than the scan may draw: it
+    # draws each point exactly once and records the one bad point, e_0, at
+    # its place in the draw.
     q, count = 47, projective_point_count(47, 3)
-    assert SCAN_PIECE < count <= 2 * SCAN_PIECE
-    rep = faithfulness_scan(e0_anchor(GF(q)), "random", n=3, l=1, samples=count, seed=4)
+    with random_samples(count + 1):
+        rep = faithfulness_scan(e0_anchor(GF(q)), "random", n=3, l=1, seed=4)
     pts = _random_points(q, 3, count, 4)
     assert len({row.tobytes() for row in pts}) == rep.points_checked == count
     at = int(np.flatnonzero((pts == [1, 0, 0, 0]).all(axis=1))[0])
-    assert at >= SCAN_PIECE and rep.failures == ((at, (1, 0, 0, 0), 0),)
+    assert at > 0 and rep.failures == ((at, (1, 0, 0, 0), 0),)
     # Every point of P^3(F_17) against the full complex's ranks.
     q, count = 17, projective_point_count(17, 3)
     L = e0_anchor(GF(q))
-    rep = faithfulness_scan(L, "random", n=3, l=1, samples=count, seed=3)
+    rep = faithfulness_scan(L, "random", n=3, l=1, seed=3)
+    assert rep.points_checked == count
     assert [pt for _, pt, _ in rep.failures] == [(1, 0, 0, 0)]
     C = bgg_complex(quotient_top(free_truncated(1, 1, 3, GF(q)), L.subspace))
-    assert rep == full_complex_scan(C, "random", samples=count, seed=3)
+    assert rep == full_complex_scan(C, "random", seed=3)
 
 
 @pytest.mark.parametrize("q, n", [(2, 3), (5, 3), (7, 4), (3, 6), (17, 3), (2, 9)])
@@ -420,17 +428,11 @@ def test_random_scan_rational_samples_the_reduction():
         shrink = DenseMatrix(QQ, [[Fraction(1, 10**7)]], 1)
         scaled = AnchorProblem(L.u, L.w, Subspace(shrink.kron(L.subspace.basis)))
         for seed in (2, 5):
-            rep = faithfulness_scan(certificate_anchor(L), "random", n=3, l=l, samples=300,
-                                    seed=seed)
-            assert rep == faithfulness_scan(certificate_anchor(scaled), "random", n=3, l=l,
-                                            samples=300, seed=seed)
+            with random_samples(300):
+                rep = faithfulness_scan(certificate_anchor(L), "random", n=3, l=l, seed=seed)
+                assert rep == faithfulness_scan(certificate_anchor(scaled), "random", n=3,
+                                                l=l, seed=seed)
             assert rep.ok and rep.points_checked == 300 and rep.field_desc == "GF(1048573)"
-
-
-def test_random_scan_budget():
-    with pytest.raises(PointBudgetError):
-        faithfulness_scan(zero_anchor(F, 1, 3, 2), "random", n=3, l=2,
-                          samples=POINT_BUDGET + 1)
 
 
 def test_composite_zero_on_validate():
@@ -467,15 +469,24 @@ def _equivalence_anchors(field, p, d, w):
 GRID = tuple((n, l, r) for n in (3, 4) for l in range(1, n) for r in range(n, n + 4))
 
 
-def test_certificate_agrees_with_enumeration():
+def test_certificate_agrees_with_enumeration(monkeypatch):
     # Over F_3, F_5 and F_7 a certified anchor enumerates clean, and every
     # anchor that fails at a point has no onto strand up to the cap.
+    ranked = {}  # degree -> cokernel dimension, of the strands the scan ranks
+    cokernel_dim = sheafcoh.strand_cokernel_dim
+
+    def spy(Dt, a):
+        ranked[a] = cokernel_dim(Dt, a)
+        return ranked[a]
+
+    monkeypatch.setattr(sheafcoh, "strand_cokernel_dim", spy)
     certified = failing = 0
     for q in (3, 5, 7):
         for n, l, r in GRID:
             p, d = choose_parameters(n, l, r)
             for L in _equivalence_anchors(GF(q), p, d, comb(n + 1, l)):
                 D = _anchor_restriction(L, n, l)
+                ranked.clear()
                 scan = faithfulness_scan(L, "exhaustive", n=n, l=l)
                 enumerated = enumerated_scan(L, n=n, l=l)
                 assert scan.points_checked == enumerated.points_checked
@@ -484,13 +495,21 @@ def test_certificate_agrees_with_enumeration():
                     certified += 1
                     assert enumerated.ok, (q, n, l, r)
                     a, rows, cols = scan.certificate
-                    # The first onto strand, of the shape recorded.
-                    assert [b for b in range(1, a + 1) if _strand_onto(D, b)] == [a]
+                    # The first onto strand, of the shape recorded: the image
+                    # is generated in degree 1, so a strand onto below a
+                    # would make the degree-(a-1) strand onto.
+                    assert _strand_onto(D, a) and not _strand_onto(D, a - 1)
                     assert strand_map(_transpose_forms(D), a - 1).shape == (rows, cols)
                 if not enumerated.ok:
                     failing += 1
                     assert scan.certificate is None, (q, n, l, r)
-                    assert not any(_strand_onto(D, a) for a in _capped_degrees(D))
+                    # Every capped strand was ranked and is not onto, but for
+                    # those with fewer columns than rows, which cannot be.
+                    N, k = D.nrows, D.ncols
+                    for a in _capped_degrees(D):
+                        if comb(n + a - 1, n) * N >= comb(n + a, n) * k:
+                            assert ranked.pop(a, 0) > 0, (q, n, l, r, a)
+                    assert not ranked, (q, n, l, r, ranked)
     assert certified > 0 and failing > 0, (certified, failing)
 
 
@@ -507,13 +526,13 @@ def test_anchored_scan_matches_full_complex_scan():
             P = free_truncated(p, l, n, field)
             for L in _equivalence_anchors(field, p, d, w):
                 C = bgg_complex(quotient_top(P, L.subspace))
-                samples = projective_point_count(q, n) // 2
-                anchored = {
-                    "enumerated": enumerated_scan(L, n=n, l=l),
-                    "random": faithfulness_scan(L, "random", n=n, l=l, samples=samples,
-                                                seed=q + n)}
+                with random_samples(projective_point_count(q, n) // 2):
+                    anchored = {
+                        "enumerated": enumerated_scan(L, n=n, l=l),
+                        "random": faithfulness_scan(L, "random", n=n, l=l, seed=q + n)}
+                    fulls = {mode: full_complex_scan(C, mode, seed=q + n) for mode in anchored}
                 for mode, scan in anchored.items():
-                    full = full_complex_scan(C, mode, samples=samples, seed=q + n)
+                    full = fulls[mode]
                     assert scan == full, (q, n, l, r, mode)
                     assert all(deg == l - 1 for _, _, deg in full.failures)
                     compared[mode] += 1
@@ -538,10 +557,10 @@ def test_anchored_scan_rational_and_shape_checks():
         R = certificate_anchor(anchor)
         C = bgg_complex(quotient_top(free_truncated(2, 2, 3, Fq), R.subspace))
         for seed in (1, 2):
-            full = full_complex_scan(C, "random", samples=100, seed=seed)
-            assert faithfulness_scan(R, "random", n=3, l=2, samples=100,
-                                     seed=seed) == full
+            with random_samples(100):
+                full = full_complex_scan(C, "random", seed=seed)
+                assert faithfulness_scan(R, "random", n=3, l=2, seed=seed) == full
             assert len(full.failures) == (100 if fails else 0)
     # An anchor that does not lie in U (x) wedge^l is refused.
     with pytest.raises(ShapeError, match="does not lie in"):
-        faithfulness_scan(certificate_anchor(L), "random", n=3, l=1, samples=10)
+        faithfulness_scan(certificate_anchor(L), "random", n=3, l=1)

@@ -31,7 +31,7 @@ def small_scans(samples=500):
     """Random scans of at most ``samples`` points, in place of the constant,
     so that a test runs in seconds."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pl, "RANDOM_SAMPLES", samples)
+        mp.setattr(bgg, "RANDOM_SAMPLES", samples)
         yield
 
 
@@ -78,11 +78,14 @@ def test_choose_parameters_rejections():
 
 @pytest.mark.parametrize("edit", [{"r": 10**15}, {"n": 10**5, "l": 1},
                                   {"n": 10**5, "l": 1, "r": 10**5},
-                                  {"n": 10**6, "l": 5 * 10**5, "r": 10**6}],
-                         ids=["r1e15", "n1e5", "n1e5r1e5", "n1e6l5e5r1e6"])
+                                  {"n": 10**6, "l": 5 * 10**5, "r": 10**6},
+                                  {"n": 10**5, "l": 5 * 10**4, "r": 10**5, "multiplicity": 1},
+                                  {"n": 10**6, "l": 5 * 10**5, "r": 10**6, "multiplicity": 1}],
+                         ids=["r1e15", "n1e5", "n1e5r1e5", "n1e6l5e5r1e6", "n1e5l5e4r1e5m1",
+                              "n1e6l5e5r1e6m1"])
 def test_a_report_edited_to_a_huge_case_fails_within_a_second(fast_report, edit):
     # verify makes construct's refusal before any check, so the numbers in
-    # params set no cost.
+    # params set no cost, with multiplicity 1 too, which allows the free case.
     obj = json.loads(json.dumps(fast_report))
     obj["params"].update(edit)
     t0 = time.perf_counter()
@@ -115,6 +118,22 @@ def test_the_binomial_free_refusal_refuses_nothing_a_strand_could_certify(monkey
             else:
                 assert refusal.type is ParameterError and shape is None, (l, r, p, dim_l)
                 assert "within 2000000 cells" in str(refusal.value)
+    # Multiplicity 1 also allows the free case r = C(n, l): dim L = 0, whose
+    # strand (0, 0, 0) fits at any n.  Only that case passes the refusal.
+    for l in (1, 2, n - 1):
+        for r in sorted({n, 2 * n - 1, comb(n, l) - 1, comb(n, l)}):
+            if r < n:
+                continue
+            with pytest.raises((ParameterError, LookupError)) as refusal:
+                pl.check_buildable(ConstructionParams(n, l, r, multiplicity=1))
+            if n == 1413 or r == comb(n, l):
+                assert refusal.type is LookupError, (l, r)
+            else:
+                assert refusal.type is ParameterError, (l, r)
+                assert "within 2000000 cells" in str(refusal.value)
+    monkeypatch.undo()
+    assert choose_parameters(n, 1, n, multiplicity=1) == (1, 0)
+    pl.check_buildable(ConstructionParams(n, 1, n, multiplicity=1))
 
 
 def test_a_huge_rank_is_refused_within_a_second(capsys):
@@ -442,7 +461,7 @@ def _stale_point_budget_over_f1009(obj):
 
 
 def _samples_over_budget(obj):
-    _policy(obj)["random_samples"] = bgg.POINT_BUDGET + 1
+    _policy(obj)["random_samples"] = 2_000_001  # one over the former point budget
 
 
 def _qq_samples_1200001(obj):
