@@ -5,8 +5,7 @@ Run with: python3 demos/01_exterior_algebra.py
 
 from math import comb
 
-from bggbundles import (GF, QQ, basis_subsets, generator_action, left_mult_sign,
-                        vector_action)
+from bggbundles import GF, QQ, DenseMatrix, basis_subsets, generator_action, left_mult_sign
 
 n = 3  # dim V = 4, the setting of P^3
 
@@ -26,14 +25,16 @@ print(f"\nmatrix of e_2 : wedge^1 -> wedge^2  (shape {m.shape})")
 for row, T in zip(m.to_lists(), basis_subsets(n, 2)):
     print(f"  {T}: {[int(x) for x in row]}")
 
-# Multiplication by any fixed vector squares to zero and is exact away from 0:
+# Multiplication by any fixed vector v = sum v_j e_j, the generator matrices
+# weighted by the coordinates of v, squares to zero and is exact away from 0:
 # the classical Koszul complex, checked here by exact rank arithmetic.
 F = GF(32003)
 v = (3, 1, 4, 1)
 prev = 0
 print(f"\nKoszul exactness at v = {v} over {F!r}:")
 for i in range(n + 1):
-    r = vector_action(v, i, n, F).rank()
+    v_wedge = sum(x * generator_action(j, i, n, F).to_numpy() for j, x in enumerate(v))
+    r = DenseMatrix.from_numpy(F, v_wedge).rank()
     dim = comb(n + 1, i)
     status = "exact" if prev + r == dim else "NOT exact"
     print(f"  degree {i}: rank(in) + rank(out) = {prev} + {r} = {dim}  [{status}]")

@@ -8,11 +8,17 @@ Run with: python3 demos/02_anchoring_subspaces.py
 """
 
 import random
+import sys
+from pathlib import Path
 
 from bggbundles import (GF, AnchorProblem, DenseMatrix, Subspace, annihilator,
-                        anchoring_tensor, burnside_pair, commutant_dim,
-                        general_position_range, is_anchoring, sample_anchoring,
-                        tensor_to_subspace)
+                        general_position_range, is_anchoring, sample_anchoring)
+
+# The explicit tensor anchors but need not be faithful, so the package does not
+# ship it; its reference construction lives beside the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from explicit_anchor import (anchoring_tensor, burnside_pair, commutant_dim,
+                             tensor_to_subspace)
 
 F = GF(32003)
 u, w = 2, 4

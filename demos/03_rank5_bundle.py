@@ -16,8 +16,9 @@ Run with: python3 demos/03_rank5_bundle.py
 
 import json
 
-from bggbundles import (ConstructionParams, cas_script, choose_parameters,
+from bggbundles import (ConstructionParams, bgg_complex, cas_script, choose_parameters,
                         construct, report_to_json, verify)
+from bggbundles.pipeline import anchored_module
 
 n, l, r = 3, 2, 5
 
@@ -27,8 +28,10 @@ print(f"chosen multiplicity p = {p}, anchoring subspace dimension = {dim_l}\n")
 
 rep = construct(ConstructionParams(n=n, l=l, r=r, field_spec="fp:32003", seed=42))
 
-print(f"module piece dimensions: {rep.module.piece_dims}")
-print(f"resolution terms (twist, rank): {rep.complex.terms}")
+# The report records L; the module P/L and its complex are rebuilt from it.
+M = anchored_module(rep.anchor, n, l)
+print(f"module piece dimensions: {M.piece_dims}")
+print(f"resolution terms (twist, rank): {bgg_complex(M).terms}")
 print(f"bundle rank (Euler characteristic): {rep.rank}")
 print(f"endomorphism space dimension: {rep.hom_dim}  (1 = simple)")
 print(f"certified homological dimension: {rep.hd.value}")

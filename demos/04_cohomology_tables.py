@@ -10,9 +10,15 @@ position, from the dimensions of its terms.
 Run with: python3 demos/04_cohomology_tables.py
 """
 
+import sys
+from pathlib import Path
+
 from bggbundles import (GF, CohomologyCalculator, LinearComplex, bgg_complex,
-                        certify_hd, cohomology_table, euler_line, free_truncated,
-                        line_coh)
+                        certify_hd, cohomology_table, euler_line, free_truncated)
+
+# The closed-form line-bundle cohomology is a test oracle, kept beside the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from strand_oracle import line_coh
 
 F = GF(32003)
 n = 3

@@ -2,9 +2,11 @@
 
 A subspace L of U (x) W anchors U when the only endomorphisms phi of U with
 (phi (x) 1)(L) inside L are the scalars.  This module verifies anchoring by
-solving the invariant-subspace linear system exactly, constructs explicit
-anchoring subspaces from shifted identity blocks plus a Burnside pair, and
-searches for random anchoring subspaces with verification.
+solving the invariant-subspace linear system exactly and searches for random
+anchoring subspaces with verification.  The paper's explicit anchoring
+tensor (shifted identity blocks plus a Burnside pair) anchors but need not
+be faithful, so the pipeline never builds it; it is kept in
+``tests/explicit_anchor.py`` as a reference.
 
 Index convention: a vector of U (x) W is flattened as (i, a) -> i*w + a where
 i indexes U and a indexes W.
@@ -14,9 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import ceil
-
-import numpy as np
 
 from .matrix import DenseMatrix, MalformedSubspaceError, ShapeError, Subspace
 
@@ -29,10 +28,6 @@ class AnchoringSearchError(RuntimeError):
     def __init__(self, message, failures):
         super().__init__(message)
         self.failures = failures
-
-
-class TensorContradictionError(RuntimeError):
-    """Raised when a certified-rigid tensor yields dependent basis vectors."""
 
 
 @dataclass(frozen=True)
@@ -130,95 +125,6 @@ def is_anchoring(P: AnchorProblem) -> AnchorVerdict:
         return AnchorVerdict(P.u == 1, P.u * P.u)
     dim = pair_solution_dim(slices_from_subspace(P))
     return AnchorVerdict(dim == 1, dim)
-
-
-def commutant_dim(field, mats) -> int:
-    """Dimension of {C : C M = M C for every M in mats} (all s x s): the pairs
-    (A, C) with A V = V C for V in (I, *mats), where V = I forces A = C."""
-    s = mats[0].nrows
-    return pair_solution_dim(SliceTensor(s, s, (DenseMatrix.identity(field, s), *mats)))
-
-
-def burnside_pair(field, s: int, seed: int = 0):
-    """Two s x s matrices whose joint commutant is exactly the scalars.
-
-    B1 is diag(1..s); B2 conjugates the same diagonal by a seeded random
-    basis, retried until the exact commutant computation certifies dimension
-    1 (correctness never relies on genericity).
-    """
-    if s < 1:
-        raise ValueError("size must be at least 1")
-    if 0 < field.characteristic <= s:
-        raise ValueError(f"field with {field.characteristic} elements cannot "
-                         f"hold {s} distinct diagonal values")
-    diag = DenseMatrix(field, [[i + 1 if i == j else 0 for j in range(s)]
-                               for i in range(s)], s)
-    if s == 1:
-        return diag, diag
-    rng = random.Random(seed)
-    for _ in range(SEARCH_BUDGET):
-        x = DenseMatrix(field, [[field.random_element(rng) for _ in range(s)]
-                                for _ in range(s)], s)
-        if x.rank() != s:
-            continue
-        b2 = x @ diag @ x.solve_right(DenseMatrix.identity(field, s))
-        if commutant_dim(field, [diag, b2]) == 1:
-            return diag, b2
-    raise AnchoringSearchError(
-        f"no Burnside pair of size {s} found in {SEARCH_BUDGET} attempts", [])
-
-
-def anchoring_tensor(field, u: int, d: int, m: int) -> SliceTensor:
-    """Explicit tensor whose only invariance solutions are scalar pairs.
-
-    Requires m >= max(ceil(u/d), ceil(d/u)) + 2.  The first ceil(u/d) slices
-    are shifted identity blocks, the last two embed a Burnside pair of size
-    min(u, d); for u < d the construction is transposed.  The rigidity of the
-    result is verified, not assumed.
-    """
-    if u < 1 or d < 1:
-        raise ValueError("dimensions must be at least 1")
-    need = max(ceil(u / d), ceil(d / u)) + 2
-    if m < need:
-        raise ValueError(f"need at least {need} slices for ({u}, {d}), got {m}")
-    if u < d:
-        flipped = anchoring_tensor(field, d, u, m)
-        slices = tuple(s.transpose() for s in flipped.slices)
-        T = SliceTensor(u, d, slices)
-    else:
-        z = field.zero
-        slices = []
-        nblocks = ceil(u / d)
-        for a in range(nblocks):
-            grid = [[z] * d for _ in range(u)]
-            for t in range(min(d, u - a * d)):
-                grid[a * d + t][t] = field.one
-            slices.append(DenseMatrix(field, grid, d))
-        for _ in range(nblocks, m - 2):
-            slices.append(DenseMatrix.zeros(field, u, d))
-        b1, b2 = burnside_pair(field, d)
-        for b in (b1, b2):
-            slices.append(DenseMatrix.vstack([b, DenseMatrix.zeros(field, u - d, d)]))
-        T = SliceTensor(u, d, tuple(slices))
-    dim = pair_solution_dim(T)
-    if dim != 1:
-        raise TensorContradictionError(
-            f"explicit tensor for ({u}, {d}, {m}) has solution dimension {dim}")
-    return T
-
-
-def tensor_to_subspace(T: SliceTensor) -> AnchorProblem:
-    """The anchoring subspace spanned by the d vectors packed in a rigid tensor."""
-    if pair_solution_dim(T) != 1:
-        raise ValueError("tensor is not rigid; refusing to build a subspace")
-    w = T.w
-    cube = np.stack([v.to_numpy() for v in T.slices])  # (a, i, mu)
-    basis = DenseMatrix.from_numpy(T.field, cube.transpose(2, 1, 0).reshape(T.d, T.u * w))
-    if basis.rank() != T.d:
-        raise TensorContradictionError(
-            "rigid tensor produced dependent vectors; a dependency would give "
-            "a non-scalar solution")
-    return AnchorProblem(T.u, w, Subspace(basis))
 
 
 def annihilator(P: AnchorProblem) -> AnchorProblem:

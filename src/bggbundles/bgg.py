@@ -232,6 +232,9 @@ def _anchor_restriction(anchor: AnchorProblem, n: int, l: int) -> MatrixOfLinear
     if anchor.w != comb(n + 1, l):
         raise ShapeError(f"an anchor in k^{u} (x) k^{anchor.w} does not lie in "
                          f"U (x) wedge^{l} of k^{n + 1}")
+    if anchor.d == 0:  # the free case: no products, D is N x 0 at every point
+        return MatrixOfLinearForms((DenseMatrix.zeros(f, u * comb(n + 1, l + 1), 0),)
+                                   * (n + 1))
     eye = DenseMatrix.identity(f, u)
     basis_t = anchor.subspace.basis.transpose()
     return MatrixOfLinearForms(tuple(eye.kron(generator_action(j, l, n, f)) @ basis_t

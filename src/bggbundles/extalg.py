@@ -68,22 +68,3 @@ def generator_action(j: int, i: int, n: int, field) -> DenseMatrix:
             sign, T = hit
             grid[tgt_pos[T], col] = sign
     return DenseMatrix.from_numpy(field, grid)
-
-
-def vector_action(v, i: int, n: int, field) -> DenseMatrix:
-    """Matrix of left multiplication by ``v = sum v_j e_j`` on wedge^i V."""
-    if len(v) != n + 1:
-        raise ValueError(f"vector has {len(v)} coordinates, expected {n + 1}")
-    v = [field(x) for x in v]
-    src = basis_subsets(n, i)
-    if i > n:
-        return DenseMatrix.zeros(field, 0, len(src))
-    tgt_pos = subset_position(n, i + 1)
-    grid = zeros_array(field, (comb(n + 1, i + 1), len(src)))
-    for col, S in enumerate(src):
-        for j in range(n + 1):
-            hit = left_mult_sign(j, S)
-            if hit is not None:
-                sign, T = hit
-                grid[tgt_pos[T], col] += sign * v[j]
-    return DenseMatrix.from_numpy(field, grid)

@@ -83,10 +83,6 @@ class PrimeField:
     def one(self):
         return 1
 
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
     def random_element(self, rng):
         return rng.randrange(self.p)
 
@@ -124,10 +120,6 @@ class RationalField:
     @property
     def one(self):
         return Fraction(1)
-
-    @property
-    def characteristic(self) -> int:
-        return 0
 
     def random_element(self, rng):
         # Small integers keep coefficient growth tame in randomized tests.

@@ -259,18 +259,6 @@ class DenseMatrix:
         assert len(kpiv) == ker.nrows, "kernel basis must be independent"
         return kerR
 
-    def solve_right(self, B):
-        """Some ``X`` with ``self @ X = B``, or ``None`` if inconsistent."""
-        self._check(B)
-        if B.nrows != self.nrows:
-            raise ShapeError("right-hand side has wrong height")
-        R, piv = DenseMatrix.hstack([self, B]).rref()
-        if any(c >= self.ncols for c in piv):
-            return None
-        X = zeros_array(self.field, (self.ncols, B.ncols))
-        X[list(piv)] = R._a[:, self.ncols:]
-        return DenseMatrix._wrap(self.field, X)
-
 
 class Subspace:
     """A subspace of k^m presented by independent basis rows."""

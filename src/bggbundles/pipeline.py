@@ -316,10 +316,6 @@ class BundleReport:
     table = _section("cohomology")
     hd = _section("hd")
 
-    # M = P/L over the anchor's own field, and its complex, built when first read.
-    module = cached_property(lambda r: anchored_module(r.anchor, r.params.n, r.params.l))
-    complex = cached_property(lambda r: bgg_complex(r.module))
-
 
 def construct(params: ConstructionParams) -> BundleReport:
     """Run the whole construction with verification and seeded retries.

@@ -34,23 +34,7 @@ from .matrix import DenseMatrix, Subspace, _reduce, zeros_array
 
 
 class CertificationError(RuntimeError):
-    """Raised when a homological-dimension check fails; carries (q, t)."""
-
-    def __init__(self, message, q=None, t=None):
-        super().__init__(message)
-        self.q = q
-        self.t = t
-
-
-def line_coh(n: int, d: int, q: int) -> int:
-    """dim H^q(P^n, O(d)): binomials at the bottom and top rows, else zero."""
-    if not (0 <= q <= n):
-        raise ValueError(f"cohomological degree {q} out of range [0, {n}]")
-    if q == 0 and d >= 0:
-        return comb(n + d, n)
-    if q == n and d <= -n - 1:
-        return comb(-d - 1, n)
-    return 0
+    """Raised when a homological-dimension check fails."""
 
 
 def euler_line(n: int, d: int) -> int:
@@ -408,5 +392,5 @@ def certify_hd(P: GradedEModule, C: LinearComplex,
     if got != P.piece_dims[0]:
         raise CertificationError(
             f"H^{n - l} at twist {-n - 1} has dimension {got}, "
-            f"expected {P.piece_dims[0]}", q=n - l, t=-n - 1)
+            f"expected {P.piece_dims[0]}")
     return HdCertificate(l, (n - l, -n - 1, got))

@@ -10,15 +10,28 @@ the term dimension minus the ranks of the strands into and out of it, each
 ranked by ``bottom_strand_rank`` in the orientation that row once used, the
 transpose with its columns reversed.  ``top_rank`` is the rank of the H^n
 row's map that ``CohomologyCalculator._costrand_rank`` reads off, ranked by
-``top_strand_rank`` in index order.
+``top_strand_rank`` in index order.  ``line_coh`` is the closed-form
+cohomology of a line bundle, which a single-term complex's table must equal.
 """
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
 from bggbundles.fields import PrimeField
 from bggbundles.sheafcoh import _transpose_forms, monomials, strand_entries
+
+
+def line_coh(n: int, d: int, q: int) -> int:
+    """dim H^q(P^n, O(d)): binomials at the bottom and top rows, else zero."""
+    if not (0 <= q <= n):
+        raise ValueError(f"cohomological degree {q} out of range [0, {n}]")
+    if q == 0 and d >= 0:
+        return comb(n + d, n)
+    if q == n and d <= -n - 1:
+        return comb(-d - 1, n)
+    return 0
 
 
 def sparse_rank(rows, cols, vals, p: int | None) -> int:

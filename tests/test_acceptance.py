@@ -13,15 +13,17 @@ from math import ceil, comb
 import pytest
 
 from bggbundles import (GF, QQ, ConstructionParams, DenseMatrix, LinearComplex,
-                        annihilator, anchoring_tensor, bgg_complex,
+                        annihilator, bgg_complex,
                         cohomology_table, construct, faithfulness_scan, free_truncated,
-                        is_anchoring, line_coh, pair_solution_dim,
+                        is_anchoring, pair_solution_dim,
                         projective_point_count, report_to_json, Subspace, verify)
 from bggbundles.anchor import AnchorProblem
 import bggbundles.bgg as bgg
 import bggbundles.pipeline as pl
+from explicit_anchor import anchoring_tensor
 from forgery import module_record, with_replaced_anchor
 from scan_oracle import enumerated_scan, full_complex_scan
+from strand_oracle import line_coh
 
 F = GF(32003)
 
@@ -46,8 +48,9 @@ def test_acceptance_1_rank5_example_reproduction():
     t0 = time.perf_counter()
     rep = construct(ConstructionParams(n=3, l=2, r=5, field_spec="fp:32003", seed=42))
     elapsed = time.perf_counter() - t0
-    assert tuple(r for _, r in rep.complex.terms) == (2, 8, 11)
-    assert rep.module.piece_dims == (2, 8, 11)
+    M = pl.anchored_module(rep.anchor, 3, 2)
+    assert tuple(r for _, r in bgg_complex(M).terms) == (2, 8, 11)
+    assert M.piece_dims == (2, 8, 11)
     assert rep.rank == 5
     assert rep.hom_dim == 1
     assert rep.hd.value == 2
@@ -86,7 +89,7 @@ def test_acceptance_3_hd_nonvanishing_identity(construction_grid):
     for (n, l, r), rep in reports.items():
         q, t, dim = rep.hd.nonvanishing
         assert (q, t) == (n - l, -n - 1), (n, l, r)
-        assert dim == rep.module.piece_dims[0], (n, l, r)
+        assert dim == pl.anchored_module(rep.anchor, n, l).piece_dims[0], (n, l, r)
         # Intermediate cohomology vanishes on the whole recorded table.
         T = rep.table
         assert all(T.entry(q, t) == 0 for q in range(1, n - l)

@@ -7,10 +7,11 @@ from math import ceil
 import pytest
 
 from bggbundles import (GF, QQ, AnchoringSearchError, AnchorProblem, DenseMatrix,
-                        SliceTensor, Subspace, annihilator, anchoring_tensor,
-                        burnside_pair, commutant_dim, general_position_range,
+                        SliceTensor, Subspace, annihilator, general_position_range,
                         is_anchoring, pair_solution_dim, sample_anchoring,
-                        slices_from_subspace, tensor_to_subspace)
+                        slices_from_subspace)
+from explicit_anchor import (anchoring_tensor, burnside_pair, commutant_dim,
+                             tensor_to_subspace)
 
 F = GF(32003)
 

@@ -13,9 +13,9 @@ import pytest
 
 from bggbundles import (GF, QQ, AnchorProblem, DenseMatrix, LinearComplex,
                         MatrixOfLinearForms, ShapeError, Subspace,
-                        anchoring_tensor, bgg_complex, choose_parameters, faithfulness_scan,
+                        bgg_complex, choose_parameters, faithfulness_scan,
                         free_truncated, projective_point_count, quotient_top,
-                        sample_anchoring, tensor_to_subspace)
+                        sample_anchoring)
 import bggbundles.bgg as bgg
 from bggbundles import modp
 from bggbundles.fields import _is_prime
@@ -24,6 +24,7 @@ from bggbundles.bgg import (CERTIFICATE_CELLS, CERTIFICATE_PRIME, _anchor_restri
                             _points_at, _random_points, _strand_certificate,
                             certificate_anchor)
 from bggbundles.sheafcoh import _transpose_forms, strand_map
+from explicit_anchor import anchoring_tensor, tensor_to_subspace
 from scan_oracle import (EnumerationBudgetError, enumerated_scan, evaluate_fiber,
                          exact_at_point, full_complex_scan, normalized_point_chunks)
 
@@ -169,6 +170,25 @@ def test_decomposable_anchor_is_never_certified():
         assert not any(_strand_onto(D, a) for a in _capped_degrees(D))
         assert all(strand_map(_transpose_forms(D), a - 1).rank() == comb(3 + a, 3) - 1
                    for a in (1, 2, 3))
+
+
+def test_free_anchor_restriction_forms_no_products(monkeypatch):
+    # dim L = 0: D is N x 0 at every point, so no generator matrix is built,
+    # and each slice equals the product the general path would form.
+    calls = []
+    real = bgg.generator_action
+    monkeypatch.setattr(bgg, "generator_action", lambda *a: calls.append(a) or real(*a))
+    for field, n, l, u in ((F, 3, 2, 1), (QQ, 4, 1, 2), (F, 20, 2, 1)):
+        w = comb(n + 1, l)
+        L = AnchorProblem(u, w, Subspace(DenseMatrix.zeros(field, 0, u * w)))
+        D = _anchor_restriction(L, n, l)
+        assert D.nvars == n + 1 and D.field == field
+        assert all(s.shape == (u * comb(n + 1, l + 1), 0) for s in D.slices)
+        assert calls == []
+        eye = DenseMatrix.identity(field, u)
+        assert D.slices[n] == eye.kron(real(n, l, n, field)) @ L.subspace.basis.transpose()
+    _anchor_restriction(e0_anchor(F), 3, 1)
+    assert len(calls) == 4
 
 
 def test_anchor_outgrowing_its_target_is_enumerated():

@@ -173,22 +173,23 @@ def test_case_without_a_certificate_is_refused_before_building(monkeypatch, caps
 
 def test_construct_rank5_example_shape():
     rep = construct(ConstructionParams(3, 2, 5, seed=42))
-    assert rep.module.piece_dims == (2, 8, 11)
+    M = pl.anchored_module(rep.anchor, 3, 2)
+    assert M.piece_dims == (2, 8, 11)
     assert rep.rank == 5 and rep.hom_dim == 1 and rep.hd.value == 2
     assert rep.multiplicity == 2 and rep.anchor_dim == 1
-    assert [r for _, r in rep.complex.terms] == [2, 8, 11]
+    assert [r for _, r in bgg.bgg_complex(M).terms] == [2, 8, 11]
 
 
 def test_construct_small_l1():
     rep = construct(ConstructionParams(3, 1, 3, seed=0))
-    assert rep.module.piece_dims == (2, 5)
+    assert pl.anchored_module(rep.anchor, 3, 1).piece_dims == (2, 5)
     assert rep.rank == 3 and rep.hd.value == 1
 
 
 def test_construct_free_special_case():
     rep = construct(ConstructionParams(4, 3, 4, seed=0, multiplicity=1))
     assert rep.anchor_dim == 0
-    assert rep.module.piece_dims == (1, 5, 10, 10)
+    assert pl.anchored_module(rep.anchor, 4, 3).piece_dims == (1, 5, 10, 10)
     assert rep.rank == 4 and rep.hom_dim == 1 and rep.hd.value == 3
 
 

@@ -12,15 +12,21 @@ from bggbundles import (GF, QQ, CertificationError, CohomologyCalculator,
                         DenseMatrix, MatrixOfLinearForms, Subspace, bgg_complex,
                         certify_hd, cohomology_table, construct,
                         ConstructionParams, euler_line,
-                        free_truncated, line_coh, monomials, quotient_top,
+                        free_truncated, monomials, quotient_top,
                         strand_map)
 from bggbundles.anchor import AnchorProblem, sample_anchoring
 from bggbundles.bgg import LinearComplex, _anchor_restriction, faithfulness_scan
-from bggbundles.pipeline import choose_parameters
+from bggbundles.pipeline import anchored_module, choose_parameters
 from bggbundles.sheafcoh import costrand_map
-from strand_oracle import bottom_homology, bottom_strand_rank, top_rank, top_strand_rank
+from strand_oracle import (bottom_homology, bottom_strand_rank, line_coh, top_rank,
+                           top_strand_rank)
 
 F = GF(32003)
+
+
+def _complex(rep):
+    """The complex of the module P/L that a report's anchor defines, over L's field."""
+    return bgg_complex(anchored_module(rep.anchor, rep.params.n, rep.params.l))
 
 
 def test_line_coh_values():
@@ -183,14 +189,15 @@ def _top_rank_cases():
             for l in range(1, n):
                 for r in range(n, n + 4):
                     rep = construct(ConstructionParams(n=n, l=l, r=r, seed=seed))
-                    yield rep.complex, rep.exhaustive_scan.certificate[0] + 2
+                    yield _complex(rep), rep.exhaustive_scan.certificate[0] + 2
     for (n, l, r), top in (((5, 4, 5), 3), ((5, 4, 6), 3), ((6, 5, 7), 2)):
-        yield construct(ConstructionParams(n=n, l=l, r=r, seed=0)).complex, top
+        yield _complex(construct(ConstructionParams(n=n, l=l, r=r, seed=0))), top
     for params in (ConstructionParams(3, 2, 5, field_spec="qq", seed=3),
                    ConstructionParams(4, 3, 7, field_spec="qq")):
         rep = construct(params)
-        assert rep.complex.diffs[0].field == QQ
-        yield rep.complex, rep.exhaustive_scan.certificate[0] + 2
+        C = _complex(rep)
+        assert C.diffs[0].field == QQ
+        yield C, rep.exhaustive_scan.certificate[0] + 2
     for n in (3, 4):
         for l in range(1, n + 1):
             yield bgg_complex(free_truncated(2, l, n, F)), 4
@@ -218,7 +225,7 @@ def _with_slice(C, i, j, slice_):
 
 
 def test_calculator_refuses_a_complex_that_is_not_anchored():
-    C = construct(ConstructionParams(n=4, l=3, r=7, seed=0)).complex
+    C = _complex(construct(ConstructionParams(n=4, l=3, r=7, seed=0)))
     n, c = C.n, C.length
 
     def bump(s):
@@ -253,18 +260,19 @@ def test_intermediate_cohomology_is_the_certificate_hilbert_function():
         for l in range(1, n):
             for r in range(n, n + 4):
                 rep = construct(ConstructionParams(n=n, l=l, r=r, seed=0))
-                c, a = rep.complex.length, rep.exhaustive_scan.certificate[0]
+                C = _complex(rep)
+                c, a = C.length, rep.exhaustive_scan.certificate[0]
                 Dt = sheafcoh._transpose_forms(_anchor_restriction(rep.anchor, n, l))
                 h = [sheafcoh.strand_cokernel_dim(Dt, d) for d in range(a + 2)]
                 assert h[0] == rep.anchor.d and all(h[:a]) and h[a] == h[a + 1] == 0
-                calc = CohomologyCalculator(rep.complex)
+                calc = CohomologyCalculator(C)
                 assert [calc.dim_h(n - 1, -n - 1 - c - d) for d in range(a + 2)] == h
     # Regression numbers: the h-vectors of the two largest certified cases.
     for (n, l, r), h in (((5, 4, 5), [5, 18, 35, 40, 0, 0]),
                          ((6, 5, 7), [5, 21, 44, 42, 0, 0])):
         rep = construct(ConstructionParams(n=n, l=l, r=r, seed=0))
         assert rep.exhaustive_scan.certificate[0] == 4
-        calc = CohomologyCalculator(rep.complex)
+        calc = CohomologyCalculator(_complex(rep))
         assert [calc.dim_h(n - 1, -n - 1 - l - d) for d in range(6)] == h, (n, l, r)
 
 
@@ -284,10 +292,10 @@ def test_closed_form_bottom_row_is_the_ranked_row():
     for n in (3, 4):
         for l in range(1, n):
             for r in range(n, n + 4):
-                C = construct(ConstructionParams(n=n, l=l, r=r, seed=0)).complex
+                C = _complex(construct(ConstructionParams(n=n, l=l, r=r, seed=0)))
                 _assert_bottom_row_is_the_ranked_row(C, -n - l - 8, 6)
     for r in (5, 6):
-        C = construct(ConstructionParams(n=5, l=4, r=r, seed=0)).complex
+        C = _complex(construct(ConstructionParams(n=5, l=4, r=r, seed=0)))
         _assert_bottom_row_is_the_ranked_row(C, -10, 0)
 
 
@@ -385,9 +393,11 @@ def test_certify_rank5_example():
 
 def test_certify_n3_l1_example():
     rep = construct(ConstructionParams(n=3, l=1, r=3, seed=0))
-    calc = CohomologyCalculator(rep.complex)
+    M = anchored_module(rep.anchor, 3, 1)
+    C = bgg_complex(M)
+    calc = CohomologyCalculator(C)
     assert calc.dim_h(2, -4) == 2
-    cert = certify_hd(rep.module, rep.complex, calc=calc)
+    cert = certify_hd(M, C, calc=calc)
     assert cert.value == 1
 
 
